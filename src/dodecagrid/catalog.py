@@ -23,10 +23,17 @@ def default_golden_dir() -> Path:
     return data_dir() / "golden"
 
 
-@lru_cache(maxsize=8)
 def load_catalog(rules_dir: Path | str | None = None) -> RuleTable:
-    """The full shipped rule catalog, concatenated from one file per rule group."""
-    return load_rule_dir(Path(rules_dir) if rules_dir is not None else default_rules_dir())
+    """The rule catalog in ``rules_dir`` (default: the shipped one), one table per directory."""
+    return _load_catalog(Path(rules_dir if rules_dir is not None else default_rules_dir()).resolve())
+
+
+@lru_cache(maxsize=8)
+def _load_catalog(rules_dir: Path) -> RuleTable:
+    return load_rule_dir(rules_dir)
+
+
+load_catalog.cache_clear = _load_catalog.cache_clear  # type: ignore[attr-defined]
 
 
 def golden_path(name: str, golden_dir: Path | str | None = None) -> Path:
@@ -42,7 +49,7 @@ def load_golden_text(name: str, golden_dir: Path | str | None = None) -> str:
 
 
 def load_golden_trace(name: str, golden_dir: Path | str | None = None) -> Trace:
-    return parse_trace_text(load_golden_text(name, golden_dir))
+    return parse_trace_text(load_golden_text(name, golden_dir), str(golden_path(name, golden_dir)))
 
 
 def golden_tokens(name: str, golden_dir: Path | str | None = None) -> list[str]:

@@ -9,16 +9,22 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import railway
 from .catalog import load_catalog
-from .engine import Configuration, EngineError, format_trace, format_trace_tsv, run, with_states
+from .engine import Configuration, EngineError, TraceFormatError, format_trace, format_trace_tsv
 from .geometry import dump_rotations
 from .pentagrid import enumerate_levels
-from .railway import Active, Passive, Side, SwitchKind, SwitchState, cross
+from .railway import Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
-from .rules import RuleConflictError, check_rotation_invariance, load_rule_files, minimal_form, parse_rules
-from .scenarios import SCENARIOS, CrossingMode, crossing_start, scenario_names
-from .verify import verify_all, verify_scenario
+from .rules import RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
+from .scenarios import SCENARIOS, CrossingMode, scenario_names
+from .verify import oracle_mode, verify_all, verify_scenario
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run a scenario and print its trace")
     run_p.add_argument("--scenario", required=True, choices=scenario_names())
-    run_p.add_argument("--steps", type=int, default=None)
+    run_p.add_argument("--steps", type=_non_negative_int, default=None)
     run_p.add_argument("--emit", choices=("paper", "tsv"), default="paper")
     run_p.add_argument("--rules", type=Path, default=None)
 
@@ -55,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_all_p = sub.add_parser("verify-all", help="run the whole verification matrix")
     verify_all_p.add_argument("--rules", type=Path, default=None)
     verify_all_p.add_argument("--golden", type=Path, default=None)
-    verify_all_p.add_argument("--jobs", type=int, default=1)
 
     oracle = sub.add_parser("oracle", help="abstract railway-model oracle")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
@@ -71,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     render_p = sub.add_parser("render", help="render a scenario frame as SVG")
     render_p.add_argument("--scenario", required=True, choices=scenario_names())
-    render_p.add_argument("--time", type=int, default=0)
+    render_p.add_argument("--time", type=_non_negative_int, default=0)
     render_p.add_argument("--side", choices=[v.value for v in ViewSide], default="above")
     render_p.add_argument("--out", type=Path, required=True)
     render_p.add_argument("--rules", type=Path, default=None)
@@ -80,12 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_rules_check(args: argparse.Namespace) -> int:
-    if args.files:
-        table = load_rule_files(args.files, strict=False)
-        rules = table.rules
-    else:
-        rules = load_catalog(args.rules).rules
-    report = check_rotation_invariance(rules)
+    try:
+        report = (load_rule_files(args.files) if args.files else load_catalog(args.rules)).invariance
+    except RuleConflictError as exc:
+        report = exc.report
     print(report)
     return 0 if report.ok else 1
 
@@ -116,7 +119,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    results = verify_all(args.rules, args.golden, jobs=max(1, args.jobs))
+    results = verify_all(args.rules, args.golden)
     for result in results:
         print(result.line())
     failed = sum(1 for r in results if not r.ok)
@@ -125,17 +128,9 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_crossings(args: argparse.Namespace) -> int:
-    kind = SwitchKind(args.kind)
     lat = Side(args.lat)
-    mode = CrossingMode(args.mode)
-    state = SwitchState(kind, lat)
-    crossing: railway.Crossing
-    if mode is CrossingMode.ACTIVE:
-        crossing = Active()
-    else:
-        arm = lat if mode is CrossingMode.PASSIVE_SELECTED else lat.other
-        crossing = Passive(arm)
-    exit_taken, new_state = cross(state, crossing)
+    state = SwitchState(SwitchKind(args.kind), lat)
+    exit_taken, new_state = cross(state, oracle_mode(CrossingMode(args.mode), lat))
     print(f"exit {exit_taken.value}, selected {new_state.selected.value}")
     return 0
 
@@ -149,12 +144,8 @@ def _cmd_pentagrid_levels(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     table = load_catalog(args.rules)
-    entry = SCENARIOS[args.scenario]
-    scenario = entry.build()
-    config = scenario.initial
-    if entry.is_switch:
-        config = with_states(config, crossing_start(scenario, entry.mode))
-    trace = run(scenario.graph, config, table, args.time)
+    scenario = SCENARIOS[args.scenario].build()
+    trace = scenario.run(table, args.time)
     frame = Configuration(trace.states_at(args.time), args.time)
     svg = render_scenario(scenario, frame, ViewSide(args.side))
     args.out.write_text(svg)
@@ -187,8 +178,8 @@ def main(argv: list[str] | None = None) -> int:
         handler = _cmd_render
     try:
         return handler(args)
-    except FileNotFoundError as exc:
-        # fail closed: a missing golden or rule file is a configuration error
+    except (FileNotFoundError, RuleParseError, TraceFormatError) as exc:
+        # fail closed: a missing or malformed golden or rule file is a configuration error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, RuleConflictError) as exc:

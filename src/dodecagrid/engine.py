@@ -36,6 +36,10 @@ class GraphError(ValueError):
     pass
 
 
+class TraceFormatError(ValueError):
+    """A trace text not in the ``format_trace`` layout, located by line."""
+
+
 class EngineError(RuntimeError):
     """A missing rule surfaced during a run, located by cell and time."""
 
@@ -185,23 +189,26 @@ def trace_tokens(text: str) -> list[str]:
     return tokens
 
 
-def parse_trace_text(text: str) -> Trace:
+def parse_trace_text(text: str, source: str = "<string>") -> Trace:
     """Read a trace back from the token format (inverse of ``format_trace``)."""
     cell_ids: tuple[CellId, ...] | None = None
     rows: list[tuple[int, tuple[CellState, ...]]] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "time":
-            if cell_ids is None:
+        try:
+            if tokens[0] != "time":
+                cell_ids = tuple(int(t) for t in tokens)
+            elif cell_ids is None:
                 raise ValueError("trace rows before header")
-            if tokens[2] != ":" or len(tokens) != 3 + len(cell_ids):
+            elif len(tokens) != 3 + len(cell_ids) or tokens[2] != ":":
                 raise ValueError(f"malformed trace row: {line!r}")
-            rows.append((int(tokens[1]), tuple(CellState.from_letter(s) for s in tokens[3:])))
-        else:
-            cell_ids = tuple(int(t) for t in tokens)
+            else:
+                rows.append((int(tokens[1]), tuple(CellState.from_letter(s) for s in tokens[3:])))
+        except ValueError as exc:
+            raise TraceFormatError(f"{source}:{line_no}: {exc}") from None
     if cell_ids is None:
-        raise ValueError("trace has no header")
+        raise TraceFormatError(f"{source}: trace has no header")
     return Trace(cell_ids, tuple(rows))

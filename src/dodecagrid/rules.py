@@ -75,11 +75,15 @@ class RuleParseError(ValueError):
 
 
 class RuleConflictError(ValueError):
-    """Two rules with the same minimal context but different new states."""
+    """A rule set in which two rules share a minimal context but disagree on the new state.
 
-    def __init__(self, a: Rule, b: Rule):
+    The message names the first such pair; ``report`` holds every conflict.
+    """
+
+    def __init__(self, report: InvarianceReport):
+        a, b = report.conflicts[0].a, report.conflicts[0].b
         super().__init__(f"rotation-invariance conflict between [{a.source}] {a} and [{b.source}] {b}")
-        self.pair = (a, b)
+        self.report = report
 
 
 class MissingRuleError(LookupError):
@@ -140,21 +144,18 @@ class InvarianceReport:
 
 
 class RuleTable:
-    """An ordered rule list with a canonical lookup index over minimal forms."""
+    """An ordered rule list with a canonical lookup index over minimal forms.
 
-    def __init__(self, rules: Iterable[Rule], strict: bool = True):
+    A rule set that is not rotation invariant is refused with ``RuleConflictError``.
+    """
+
+    def __init__(self, rules: Iterable[Rule]):
         self.rules: tuple[Rule, ...] = tuple(rules)
-        self._index: dict[ContextKey, CellState] = {}
-        self._by_minimal: dict[ContextKey, Rule] = {}
+        first, self.invariance = _index_minimal_forms(self.rules)
+        if not self.invariance.ok:
+            raise RuleConflictError(self.invariance)
+        self._index: dict[ContextKey, CellState] = {key: rule.new_state for key, rule in first.items()}
         self._cache: dict[Context, CellState] = {}
-        for rule in self.rules:
-            key = _key(minimal_context(rule.context))
-            prior = self._by_minimal.get(key)
-            if prior is not None and prior.new_state is not rule.new_state and strict:
-                raise RuleConflictError(prior, rule)
-            if prior is None:
-                self._by_minimal[key] = rule
-                self._index[key] = rule.new_state
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -183,23 +184,25 @@ def _key(ctx: Context) -> ContextKey:
     return (ctx.current, *ctx.neighbors)
 
 
-def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:
-    """Group rules by minimal context; report any pair disagreeing on new state."""
-    seen: dict[ContextKey, tuple[Rule, Context]] = {}
+def _index_minimal_forms(rules: Iterable[Rule]) -> tuple[dict[ContextKey, Rule], InvarianceReport]:
+    """One minimal-form pass: the first rule per minimal context, and every rule disagreeing with it."""
+    first: dict[ContextKey, Rule] = {}
     conflicts: list[Conflict] = []
     for rule in rules:
         mctx = minimal_context(rule.context)
-        key = _key(mctx)
-        prior = seen.get(key)
-        if prior is None:
-            seen[key] = (rule, mctx)
-        elif prior[0].new_state is not rule.new_state:
-            conflicts.append(Conflict(prior[0], rule, mctx))
-    return InvarianceReport(not conflicts, tuple(conflicts))
+        prior = first.setdefault(_key(mctx), rule)
+        if prior.new_state is not rule.new_state:
+            conflicts.append(Conflict(prior, rule, mctx))
+    return first, InvarianceReport(not conflicts, tuple(conflicts))
 
 
-def parse_rule_table(text: str, source: str = "<string>", strict: bool = True) -> RuleTable:
-    return RuleTable(parse_rules(text, source), strict=strict)
+def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:
+    """Group rules by minimal context; report any pair disagreeing on new state."""
+    return _index_minimal_forms(rules)[1]
+
+
+def parse_rule_table(text: str, source: str = "<string>") -> RuleTable:
+    return RuleTable(parse_rules(text, source))
 
 
 def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
@@ -221,17 +224,17 @@ def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
     return rules
 
 
-def load_rule_files(paths: Iterable[Path | str], strict: bool = True) -> RuleTable:
+def load_rule_files(paths: Iterable[Path | str]) -> RuleTable:
     rules: list[Rule] = []
     for path in paths:
         path = Path(path)
         rules.extend(parse_rules(path.read_text(), path.name))
-    return RuleTable(rules, strict=strict)
+    return RuleTable(rules)
 
 
-def load_rule_dir(directory: Path | str, strict: bool = True) -> RuleTable:
+def load_rule_dir(directory: Path | str) -> RuleTable:
     """Concatenate every ``*.rules`` file in ``directory`` (sorted by name)."""
     paths = sorted(Path(directory).glob("*.rules"))
     if not paths:
         raise FileNotFoundError(f"no .rules files in {directory}")
-    return load_rule_files(paths, strict=strict)
+    return load_rule_files(paths)

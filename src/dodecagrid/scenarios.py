@@ -9,7 +9,7 @@ modelled track for every step a test runs; the cells outside the chain are a
 permanently white boundary.
 
 Switch graphs (22 cells, printed as columns 1..22) are built from the frozen
-wiring in ``data/switch_wiring.json``; the crossing driver places the
+wiring in ``data/switch_wiring.json``; a named switch scenario starts with the
 locomotive on the approach or on one of the branch arms and runs 7 steps,
 which is the window the golden runs cover.
 """
@@ -126,13 +126,6 @@ def _place_locomotive(config: Configuration, chain: tuple[CellId, ...], forward:
     if forward:
         return with_states(config, {chain[0]: R, chain[1]: B})
     return with_states(config, {chain[-1]: R, chain[-2]: B})
-
-
-def max_safe_steps(chain_len: int, rear_index: int) -> int:
-    # Past the last chain cell there is no modelled track: one step after the
-    # front walks off, the lone rear has no covering rule.  Starting with the
-    # rear at `rear_index`, the run may take at most this many steps.
-    return chain_len - 1 - rear_index
 
 
 def build_vertical_segment(n: int, forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
@@ -287,26 +280,14 @@ def _switch_graph(kind: SwitchKind) -> CellGraph:
     wiring = load_switch_wiring()["kinds"][kind.value]
     ports: dict[CellId, list[Port]] = {}
     for cell_str, entry in wiring.items():
-        cell = int(cell_str)
         links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
-        blue = set(entry.get("blue", ()))
-        red = set(entry.get("red", ()))
-        row: list[Port] = []
-        for face in range(12):
-            if face in links:
-                row.append(LinkPort(links[face]))
-            elif face in blue:
-                row.append(FixedPort(B))
-            elif face in red:
-                row.append(FixedPort(R))
-            else:
-                row.append(FixedPort(W))
-        ports[cell] = row
+        template = CellTemplate(tuple(entry.get("blue", ())), tuple(entry.get("red", ())), tuple(links))
+        ports[int(cell_str)] = template.ports(links)
     return CellGraph(ports)
 
 
 def build_switch(kind: SwitchKind, laterality: Side) -> Scenario:
-    """The idle 22-cell switch graph; drive a crossing to get a trace."""
+    """The idle 22-cell switch graph; ``NamedScenario.build`` adds the crossing start."""
     if kind is SwitchKind.FIXED and laterality is not Side.LEFT:
         raise ValueError("the fixed switch only exists left-handed; mirror it with a bridge")
     idle = load_switch_wiring()["idle_states"][kind.value][laterality.value]
@@ -326,10 +307,6 @@ def build_switch(kind: SwitchKind, laterality: Side) -> Scenario:
     )
 
 
-def selected_branch(kind: SwitchKind, laterality: Side) -> tuple[CellId, ...]:
-    return LEFT_BRANCH if laterality is Side.LEFT else RIGHT_BRANCH
-
-
 def crossing_start(scenario: Scenario, mode: CrossingMode) -> dict[CellId, CellState]:
     """Locomotive placement (rear R, front B) for a crossing of the given mode."""
     kind: SwitchKind = scenario.meta["kind"]
@@ -338,15 +315,10 @@ def crossing_start(scenario: Scenario, mode: CrossingMode) -> dict[CellId, CellS
         raise ValueError("a flip-flop switch is only crossed actively")
     if mode is CrossingMode.ACTIVE:
         return {2: R, 3: B}
-    branch = selected_branch(kind, laterality)
+    branch = LEFT_BRANCH if laterality is Side.LEFT else RIGHT_BRANCH
     if mode is CrossingMode.PASSIVE_NONSELECTED:
         branch = RIGHT_BRANCH if branch is LEFT_BRANCH else LEFT_BRANCH
     return {branch[2]: B, branch[3]: R}
-
-
-def drive_crossing(scenario: Scenario, mode: CrossingMode, table: RuleTable, n_steps: int = 7) -> Trace:
-    start = with_states(scenario.initial, crossing_start(scenario, mode))
-    return run(scenario.graph, start, table, n_steps, scenario.print_order)
 
 
 @dataclass(frozen=True)
@@ -362,10 +334,12 @@ class NamedScenario:
         return self.kind is not None
 
     def build(self) -> Scenario:
+        """The runnable scenario; a switch starts with the locomotive placed for its crossing."""
         if self.is_switch:
             scenario = build_switch(self.kind, self.laterality)
             scenario.name = self.name
             scenario.golden_name = self.golden_name
+            scenario.initial = with_states(scenario.initial, crossing_start(scenario, self.mode))
             return scenario
         if self.name == "vertical":
             return build_vertical_segment(7)
@@ -374,10 +348,7 @@ class NamedScenario:
         return build_bridge()
 
     def trace(self, table: RuleTable, n_steps: int | None = None) -> Trace:
-        scenario = self.build()
-        if self.is_switch:
-            return drive_crossing(scenario, self.mode, table, 7 if n_steps is None else n_steps)
-        return scenario.run(table, n_steps)
+        return self.build().run(table, n_steps)
 
 
 def _switch_entries() -> list[NamedScenario]:

@@ -1,13 +1,11 @@
 """Checks behind ``verify`` and ``verify-all``: golden runs, properties, oracle agreement.
 
 Every check returns a ``CheckResult``; the matrix printed by ``verify-all`` is
-just the ordered list of them.  Checks are independent, so they may be run in
-parallel, but results are always reported in their fixed order.
+just the ordered list of them.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +14,7 @@ from .catalog import load_catalog, load_golden_trace
 from .engine import Trace
 from .geometry import IDENTITY, compose, enumerate_motions, inverse, preserves_adjacency
 from .railway import Exit, Side, SwitchKind
-from .rules import B, CellState, R, RuleTable, W, check_rotation_invariance
+from .rules import B, CellState, R, RuleTable, W
 from .scenarios import (
     APPROACH,
     LEFT_BRANCH,
@@ -74,7 +72,7 @@ def check_rotation_group() -> CheckResult:
 
 
 def check_catalog_invariance(table: RuleTable) -> CheckResult:
-    report = check_rotation_invariance(table.rules)
+    report = table.invariance
     detail = f"{len(table)} rules" if report.ok else str(report)
     return CheckResult("rule-catalog-invariance", report.ok, detail)
 
@@ -143,6 +141,17 @@ def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
     return out
 
 
+def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> list[str]:
+    """Locomotive progress and 1D rules along the track, and ``segment_cells`` all white at the end."""
+    rows = chain_rows(trace, scenario.track_cells)  # track_cells is in travel order
+    problems = locomotive_progress(rows) + one_d_violations(rows)
+    final = trace.states_at(trace.rows[-1][0])
+    stuck = [c for c in scenario.segment_cells if final[c] is not W]
+    if stuck:
+        problems.append(f"{stuck_label}: {stuck}")
+    return problems
+
+
 def check_segment(scenario: Scenario, table: RuleTable) -> CheckResult:
     name = f"segment:{scenario.name}" + ("-fwd" if scenario.meta.get("forward", True) else "-rev")
     if "n" in scenario.meta:
@@ -150,13 +159,8 @@ def check_segment(scenario: Scenario, table: RuleTable) -> CheckResult:
     if "k" in scenario.meta:
         name += f"-k{scenario.meta['k']}"
     trace = scenario.run(table)
-    rows = chain_rows(trace, scenario.track_cells)  # track_cells is in travel order
-    problems = locomotive_progress(rows) + one_d_violations(rows)
-    final = trace.states_at(trace.rows[-1][0])
-    stuck = [c for c in scenario.segment_cells if final[c] is not W]
-    if stuck:
-        problems.append(f"segment cells not idle after exit: {stuck}")
-    return CheckResult(name, not problems, "; ".join(problems[:3]) or f"{len(rows) - 1} steps clean")
+    problems = traversal_problems(scenario, trace, "segment cells not idle after exit")
+    return CheckResult(name, not problems, "; ".join(problems[:3]) or f"{len(trace.rows) - 1} steps clean")
 
 
 def check_bridge(scenario: Scenario, table: RuleTable) -> CheckResult:
@@ -172,12 +176,7 @@ def check_bridge(scenario: Scenario, table: RuleTable) -> CheckResult:
         if touched:
             problems.append(f"t{t}: crossing track disturbed at {touched}")
             break
-    rows = chain_rows(trace, scenario.track_cells)
-    problems += locomotive_progress(rows) + one_d_violations(rows)
-    final = trace.states_at(trace.rows[-1][0])
-    stuck = [c for c in scenario.segment_cells if final[c] is not W]
-    if stuck:
-        problems.append(f"bridge cells not idle after traversal: {stuck}")
+    problems += traversal_problems(scenario, trace, "bridge cells not idle after traversal")
     return CheckResult(name, not problems, "; ".join(problems[:3]) or "clean traversal")
 
 
@@ -243,30 +242,20 @@ def verify_scenario(name: str, table: RuleTable, golden_dir: Path | str | None =
 def verify_all(
     rules_dir: Path | str | None = None,
     golden_dir: Path | str | None = None,
-    jobs: int = 1,
 ) -> list[CheckResult]:
     table = load_catalog(rules_dir)
     golden_entries = [e for e in SCENARIOS.values() if e.golden_name is not None]
-
-    tasks = [
-        check_rotation_group,
-        lambda: check_catalog_invariance(table),
+    results = [check_rotation_group(), check_catalog_invariance(table)]
+    results += [check_golden(e, table, golden_dir) for e in golden_entries]
+    results += [
+        check_segment(build_vertical_segment(7), table),
+        check_segment(build_vertical_segment(7, forward=False), table),
+        check_segment(build_horizontal_segment(5), table),
+        check_segment(build_horizontal_segment(5, forward=False), table),
+        check_bridge(build_bridge("v1"), table),
+        check_bridge(build_bridge("v1", forward=False), table),
+        check_bridge(build_bridge("v0"), table),
+        check_bridge(build_bridge("v0", forward=False), table),
     ]
-    tasks += [lambda e=e: check_golden(e, table, golden_dir) for e in golden_entries]
-    tasks += [
-        lambda: check_segment(build_vertical_segment(7), table),
-        lambda: check_segment(build_vertical_segment(7, forward=False), table),
-        lambda: check_segment(build_horizontal_segment(5), table),
-        lambda: check_segment(build_horizontal_segment(5, forward=False), table),
-        lambda: check_bridge(build_bridge("v1"), table),
-        lambda: check_bridge(build_bridge("v1", forward=False), table),
-        lambda: check_bridge(build_bridge("v0"), table),
-        lambda: check_bridge(build_bridge("v0", forward=False), table),
-    ]
-    tasks += [lambda e=e: check_oracle_agreement(e, table) for e in golden_entries]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(t) for t in tasks]
-            return [f.result() for f in futures]
-    return [t() for t in tasks]
+    results += [check_oracle_agreement(e, table) for e in golden_entries]
+    return results

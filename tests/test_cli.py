@@ -128,8 +128,55 @@ def test_flipped_rule_can_surface_as_invariance_conflict(capsys, tmp_path):
     assert "conflict" in err
 
 
+def test_rules_check_dir_reports_conflict(capsys, tmp_path):
+    # the same FAILED report as for rule files, not just the refused table's error
+    rules_dir = _tampered_rules(
+        tmp_path,
+        "memory_sensor_motion.rules",
+        "B W W R W W W W W W R R R -> R",
+        "B W W R W W W W W W R R R -> B",
+    )
+    code, out, _ = run_cli(capsys, "rules", "check", "--rules", str(rules_dir))
+    assert code == 1
+    assert out.startswith("rotation invariance: FAILED")
+    assert "memory_sensor_motion.rules:6" in out
+    files = [str(p) for p in sorted(rules_dir.glob("*.rules"))]
+    assert run_cli(capsys, "rules", "check", *files) == (code, out, "")
+
+
+def test_verify_all_malformed_rule_fails_closed(capsys, tmp_path):
+    rules_dir = _tampered_rules(tmp_path, "straight_motion.rules", " -> ", " => ")
+    code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: straight_motion.rules:")
+
+
+def test_verify_malformed_golden_fails_closed(capsys, tmp_path):
+    golden = tmp_path / "memo-left-active.trace"
+    golden.write_text((default_golden_dir() / "memo-left-active.trace").read_text() + "time\n")
+    argv = ["verify", "--scenario", "memo-left-active", "--golden", str(tmp_path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {golden}:")
+    assert "malformed trace row: 'time'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "vertical", "--steps", "-3"],
+        ["render", "--scenario", "vertical", "--time", "-1", "--out", "frame.svg"],
+    ],
+)
+def test_negative_count_rejected(argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+
+
 def test_verify_all_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify-all", "--jobs", "2")
+    code, out, _ = run_cli(capsys, "verify-all")
     assert code == 0
     assert "32/32 checks passed" in out
 

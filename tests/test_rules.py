@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dodecagrid.catalog import default_rules_dir, load_catalog
 from dodecagrid.geometry import Motion, enumerate_motions, permutation_from_motion
 from dodecagrid.rules import (
     B,
@@ -144,13 +145,20 @@ def test_constructed_conflict_detected():
     assert {report.conflicts[0].a.source, report.conflicts[0].b.source} == {"a", "b"}
 
 
-def test_strict_table_raises_on_conflict():
+def test_table_raises_on_conflict():
     text = "W B W W W W W W W W W W W -> W\nW W B W W W W W W W W W W -> B\n"
-    with pytest.raises(RuleConflictError):
+    with pytest.raises(RuleConflictError) as raised:
         parse_rule_table(text)
-    # non-strict parsing defers to the checker
-    table = parse_rule_table(text, strict=False)
-    assert not check_rotation_invariance(table.rules).ok
+    assert raised.value.report == check_rotation_invariance(parse_rules(text))
+    assert not raised.value.report.ok
+
+
+def test_load_catalog_one_table_per_directory():
+    load_catalog.cache_clear()
+    table = load_catalog()
+    assert load_catalog(None) is table
+    assert load_catalog(default_rules_dir()) is table
+    assert load_catalog(str(default_rules_dir())) is table
 
 
 def test_lookup_quiescent(catalog):

@@ -17,7 +17,6 @@ from dodecagrid.scenarios import (
     build_switch,
     build_vertical_segment,
     crossing_start,
-    drive_crossing,
     horizontal_exit_faces,
 )
 
@@ -297,9 +296,10 @@ def test_active_crossing_never_enters_nonselected_branch(catalog):
         assert all(s is W for s in trace.column(guard)), name
 
 
-def test_drive_crossing_returns_eight_rows(catalog):
-    scenario = build_switch(SwitchKind.MEMORY, Side.LEFT)
-    trace = drive_crossing(scenario, CrossingMode.ACTIVE, catalog)
+def test_switch_scenario_run_returns_eight_rows(catalog):
+    scenario = SCENARIOS["memo-left-active"].build()
+    assert (scenario.initial.states[2], scenario.initial.states[3]) == (R, B)  # the crossing start
+    trace = scenario.run(catalog)
     assert len(trace.rows) == 8
     assert trace.cell_ids == tuple(range(1, 23))
 

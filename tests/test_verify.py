@@ -1,5 +1,7 @@
 import pytest
 
+from dodecagrid import rules
+from dodecagrid.catalog import load_catalog
 from dodecagrid.engine import Trace
 from dodecagrid.rules import B, R, W
 from dodecagrid.scenarios import SCENARIOS, build_bridge, build_vertical_segment
@@ -85,12 +87,39 @@ def test_verify_scenario_dispatch(catalog):
     assert verify_scenario("memo-left-active", catalog).ok
 
 
-def test_verify_all_green_and_order_independent():
-    serial = verify_all()
-    parallel = verify_all(jobs=4)
-    assert all(r.ok for r in serial)
-    assert [r.name for r in serial] == [r.name for r in parallel]
-    assert len(serial) == 32
+def test_verify_all_green():
+    results = verify_all()
+    assert all(r.ok for r in results)
+    assert len(results) == 32
+
+
+def _minimal_context_calls(monkeypatch, work) -> int:
+    """``minimal_context`` calls made by ``work`` on a freshly built catalogue table."""
+    calls = 0
+    original = rules.minimal_context
+
+    def counted(ctx):
+        nonlocal calls
+        calls += 1
+        return original(ctx)
+
+    monkeypatch.setattr(rules, "minimal_context", counted)
+    load_catalog.cache_clear()
+    try:
+        work()
+    finally:
+        load_catalog.cache_clear()
+    return calls
+
+
+def test_catalog_invariance_reads_the_table_pass(monkeypatch):
+    # one minimal form per catalogue rule builds both the index and the report
+    assert _minimal_context_calls(monkeypatch, lambda: check_catalog_invariance(load_catalog())) == 134
+
+
+def test_verify_all_canonicalises_each_rule_once(monkeypatch):
+    # 134 catalogue rules, then the 123 distinct contexts the matrix looks up
+    assert _minimal_context_calls(monkeypatch, verify_all) == 257
 
 
 def test_check_result_line():
