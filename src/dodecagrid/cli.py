@@ -28,6 +28,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Every leaf subcommand sets ``handler``, the function ``main`` calls with the parsed arguments."""
     parser = argparse.ArgumentParser(prog="dodecagrid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -36,31 +37,38 @@ def _build_parser() -> argparse.ArgumentParser:
     check = rules_sub.add_parser("check", help="check rotation invariance of rule files")
     check.add_argument("files", nargs="*", type=Path, help="rule files (default: shipped catalog)")
     check.add_argument("--rules", type=Path, default=None, help="rule directory to check instead")
+    check.set_defaults(handler=_cmd_rules_check)
     minform = rules_sub.add_parser("minform", help="print the minimal form of one rule")
     minform.add_argument("rule", help="rule literal, e.g. 'W W W B W W B B B W W W W -> W'")
+    minform.set_defaults(handler=_cmd_rules_minform)
 
     rotations = sub.add_parser("rotations", help="rotation group utilities")
     rotations_sub = rotations.add_subparsers(dest="rotations_command", required=True)
-    rotations_sub.add_parser("dump", help="print all 60 rotations as face permutations")
+    dump = rotations_sub.add_parser("dump", help="print all 60 rotations as face permutations")
+    dump.set_defaults(handler=_cmd_rotations_dump)
 
     scenario = sub.add_parser("scenario", help="scenario catalog")
     scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
-    scenario_sub.add_parser("list", help="print all scenario names")
+    listing = scenario_sub.add_parser("list", help="print all scenario names")
+    listing.set_defaults(handler=_cmd_scenario_list)
 
     run_p = sub.add_parser("run", help="run a scenario and print its trace")
     run_p.add_argument("--scenario", required=True, choices=scenario_names())
     run_p.add_argument("--steps", type=_non_negative_int, default=None)
     run_p.add_argument("--emit", choices=("paper", "tsv"), default="paper")
     run_p.add_argument("--rules", type=Path, default=None)
+    run_p.set_defaults(handler=_cmd_run)
 
     verify_p = sub.add_parser("verify", help="verify one scenario against its golden trace or properties")
     verify_p.add_argument("--scenario", required=True, choices=scenario_names())
     verify_p.add_argument("--rules", type=Path, default=None)
     verify_p.add_argument("--golden", type=Path, default=None)
+    verify_p.set_defaults(handler=_cmd_verify)
 
     verify_all_p = sub.add_parser("verify-all", help="run the whole verification matrix")
     verify_all_p.add_argument("--rules", type=Path, default=None)
     verify_all_p.add_argument("--golden", type=Path, default=None)
+    verify_all_p.set_defaults(handler=_cmd_verify_all)
 
     oracle = sub.add_parser("oracle", help="abstract railway-model oracle")
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
@@ -68,11 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
     crossings.add_argument("--kind", required=True, choices=[k.value for k in SwitchKind])
     crossings.add_argument("--mode", required=True, choices=[m.value for m in CrossingMode])
     crossings.add_argument("--lat", default=Side.LEFT.value, choices=[s.value for s in Side])
+    crossings.set_defaults(handler=_cmd_oracle_crossings)
 
     pentagrid = sub.add_parser("pentagrid", help="Fibonacci tree of the pentagrid")
     pentagrid_sub = pentagrid.add_subparsers(dest="pentagrid_command", required=True)
     levels = pentagrid_sub.add_parser("levels", help="print number/kind/coordinate per node")
-    levels.add_argument("--depth", type=int, required=True)
+    levels.add_argument("--depth", type=_non_negative_int, required=True)
+    levels.set_defaults(handler=_cmd_pentagrid_levels)
 
     render_p = sub.add_parser("render", help="render a scenario frame as SVG")
     render_p.add_argument("--scenario", required=True, choices=scenario_names())
@@ -80,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     render_p.add_argument("--side", choices=[v.value for v in ViewSide], default="above")
     render_p.add_argument("--out", type=Path, required=True)
     render_p.add_argument("--rules", type=Path, default=None)
+    render_p.set_defaults(handler=_cmd_render)
 
     return parser
 
@@ -102,10 +113,20 @@ def _cmd_rules_minform(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_rotations_dump(args: argparse.Namespace) -> int:
+    print(dump_rotations())
+    return 0
+
+
+def _cmd_scenario_list(args: argparse.Namespace) -> int:
+    for name in scenario_names():
+        print(name)
+    return 0
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     table = load_catalog(args.rules)
-    entry = SCENARIOS[args.scenario]
-    trace = entry.trace(table, args.steps)
+    trace = SCENARIOS[args.scenario].build().run(table, args.steps)
     emit = format_trace if args.emit == "paper" else format_trace_tsv
     sys.stdout.write(emit(trace))
     return 0
@@ -128,9 +149,11 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_crossings(args: argparse.Namespace) -> int:
-    lat = Side(args.lat)
-    state = SwitchState(SwitchKind(args.kind), lat)
-    exit_taken, new_state = cross(state, oracle_mode(CrossingMode(args.mode), lat))
+    kind, mode, lat = SwitchKind(args.kind), CrossingMode(args.mode), Side(args.lat)
+    if kind is SwitchKind.FLIPFLOP and mode is not CrossingMode.ACTIVE:
+        print(f"error: a flip-flop switch is only crossed actively, not in mode {mode.value!r}", file=sys.stderr)
+        return 2
+    exit_taken, new_state = cross(SwitchState(kind, lat), oracle_mode(mode, lat))
     print(f"exit {exit_taken.value}, selected {new_state.selected.value}")
     return 0
 
@@ -155,29 +178,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "rules":
-        handler = _cmd_rules_check if args.rules_command == "check" else _cmd_rules_minform
-    elif args.command == "rotations":
-        print(dump_rotations())
-        return 0
-    elif args.command == "scenario":
-        for name in scenario_names():
-            print(name)
-        return 0
-    elif args.command == "run":
-        handler = _cmd_run
-    elif args.command == "verify":
-        handler = _cmd_verify
-    elif args.command == "verify-all":
-        handler = _cmd_verify_all
-    elif args.command == "oracle":
-        handler = _cmd_oracle_crossings
-    elif args.command == "pentagrid":
-        handler = _cmd_pentagrid_levels
-    else:
-        handler = _cmd_render
     try:
-        return handler(args)
+        return args.handler(args)
     except (FileNotFoundError, RuleParseError, TraceFormatError) as exc:
         # fail closed: a missing or malformed golden or rule file is a configuration error
         print(f"error: {exc}", file=sys.stderr)

@@ -146,19 +146,14 @@ class Trace:
         return tuple(states[i] for _, states in self.rows)
 
 
-def run(
-    graph: CellGraph,
-    config: Configuration,
-    table: RuleTable,
-    n_steps: int,
-    cell_ids: tuple[CellId, ...] | None = None,
-) -> Trace:
-    order = cell_ids if cell_ids is not None else graph.cell_ids
+def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:
+    """``n_steps`` synchronous steps from ``config``; rows follow ``graph.cell_ids``."""
+    order = graph.cell_ids
     rows = [(config.time, tuple(config.states[c] for c in order))]
     for _ in range(n_steps):
         config = step(graph, config, table)
         rows.append((config.time, tuple(config.states[c] for c in order)))
-    return Trace(tuple(order), tuple(rows))
+    return Trace(order, tuple(rows))
 
 
 def format_trace(trace: Trace, cell_ids: tuple[CellId, ...] | None = None) -> str:

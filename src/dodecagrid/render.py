@@ -79,7 +79,7 @@ def render_scenario(scenario: Scenario, config: Configuration, side: ViewSide) -
     max_y = max(ys) * CELL_SPACING + MARGIN
 
     body: list[str] = []
-    for cell in scenario.print_order:
+    for cell in scenario.graph.cell_ids:
         if cell not in scenario.layout:
             continue
         ctx = context_of(scenario.graph, config, cell)

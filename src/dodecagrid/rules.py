@@ -46,7 +46,6 @@ class CellState(IntEnum):
 W, B, R = CellState.W, CellState.B, CellState.R
 
 Neighborhood = tuple[CellState, ...]
-ContextKey = tuple[CellState, ...]
 
 
 class Context(NamedTuple):
@@ -154,7 +153,7 @@ class RuleTable:
         first, self.invariance = _index_minimal_forms(self.rules)
         if not self.invariance.ok:
             raise RuleConflictError(self.invariance)
-        self._index: dict[ContextKey, CellState] = {key: rule.new_state for key, rule in first.items()}
+        self._index: dict[Context, CellState] = {mctx: rule.new_state for mctx, rule in first.items()}
         self._cache: dict[Context, CellState] = {}
 
     def __len__(self) -> int:
@@ -164,7 +163,7 @@ class RuleTable:
         hit = self._cache.get(ctx)
         if hit is not None:
             return hit
-        new_state = self._index.get(_key(minimal_context(ctx)))
+        new_state = self._index.get(minimal_context(ctx))
         if new_state is None:
             if blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD:
                 new_state = ctx.current
@@ -177,20 +176,16 @@ class RuleTable:
         return self.has_explicit(ctx) or blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD
 
     def has_explicit(self, ctx: Context) -> bool:
-        return _key(minimal_context(ctx)) in self._index
+        return minimal_context(ctx) in self._index
 
 
-def _key(ctx: Context) -> ContextKey:
-    return (ctx.current, *ctx.neighbors)
-
-
-def _index_minimal_forms(rules: Iterable[Rule]) -> tuple[dict[ContextKey, Rule], InvarianceReport]:
+def _index_minimal_forms(rules: Iterable[Rule]) -> tuple[dict[Context, Rule], InvarianceReport]:
     """One minimal-form pass: the first rule per minimal context, and every rule disagreeing with it."""
-    first: dict[ContextKey, Rule] = {}
+    first: dict[Context, Rule] = {}
     conflicts: list[Conflict] = []
     for rule in rules:
         mctx = minimal_context(rule.context)
-        prior = first.setdefault(_key(mctx), rule)
+        prior = first.setdefault(mctx, rule)
         if prior.new_state is not rule.new_state:
             conflicts.append(Conflict(prior, rule, mctx))
     return first, InvarianceReport(not conflicts, tuple(conflicts))

@@ -92,65 +92,70 @@ class Scenario:
     name: str
     graph: CellGraph
     initial: Configuration
-    print_order: tuple[CellId, ...]
     # cells along the locomotive's path, in travel order (empty for switches)
     track_cells: tuple[CellId, ...] = ()
     # the sub-span whose return to all-white is asserted after a traversal
     segment_cells: tuple[CellId, ...] = ()
-    golden_name: str | None = None
     default_steps: int = 7
     layout: dict[CellId, tuple[float, float]] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
-        return run(self.graph, self.initial, table, steps, self.print_order)
+        return run(self.graph, self.initial, table, steps)
 
 
-def _chain_graph(elements: list[tuple[CellTemplate, int, int]]) -> CellGraph:
-    """Link element i's exit face to element i+1's entry face; ends stay open."""
-    ports_by_cell: dict[CellId, list[Port]] = {}
-    n = len(elements)
-    for i, (template, entry, exit_) in enumerate(elements, start=1):
+def _chain_ports(elements: list[tuple[CellTemplate, int, int]], first: int = 1) -> dict[CellId, list[Port]]:
+    """Link element i's exit face to element i+1's entry face, cell ids counted from ``first``; ends stay open."""
+    last = first + len(elements) - 1
+    ports: dict[CellId, list[Port]] = {}
+    for cell, (template, entry, exit_) in enumerate(elements, start=first):
         links: dict[int, CellId] = {}
-        if i > 1:
-            links[entry] = i - 1
-        if i < n:
-            links[exit_] = i + 1
-        ports_by_cell[i] = template.ports(links)
-    return CellGraph(ports_by_cell)
+        if cell > first:
+            links[entry] = cell - 1
+        if cell < last:
+            links[exit_] = cell + 1
+        ports[cell] = template.ports(links)
+    return ports
 
 
-def _place_locomotive(config: Configuration, chain: tuple[CellId, ...], forward: bool) -> Configuration:
-    # rear R then front B, pointing along (or against) the chain order
-    if forward:
-        return with_states(config, {chain[0]: R, chain[1]: B})
-    return with_states(config, {chain[-1]: R, chain[-2]: B})
+def _track_scenario(
+    name: str,
+    ports: dict[CellId, list[Port]],
+    chain: tuple[CellId, ...],
+    forward: bool,
+    buffer: int,
+    **fields,
+) -> Scenario:
+    """The locomotive on ``chain``, ``buffer`` cells in from the end it starts at.
+
+    It starts as rear R then front B, pointing along the chain (or against it
+    when not ``forward``), and runs until its front reaches the last cell of
+    the chain; the ``buffer`` cells at each end lie outside the segment under
+    test.  The layout defaults to the chain drawn as a straight line.
+    """
+    graph = CellGraph(ports)
+    track = chain if forward else chain[::-1]
+    fields.setdefault("layout", {c: (float(i), 0.0) for i, c in enumerate(chain)})
+    return Scenario(
+        name=name,
+        graph=graph,
+        initial=with_states(uniform_configuration(graph), {track[buffer]: R, track[buffer + 1]: B}),
+        track_cells=track,
+        segment_cells=chain[buffer : len(chain) - buffer],
+        default_steps=len(chain) - buffer - 2,
+        **fields,
+    )
 
 
 def build_vertical_segment(n: int, forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
     """``n`` straight elements chained exit-4 to entry-1, plus end buffers."""
     if n < 3:
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
-    total = n + 2 * buffer
     straight = build_straight_element((1, 4))
-    elements = [(straight, 1, 4) for _ in range(total)]
-    graph = _chain_graph(elements)
-    chain = tuple(range(1, total + 1))
-    segment = tuple(range(buffer + 1, buffer + n + 1))
-    start = segment if forward else tuple(reversed(segment))
-    initial = _place_locomotive(uniform_configuration(graph), start, forward=True)
-    return Scenario(
-        name="vertical",
-        graph=graph,
-        initial=initial,
-        print_order=chain,
-        track_cells=chain if forward else tuple(reversed(chain)),
-        segment_cells=segment,
-        default_steps=n + buffer - 2,
-        layout={c: (float(i), 0.0) for i, c in enumerate(chain)},
-        meta={"n": n, "forward": forward, "buffer": buffer},
-    )
+    ports = _chain_ports([(straight, 1, 4)] * (n + 2 * buffer))
+    meta = {"n": n, "forward": forward, "buffer": buffer}
+    return _track_scenario("vertical", ports, tuple(ports), forward, buffer, meta=meta)
 
 
 def horizontal_exit_faces(k: int) -> tuple[int, ...]:
@@ -165,32 +170,15 @@ def build_horizontal_segment(k: int, forward: bool = True, buffer: int = SEGMENT
         raise ValueError(f"horizontal segment needs k >= 2, got {k}")
     plain = build_straight_element((1, 4))
     corner = build_corner()
-    elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4) for _ in range(buffer)]
-    segment_start = len(elements) + 1
+    elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4)] * buffer
     node_kinds: list[tuple[str, str]] = []
     for exit_face in horizontal_exit_faces(k):
-        elements.append((build_straight_element((1, exit_face)), 1, exit_face))
-        node_kinds.append(("straight", "white" if exit_face == 4 else "black"))
-        elements.append((corner, 1, 2))
-        node_kinds.append(("corner", "black"))
-    segment_end = len(elements)
-    elements.extend((plain, 1, 4) for _ in range(buffer))
-    graph = _chain_graph(elements)
-    chain = tuple(range(1, len(elements) + 1))
-    segment = tuple(range(segment_start, segment_end + 1))
-    start = segment if forward else tuple(reversed(segment))
-    initial = _place_locomotive(uniform_configuration(graph), start, forward=True)
-    return Scenario(
-        name="horizontal",
-        graph=graph,
-        initial=initial,
-        print_order=chain,
-        track_cells=chain if forward else tuple(reversed(chain)),
-        segment_cells=segment,
-        default_steps=2 * k + buffer - 2,
-        layout={c: (float(i), 0.0) for i, c in enumerate(chain)},
-        meta={"k": k, "forward": forward, "buffer": buffer, "node_kinds": tuple(node_kinds)},
-    )
+        elements += [(build_straight_element((1, exit_face)), 1, exit_face), (corner, 1, 2)]
+        node_kinds += [("straight", "white" if exit_face == 4 else "black"), ("corner", "black")]
+    elements += [(plain, 1, 4)] * buffer
+    ports = _chain_ports(elements)
+    meta = {"k": k, "forward": forward, "buffer": buffer, "node_kinds": tuple(node_kinds)}
+    return _track_scenario("horizontal", ports, tuple(ports), forward, buffer, meta=meta)
 
 
 def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
@@ -206,58 +194,28 @@ def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = S
     ramp = build_straight_element((1, 3))
     corner = build_corner()
 
-    v0_elements = [(plain, 1, 4) for _ in range(7 + 2 * buffer)]
-    v1_elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4) for _ in range(buffer + 2)]
-    v1_elements.append((ramp, 1, 3))
-    v1_elements.extend([(corner, 1, 2), (plain, 1, 4), (corner, 1, 2)])
-    v1_elements.append((ramp, 1, 3))
-    v1_elements.extend((plain, 1, 4) for _ in range(buffer + 2))
+    v0 = _chain_ports([(plain, 1, 4)] * (7 + 2 * buffer))
+    v1_elements = [
+        *[(plain, 1, 4)] * (buffer + 2),
+        (ramp, 1, 3),
+        (corner, 1, 2),
+        (plain, 1, 4),
+        (corner, 1, 2),
+        (ramp, 1, 3),
+        *[(plain, 1, 4)] * (buffer + 2),
+    ]
+    v1 = _chain_ports(v1_elements, first=len(v0) + 1)
+    v0_chain, v1_chain = tuple(v0), tuple(v1)
+    chain, other = (v0_chain, v1_chain) if active_track == "v0" else (v1_chain, v0_chain)
 
-    ports: dict[CellId, list[Port]] = {}
-    v0_graph = _chain_graph(v0_elements)
-    for cell in v0_graph.cell_ids:
-        ports[cell] = list(v0_graph.ports(cell))
-    offset = len(v0_elements)
-    v1_graph = _chain_graph(v1_elements)
-    for cell in v1_graph.cell_ids:
-        shifted = [
-            LinkPort(p.cell + offset) if isinstance(p, LinkPort) else p for p in v1_graph.ports(cell)
-        ]
-        ports[cell + offset] = shifted
-    graph = CellGraph(ports)
-
-    v0_chain = tuple(range(1, offset + 1))
-    v1_chain = tuple(range(offset + 1, offset + len(v1_elements) + 1))
-    chain = v0_chain if active_track == "v0" else v1_chain
-    other = v1_chain if active_track == "v0" else v0_chain
-    start = chain if forward else tuple(reversed(chain))
-    initial = _place_locomotive(uniform_configuration(graph), start[buffer:], forward=True)
-
-    deck = tuple(v1_chain[buffer + 2 : buffer + 7])
+    deck = v1_chain[buffer + 2 : buffer + 7]
     layout = {c: (float(i), 0.0) for i, c in enumerate(v0_chain)}
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
-    middle = chain[buffer : len(chain) - buffer]
-    return Scenario(
-        name="bridge",
-        graph=graph,
-        initial=initial,
-        print_order=v0_chain + v1_chain,
-        track_cells=start,
-        segment_cells=middle,
-        default_steps=len(chain) - buffer - 2,
-        layout=layout,
-        meta={
-            "active_track": active_track,
-            "forward": forward,
-            "other_track": other,
-            "deck": deck,
-            "buffer": buffer,
-        },
-    )
+    meta = {"active_track": active_track, "forward": forward, "other_track": other, "deck": deck, "buffer": buffer}
+    return _track_scenario("bridge", {**v0, **v1}, chain, forward, buffer, layout=layout, meta=meta)
 
 
-SWITCH_CELLS = tuple(range(1, 23))
 LEFT_BRANCH = (7, 8, 9, 10, 11)
 RIGHT_BRANCH = (12, 13, 14, 15, 16)
 APPROACH = (1, 2, 3, 4, 5)
@@ -300,7 +258,6 @@ def build_switch(kind: SwitchKind, laterality: Side) -> Scenario:
         name=f"{kind.value}-{laterality.value}",
         graph=graph,
         initial=initial,
-        print_order=SWITCH_CELLS,
         default_steps=7,
         layout=dict(_SWITCH_LAYOUT),
         meta={"kind": kind, "laterality": laterality},
@@ -324,7 +281,6 @@ def crossing_start(scenario: Scenario, mode: CrossingMode) -> dict[CellId, CellS
 @dataclass(frozen=True)
 class NamedScenario:
     name: str
-    golden_name: str | None
     kind: SwitchKind | None = None
     laterality: Side | None = None
     mode: CrossingMode | None = None
@@ -338,7 +294,6 @@ class NamedScenario:
         if self.is_switch:
             scenario = build_switch(self.kind, self.laterality)
             scenario.name = self.name
-            scenario.golden_name = self.golden_name
             scenario.initial = with_states(scenario.initial, crossing_start(scenario, self.mode))
             return scenario
         if self.name == "vertical":
@@ -346,9 +301,6 @@ class NamedScenario:
         if self.name == "horizontal":
             return build_horizontal_segment(5)
         return build_bridge()
-
-    def trace(self, table: RuleTable, n_steps: int | None = None) -> Trace:
-        return self.build().run(table, n_steps)
 
 
 def _switch_entries() -> list[NamedScenario]:
@@ -367,14 +319,14 @@ def _switch_entries() -> list[NamedScenario]:
                     name = f"memo-{lat.value}-{mode.value}"
                 else:
                     name = f"flipflop-{lat.value}-{mode.value}"
-                entries.append(NamedScenario(name, name, kind, lat, mode))
+                entries.append(NamedScenario(name, kind, lat, mode))
     return entries
 
 
 SCENARIOS: dict[str, NamedScenario] = {
-    "vertical": NamedScenario("vertical", None),
-    "horizontal": NamedScenario("horizontal", None),
-    "bridge": NamedScenario("bridge", None),
+    "vertical": NamedScenario("vertical"),
+    "horizontal": NamedScenario("horizontal"),
+    "bridge": NamedScenario("bridge"),
     **{entry.name: entry for entry in _switch_entries()},
 }
 

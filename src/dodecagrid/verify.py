@@ -94,8 +94,8 @@ def trace_divergence(got: Trace, want: Trace) -> str | None:
 
 def check_golden(entry: NamedScenario, table: RuleTable, golden_dir: Path | str | None = None) -> CheckResult:
     name = f"golden:{entry.name}"
-    want = load_golden_trace(entry.golden_name, golden_dir)  # missing file raises
-    got = entry.trace(table)
+    want = load_golden_trace(entry.name, golden_dir)  # missing file raises
+    got = entry.build().run(table)
     diff = trace_divergence(got, want)
     return CheckResult(name, diff is None, diff or "8 rows match")
 
@@ -217,7 +217,7 @@ def check_oracle_agreement(entry: NamedScenario, table: RuleTable) -> CheckResul
     name = f"oracle:{entry.name}"
     state = railway.SwitchState(entry.kind, entry.laterality)
     want_exit, want_state = railway.cross(state, oracle_mode(entry.mode, entry.laterality))
-    trace = entry.trace(table)
+    trace = entry.build().run(table)
     got_exit, got_selected = ca_outcome(trace, entry.kind)
     ok = got_exit is want_exit and got_selected is want_state.selected
     detail = (
@@ -231,7 +231,7 @@ def check_oracle_agreement(entry: NamedScenario, table: RuleTable) -> CheckResul
 
 def verify_scenario(name: str, table: RuleTable, golden_dir: Path | str | None = None) -> CheckResult:
     entry = SCENARIOS[name]
-    if entry.golden_name is not None:
+    if entry.is_switch:
         return check_golden(entry, table, golden_dir)
     scenario = entry.build()
     if name == "bridge":
@@ -244,7 +244,7 @@ def verify_all(
     golden_dir: Path | str | None = None,
 ) -> list[CheckResult]:
     table = load_catalog(rules_dir)
-    golden_entries = [e for e in SCENARIOS.values() if e.golden_name is not None]
+    golden_entries = [e for e in SCENARIOS.values() if e.is_switch]
     results = [check_rotation_group(), check_catalog_invariance(table)]
     results += [check_golden(e, table, golden_dir) for e in golden_entries]
     results += [

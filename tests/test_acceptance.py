@@ -101,12 +101,12 @@ def test_criterion_3_rotated_pair_witness():
 @criterion(4, "all eleven golden traces reproduced token-for-token, < 1 s total")
 def test_criterion_4_golden_traces():
     table = load_catalog()
-    entries = [e for e in SCENARIOS.values() if e.golden_name is not None]
+    entries = [e for e in SCENARIOS.values() if e.is_switch]
     assert len(entries) == 11
     started = time.perf_counter()
     for entry in entries:
-        got = trace_tokens(format_trace(entry.trace(table)))
-        assert got == golden_tokens(entry.golden_name), entry.name
+        got = trace_tokens(format_trace(entry.build().run(table)))
+        assert got == golden_tokens(entry.name), entry.name
     assert time.perf_counter() - started < 1.0
 
 
@@ -114,7 +114,7 @@ def test_criterion_4_golden_traces():
 def test_criterion_5_end_states():
     table = load_catalog()
 
-    nonsel = SCENARIOS["memo-left-nonsel"].trace(table)
+    nonsel = SCENARIOS["memo-left-nonsel"].build().run(table)
     at5 = nonsel.states_at(5)
     assert [at5[c].letter for c in range(17, 23)] == list("RBBBBR")
 
@@ -122,12 +122,12 @@ def test_criterion_5_end_states():
         ("flipflop-left-active", (B, R), (R, B)),
         ("flipflop-right-active", (R, B), (B, R)),
     ):
-        trace = SCENARIOS[name].trace(table)
+        trace = SCENARIOS[name].build().run(table)
         assert (trace.states_at(0)[17], trace.states_at(0)[18]) == before
         assert (trace.states_at(7)[17], trace.states_at(7)[18]) == after
 
     for name in ("fixed-active", "fixed-sel", "fixed-nonsel"):
-        trace = SCENARIOS[name].trace(table)
+        trace = SCENARIOS[name].build().run(table)
         first, last = trace.states_at(0), trace.states_at(7)
         assert all(first[c] == last[c] for c in range(17, 23)), name
 
@@ -153,7 +153,7 @@ def test_criterion_6_oracle_agreement():
 
     checked = 0
     for entry in SCENARIOS.values():
-        if entry.golden_name is None:
+        if not entry.is_switch:
             continue
         state = railway.SwitchState(entry.kind, entry.laterality)
         if entry.mode is CrossingMode.ACTIVE:
@@ -162,7 +162,7 @@ def test_criterion_6_oracle_agreement():
             arm = entry.laterality if entry.mode is CrossingMode.PASSIVE_SELECTED else entry.laterality.other
             mode = railway.Passive(arm)
         want_exit, want_state = railway.cross(state, mode)
-        got_exit, got_selected = read_ca_outcome(entry.trace(table))
+        got_exit, got_selected = read_ca_outcome(entry.build().run(table))
         assert got_exit is want_exit, entry.name
         assert got_selected is want_state.selected, entry.name
         checked += 1

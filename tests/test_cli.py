@@ -167,12 +167,14 @@ def test_verify_malformed_golden_fails_closed(capsys, tmp_path):
     [
         ["run", "--scenario", "vertical", "--steps", "-3"],
         ["render", "--scenario", "vertical", "--time", "-1", "--out", "frame.svg"],
+        ["pentagrid", "levels", "--depth", "-1"],
     ],
 )
-def test_negative_count_rejected(argv):
+def test_negative_count_rejected(argv, capsys):
     with pytest.raises(SystemExit) as raised:
         main(argv)
     assert raised.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 def test_verify_all_passes(capsys):
@@ -185,6 +187,14 @@ def test_oracle_crossings(capsys):
     code, out, _ = run_cli(capsys, "oracle", "crossings", "--kind", "memory", "--mode", "nonsel")
     assert code == 0
     assert out.strip() == "exit u, selected right"
+
+
+@pytest.mark.parametrize("mode", ["sel", "nonsel"])
+def test_oracle_crossings_rejects_passive_flipflop(capsys, mode):
+    code, out, err = run_cli(capsys, "oracle", "crossings", "--kind", "flipflop", "--mode", mode)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: a flip-flop switch is only crossed actively")
 
 
 def test_pentagrid_levels(capsys):

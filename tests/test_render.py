@@ -18,7 +18,6 @@ def one_cell_scenario():
         name="probe",
         graph=graph,
         initial=uniform_configuration(graph),
-        print_order=(1,),
         layout={1: (0.0, 0.0)},
     )
 
@@ -36,7 +35,7 @@ def test_render_is_deterministic(catalog):
 
 def test_all_white_configuration_renders_empty_body():
     graph = CellGraph({1: [FixedPort(W)] * 12})
-    scenario = Scenario("blank", graph, uniform_configuration(graph), (1,), layout={1: (0.0, 0.0)})
+    scenario = Scenario("blank", graph, uniform_configuration(graph), layout={1: (0.0, 0.0)})
     svg = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     lines = [line for line in svg.splitlines() if line]
     assert lines[0].startswith("<svg")
@@ -70,7 +69,7 @@ def test_face_colours_come_from_neighbours_below():
 
 def test_below_view_mirrors_x(catalog):
     scenario = build_vertical_segment(4)
-    idle = with_states(scenario.initial, dict.fromkeys(scenario.print_order, W))
+    idle = with_states(scenario.initial, dict.fromkeys(scenario.graph.cell_ids, W))
     above = render_scenario(scenario, idle, ViewSide.ABOVE)
     below = render_scenario(scenario, idle, ViewSide.BELOW)
     xs_above = [float(m) for m in re.findall(r'points="([-\d.]+),', above)]
@@ -93,8 +92,8 @@ def test_quiet_cells_omitted(catalog):
     svg = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     drawn = {int(m) for m in re.findall(r'data-cell="(\d+)"', svg)}
     # every track cell has blue milestones, so none is omitted here
-    assert drawn == set(scenario.print_order)
+    assert drawn == set(scenario.graph.cell_ids)
     # but a cell with an all-white neighbourhood disappears
     graph_cells = CellGraph({1: [FixedPort(W)] * 12})
-    quiet = Scenario("q", graph_cells, uniform_configuration(graph_cells), (1,), layout={1: (0.0, 0.0)})
+    quiet = Scenario("q", graph_cells, uniform_configuration(graph_cells), layout={1: (0.0, 0.0)})
     assert 'data-cell' not in render_scenario(quiet, quiet.initial, ViewSide.ABOVE)

@@ -1,7 +1,7 @@
 import pytest
 
 from dodecagrid.catalog import golden_tokens, load_golden_trace
-from dodecagrid.engine import context_of, format_trace, trace_tokens
+from dodecagrid.engine import LinkPort, context_of, format_trace, trace_tokens
 from dodecagrid.pentagrid import fibonacci_word
 from dodecagrid.railway import Side, SwitchKind
 from dodecagrid.rules import B, R, W, context_from_letters, minimal_context
@@ -19,8 +19,9 @@ from dodecagrid.scenarios import (
     crossing_start,
     horizontal_exit_faces,
 )
+from dodecagrid.verify import check_bridge, check_segment
 
-GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.golden_name is not None]
+GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.is_switch]
 
 
 def ctx(text):
@@ -153,6 +154,37 @@ def test_bridge_rejects_unknown_track():
         build_bridge("v2")
 
 
+# --- invariants shared by every track scenario ---------------------------------
+
+TRACK_BUILDERS = {
+    "vertical": lambda forward, buffer: build_vertical_segment(7, forward, buffer),
+    "horizontal": lambda forward, buffer: build_horizontal_segment(5, forward, buffer),
+    "bridge-v0": lambda forward, buffer: build_bridge("v0", forward, buffer),
+    "bridge-v1": lambda forward, buffer: build_bridge("v1", forward, buffer),
+}
+
+
+@pytest.mark.parametrize("buffer", (3, 5))
+@pytest.mark.parametrize("forward", (True, False), ids=("fwd", "rev"))
+@pytest.mark.parametrize("builder", TRACK_BUILDERS)
+def test_track_scenario_invariants(builder, forward, buffer, catalog):
+    scenario = TRACK_BUILDERS[builder](forward, buffer)
+    other = scenario.meta.get("other_track", ())
+    chain = tuple(c for c in scenario.graph.cell_ids if c not in other)
+    for a, b in zip(chain, chain[1:]):
+        assert LinkPort(b) in scenario.graph.ports(a), f"{a} is not linked to {b}"
+    track = chain if forward else chain[::-1]
+    assert scenario.track_cells == track
+    assert scenario.segment_cells == chain[buffer : len(chain) - buffer]
+    assert scenario.initial.states[track[buffer]] is R
+    assert scenario.initial.states[track[buffer + 1]] is B
+    assert sum(s is not W for s in scenario.initial.states.values()) == 2
+    assert scenario.default_steps == len(chain) - buffer - 2
+    check = check_bridge if builder.startswith("bridge") else check_segment
+    result = check(scenario, catalog)
+    assert result.ok, result.detail
+
+
 # --- switch graphs -----------------------------------------------------------
 
 
@@ -221,13 +253,13 @@ def test_crossing_start_positions():
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_trace_token_for_token(name, catalog):
     entry = SCENARIOS[name]
-    got = trace_tokens(format_trace(entry.trace(catalog)))
-    assert got == golden_tokens(entry.golden_name)
+    got = trace_tokens(format_trace(entry.build().run(catalog)))
+    assert got == golden_tokens(entry.name)
 
 
 def test_golden_files_have_expected_shape():
     for name in GOLDEN_NAMES:
-        trace = load_golden_trace(SCENARIOS[name].golden_name)
+        trace = load_golden_trace(name)
         assert trace.cell_ids == tuple(range(1, 23))
         assert [t for t, _ in trace.rows] == list(range(8))
 
@@ -236,7 +268,7 @@ def test_golden_files_have_expected_shape():
 
 
 def final_row(name, catalog):
-    trace = SCENARIOS[name].trace(catalog)
+    trace = SCENARIOS[name].build().run(catalog)
     return trace, trace.states_at(7)
 
 
@@ -277,7 +309,7 @@ def test_flipflop_toggles_and_alternates_exits(catalog):
 
 def test_fixed_switch_mechanism_unchanged_in_all_modes(catalog):
     for name in ("fixed-active", "fixed-sel", "fixed-nonsel"):
-        trace = SCENARIOS[name].trace(catalog)
+        trace = SCENARIOS[name].build().run(catalog)
         first = trace.states_at(0)
         last = trace.states_at(7)
         assert all(first[c] == last[c] for c in range(17, 23)), name
@@ -292,7 +324,7 @@ def test_active_crossing_never_enters_nonselected_branch(catalog):
         "flipflop-right-active": 8,
     }
     for name, guard in guard_cells.items():
-        trace = SCENARIOS[name].trace(catalog)
+        trace = SCENARIOS[name].build().run(catalog)
         assert all(s is W for s in trace.column(guard)), name
 
 

@@ -33,7 +33,7 @@ def test_catalog_invariance_check(catalog):
 
 def test_golden_checks_pass(catalog):
     for name, entry in SCENARIOS.items():
-        if entry.golden_name is None:
+        if not entry.is_switch:
             continue
         assert check_golden(entry, catalog).ok, name
 
@@ -75,7 +75,7 @@ def test_bridge_checks(catalog):
 
 def test_oracle_agreement_all_modes(catalog):
     for entry in SCENARIOS.values():
-        if entry.golden_name is None:
+        if not entry.is_switch:
             continue
         result = check_oracle_agreement(entry, catalog)
         assert result.ok, result.line()
