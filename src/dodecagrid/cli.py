@@ -16,8 +16,8 @@ from .pentagrid import enumerate_levels
 from .railway import Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
 from .rules import RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
-from .scenarios import SCENARIOS, CrossingMode, scenario_names
-from .verify import oracle_mode, verify_all, verify_scenario
+from .scenarios import SCENARIOS, CrossingMode, oracle_mode, scenario_names
+from .verify import verify_all, verify_scenario
 
 
 def _non_negative_int(text: str) -> int:
@@ -107,7 +107,7 @@ def _cmd_rules_check(args: argparse.Namespace) -> int:
 def _cmd_rules_minform(args: argparse.Namespace) -> int:
     rules = parse_rules(args.rule, source="<arg>")
     if len(rules) != 1:
-        print("expected exactly one rule literal", file=sys.stderr)
+        print("error: expected exactly one rule literal", file=sys.stderr)
         return 2
     print(minimal_form(rules[0]))
     return 0
@@ -133,6 +133,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.golden is not None and not SCENARIOS[args.scenario].is_switch:
+        message = f"scenario {args.scenario!r} has no golden trace; only switch scenarios take --golden"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     table = load_catalog(args.rules)
     result = verify_scenario(args.scenario, table, args.golden)
     print(result.line())

@@ -156,22 +156,18 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     return Trace(order, tuple(rows))
 
 
-def format_trace(trace: Trace, cell_ids: tuple[CellId, ...] | None = None) -> str:
+def format_trace(trace: Trace) -> str:
     """Header of cell numbers, then ``time N :`` rows of state letters."""
-    order = cell_ids if cell_ids is not None else trace.cell_ids
-    idx = [trace.cell_ids.index(c) for c in order]
-    lines = [" ".join(str(c) for c in order), ""]
+    lines = [" ".join(str(c) for c in trace.cell_ids), ""]
     for t, states in trace.rows:
-        lines.append(f"time {t} :  " + "  ".join(states[i].letter for i in idx))
+        lines.append(f"time {t} :  " + "  ".join(s.letter for s in states))
     return "\n".join(lines) + "\n"
 
 
-def format_trace_tsv(trace: Trace, cell_ids: tuple[CellId, ...] | None = None) -> str:
-    order = cell_ids if cell_ids is not None else trace.cell_ids
-    idx = [trace.cell_ids.index(c) for c in order]
-    lines = ["time\t" + "\t".join(str(c) for c in order)]
+def format_trace_tsv(trace: Trace) -> str:
+    lines = ["time\t" + "\t".join(str(c) for c in trace.cell_ids)]
     for t, states in trace.rows:
-        lines.append(f"{t}\t" + "\t".join(states[i].letter for i in idx))
+        lines.append(f"{t}\t" + "\t".join(s.letter for s in states))
     return "\n".join(lines) + "\n"
 
 

@@ -9,9 +9,11 @@ modelled track for every step a test runs; the cells outside the chain are a
 permanently white boundary.
 
 Switch graphs (22 cells, printed as columns 1..22) are built from the frozen
-wiring in ``data/switch_wiring.json``; a named switch scenario starts with the
-locomotive on the approach or on one of the branch arms and runs 7 steps,
-which is the window the golden runs cover.
+wiring in ``data/switch_wiring.json``, which also gives the switch cells 17..22
+of an idle switch for each selected side.  ``build_switch`` sets those idle
+states, puts the locomotive on the approach (active crossing) or on the arm
+the crossing enters by (passive crossing) and runs 7 steps, which is the
+window the golden runs cover.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .engine import (
     with_states,
 )
 from .pentagrid import fibonacci_word
-from .railway import Side, SwitchKind
+from .railway import Active, Crossing, Passive, Side, SwitchKind
 from .rules import B, CellState, R, RuleTable, W
 
 STRAIGHT_EXIT_PAIRS = ((1, 3), (1, 4), (1, 8), (1, 10))
@@ -42,12 +44,20 @@ CORNER_MILESTONES = (3, 5, 6, 7, 8, 10, 11)
 CORNER_EXITS = (1, 2)
 
 SEGMENT_BUFFER = 5  # plain cells kept past each end of a segment under test
+_HEADING = {True: "fwd", False: "rev"}  # travel direction in a track scenario's name
 
 
 class CrossingMode(Enum):
     ACTIVE = "active"
     PASSIVE_SELECTED = "sel"
     PASSIVE_NONSELECTED = "nonsel"
+
+
+def oracle_mode(mode: CrossingMode, laterality: Side) -> Crossing:
+    """The railway crossing a mode names; a passive one enters by the selected arm or by the other one."""
+    if mode is CrossingMode.ACTIVE:
+        return Active()
+    return Passive(laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other)
 
 
 @dataclass(frozen=True)
@@ -98,7 +108,8 @@ class Scenario:
     segment_cells: tuple[CellId, ...] = ()
     default_steps: int = 7
     layout: dict[CellId, tuple[float, float]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    # a bridge's other track, which the locomotive must never disturb
+    crossing_track: tuple[CellId, ...] = ()
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
@@ -154,8 +165,7 @@ def build_vertical_segment(n: int, forward: bool = True, buffer: int = SEGMENT_B
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
     straight = build_straight_element((1, 4))
     ports = _chain_ports([(straight, 1, 4)] * (n + 2 * buffer))
-    meta = {"n": n, "forward": forward, "buffer": buffer}
-    return _track_scenario("vertical", ports, tuple(ports), forward, buffer, meta=meta)
+    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", ports, tuple(ports), forward, buffer)
 
 
 def horizontal_exit_faces(k: int) -> tuple[int, ...]:
@@ -171,14 +181,11 @@ def build_horizontal_segment(k: int, forward: bool = True, buffer: int = SEGMENT
     plain = build_straight_element((1, 4))
     corner = build_corner()
     elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4)] * buffer
-    node_kinds: list[tuple[str, str]] = []
     for exit_face in horizontal_exit_faces(k):
         elements += [(build_straight_element((1, exit_face)), 1, exit_face), (corner, 1, 2)]
-        node_kinds += [("straight", "white" if exit_face == 4 else "black"), ("corner", "black")]
     elements += [(plain, 1, 4)] * buffer
     ports = _chain_ports(elements)
-    meta = {"k": k, "forward": forward, "buffer": buffer, "node_kinds": tuple(node_kinds)}
-    return _track_scenario("horizontal", ports, tuple(ports), forward, buffer, meta=meta)
+    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", ports, tuple(ports), forward, buffer)
 
 
 def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
@@ -212,8 +219,8 @@ def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = S
     layout = {c: (float(i), 0.0) for i, c in enumerate(v0_chain)}
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
-    meta = {"active_track": active_track, "forward": forward, "other_track": other, "deck": deck, "buffer": buffer}
-    return _track_scenario("bridge", {**v0, **v1}, chain, forward, buffer, layout=layout, meta=meta)
+    name = f"{active_track}-{_HEADING[forward]}"
+    return _track_scenario(name, {**v0, **v1}, chain, forward, buffer, layout=layout, crossing_track=other)
 
 
 LEFT_BRANCH = (7, 8, 9, 10, 11)
@@ -244,38 +251,42 @@ def _switch_graph(kind: SwitchKind) -> CellGraph:
     return CellGraph(ports)
 
 
-def build_switch(kind: SwitchKind, laterality: Side) -> Scenario:
-    """The idle 22-cell switch graph; ``NamedScenario.build`` adds the crossing start."""
+def idle_states(kind: SwitchKind) -> dict[Side, dict[CellId, CellState]]:
+    """Switch cells 17..22 of an idle switch, for each side it can select."""
+    by_side = load_switch_wiring()["idle_states"][kind.value]
+    return {
+        Side(side): {int(cell): CellState.from_letter(letter) for cell, letter in cells.items()}
+        for side, cells in by_side.items()
+    }
+
+
+def switch_name(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> str:
+    """``memo-left-sel``, ``flipflop-right-active``; the fixed switch, only left-handed, is ``fixed-<mode>``."""
+    if kind is SwitchKind.FIXED:
+        return f"fixed-{mode.value}"
+    prefix = "memo" if kind is SwitchKind.MEMORY else kind.value
+    return f"{prefix}-{laterality.value}-{mode.value}"
+
+
+def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scenario:
+    """The switch idle on ``laterality``, with the locomotive (rear R, front B) placed for a ``mode`` crossing."""
     if kind is SwitchKind.FIXED and laterality is not Side.LEFT:
         raise ValueError("the fixed switch only exists left-handed; mirror it with a bridge")
-    idle = load_switch_wiring()["idle_states"][kind.value][laterality.value]
-    graph = _switch_graph(kind)
-    initial = with_states(
-        uniform_configuration(graph),
-        {int(cell): CellState.from_letter(letter) for cell, letter in idle.items()},
-    )
-    return Scenario(
-        name=f"{kind.value}-{laterality.value}",
-        graph=graph,
-        initial=initial,
-        default_steps=7,
-        layout=dict(_SWITCH_LAYOUT),
-        meta={"kind": kind, "laterality": laterality},
-    )
-
-
-def crossing_start(scenario: Scenario, mode: CrossingMode) -> dict[CellId, CellState]:
-    """Locomotive placement (rear R, front B) for a crossing of the given mode."""
-    kind: SwitchKind = scenario.meta["kind"]
-    laterality: Side = scenario.meta["laterality"]
     if kind is SwitchKind.FLIPFLOP and mode is not CrossingMode.ACTIVE:
         raise ValueError("a flip-flop switch is only crossed actively")
-    if mode is CrossingMode.ACTIVE:
-        return {2: R, 3: B}
-    branch = LEFT_BRANCH if laterality is Side.LEFT else RIGHT_BRANCH
-    if mode is CrossingMode.PASSIVE_NONSELECTED:
-        branch = RIGHT_BRANCH if branch is LEFT_BRANCH else LEFT_BRANCH
-    return {branch[2]: B, branch[3]: R}
+    crossing = oracle_mode(mode, laterality)
+    if isinstance(crossing, Passive):
+        arm = LEFT_BRANCH if crossing.arm is Side.LEFT else RIGHT_BRANCH
+        locomotive = {arm[2]: B, arm[3]: R}
+    else:
+        locomotive = {2: R, 3: B}
+    graph = _switch_graph(kind)
+    return Scenario(
+        name=switch_name(kind, laterality, mode),
+        graph=graph,
+        initial=with_states(uniform_configuration(graph), {**idle_states(kind)[laterality], **locomotive}),
+        layout=dict(_SWITCH_LAYOUT),
+    )
 
 
 @dataclass(frozen=True)
@@ -292,10 +303,7 @@ class NamedScenario:
     def build(self) -> Scenario:
         """The runnable scenario; a switch starts with the locomotive placed for its crossing."""
         if self.is_switch:
-            scenario = build_switch(self.kind, self.laterality)
-            scenario.name = self.name
-            scenario.initial = with_states(scenario.initial, crossing_start(scenario, self.mode))
-            return scenario
+            return build_switch(self.kind, self.laterality, self.mode)
         if self.name == "vertical":
             return build_vertical_segment(7)
         if self.name == "horizontal":
@@ -310,16 +318,8 @@ def _switch_entries() -> list[NamedScenario]:
         (SwitchKind.FIXED, (Side.LEFT,)),
         (SwitchKind.FLIPFLOP, (Side.LEFT, Side.RIGHT)),
     ):
-        for lat in lats:
-            modes = (CrossingMode.ACTIVE,) if kind is SwitchKind.FLIPFLOP else tuple(CrossingMode)
-            for mode in modes:
-                if kind is SwitchKind.FIXED:
-                    name = f"fixed-{mode.value}"
-                elif kind is SwitchKind.MEMORY:
-                    name = f"memo-{lat.value}-{mode.value}"
-                else:
-                    name = f"flipflop-{lat.value}-{mode.value}"
-                entries.append(NamedScenario(name, kind, lat, mode))
+        modes = (CrossingMode.ACTIVE,) if kind is SwitchKind.FLIPFLOP else tuple(CrossingMode)
+        entries += [NamedScenario(switch_name(kind, lat, mode), kind, lat, mode) for lat in lats for mode in modes]
     return entries
 
 

@@ -20,12 +20,13 @@ from .scenarios import (
     LEFT_BRANCH,
     RIGHT_BRANCH,
     SCENARIOS,
-    CrossingMode,
     NamedScenario,
     Scenario,
     build_bridge,
     build_horizontal_segment,
     build_vertical_segment,
+    idle_states,
+    oracle_mode,
 )
 
 
@@ -153,40 +154,31 @@ def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> li
 
 
 def check_segment(scenario: Scenario, table: RuleTable) -> CheckResult:
-    name = f"segment:{scenario.name}" + ("-fwd" if scenario.meta.get("forward", True) else "-rev")
-    if "n" in scenario.meta:
-        name += f"-n{scenario.meta['n']}"
-    if "k" in scenario.meta:
-        name += f"-k{scenario.meta['k']}"
     trace = scenario.run(table)
     problems = traversal_problems(scenario, trace, "segment cells not idle after exit")
-    return CheckResult(name, not problems, "; ".join(problems[:3]) or f"{len(trace.rows) - 1} steps clean")
+    detail = "; ".join(problems[:3]) or f"{len(trace.rows) - 1} steps clean"
+    return CheckResult(f"segment:{scenario.name}", not problems, detail)
 
 
 def check_bridge(scenario: Scenario, table: RuleTable) -> CheckResult:
-    track = scenario.meta["active_track"]
-    direction = "fwd" if scenario.meta["forward"] else "rev"
-    name = f"bridge:{track}-{direction}"
     trace = scenario.run(table)
     problems = []
-    other = scenario.meta["other_track"]
     for t, states in trace.rows:
         row = dict(zip(trace.cell_ids, states))
-        touched = [c for c in other if row[c] is not W]
+        touched = [c for c in scenario.crossing_track if row[c] is not W]
         if touched:
             problems.append(f"t{t}: crossing track disturbed at {touched}")
             break
     problems += traversal_problems(scenario, trace, "bridge cells not idle after traversal")
-    return CheckResult(name, not problems, "; ".join(problems[:3]) or "clean traversal")
-
-
-# Sensor colours read as the selected side: blue over the selected branch.
-_SENSOR_READING = {(B, R): Side.LEFT, (R, B): Side.RIGHT}
-_MARKER_READING = {(R, B): Side.LEFT, (B, R): Side.RIGHT}
+    return CheckResult(f"bridge:{scenario.name}", not problems, "; ".join(problems[:3]) or "clean traversal")
 
 
 def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
-    """Exit branch taken and final selected side, read off a crossing trace."""
+    """Exit branch taken and final selected side, read off a crossing trace.
+
+    The selected side is the one whose idle state the switch cells 17..22 are
+    back in at the end of the run.
+    """
     final = trace.states_at(trace.rows[-1][0])
     if any(final[c] is not W for c in APPROACH):
         exit_taken = Exit.U
@@ -196,21 +188,11 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
         exit_taken = Exit.RIGHT
     else:
         raise ValueError("no locomotive on any exit track at the end of the run")
-    selected = _SENSOR_READING.get((final[17], final[18]))
-    if selected is None:
-        raise ValueError(f"unreadable sensor pair: {final[17].letter} {final[18].letter}")
-    if kind is SwitchKind.MEMORY:
-        markers = _MARKER_READING.get((final[21], final[22]))
-        if markers is not selected:
-            raise ValueError("markers disagree with sensors")
-    return exit_taken, selected
-
-
-def oracle_mode(mode: CrossingMode, laterality: Side) -> railway.Crossing:
-    if mode is CrossingMode.ACTIVE:
-        return railway.Active()
-    arm = laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other
-    return railway.Passive(arm)
+    for side, cells in idle_states(kind).items():
+        if all(final[c] is state for c, state in cells.items()):
+            return exit_taken, side
+    letters = " ".join(final[c].letter for c in range(17, 23))
+    raise ValueError(f"switch cells 17..22 read {letters}, no idle state of the {kind.value} switch")
 
 
 def check_oracle_agreement(entry: NamedScenario, table: RuleTable) -> CheckResult:
@@ -234,9 +216,8 @@ def verify_scenario(name: str, table: RuleTable, golden_dir: Path | str | None =
     if entry.is_switch:
         return check_golden(entry, table, golden_dir)
     scenario = entry.build()
-    if name == "bridge":
-        return check_bridge(scenario, table)
-    return check_segment(scenario, table)
+    check = check_bridge if scenario.crossing_track else check_segment
+    return check(scenario, table)
 
 
 def verify_all(

@@ -231,7 +231,7 @@ def test_criterion_8_bridge():
         for forward in (True, False):
             scenario = build_bridge(track, forward=forward)
             trace = scenario.run(table)  # a missing rule would raise here
-            other = scenario.meta["other_track"]
+            other = scenario.crossing_track
             for _, states in trace.rows:
                 row = dict(zip(trace.cell_ids, states))
                 assert all(row[c] is W for c in other)

@@ -48,6 +48,15 @@ def test_rules_minform(capsys):
     assert out.strip() == "R | W W W W W W W B B B B B -> W"
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ["", "R W B W W W B B B W W W B -> W\nW W W B W W B B B W W W W -> W"],
+    ids=("none", "two"),
+)
+def test_rules_minform_rejects_wrong_literal_count(capsys, literal):
+    assert run_cli(capsys, "rules", "minform", literal) == (2, "", "error: expected exactly one rule literal\n")
+
+
 def test_run_matches_golden_tokens(capsys):
     code, out, _ = run_cli(capsys, "run", "--scenario", "memo-left-active")
     assert code == 0
@@ -80,6 +89,14 @@ def test_verify_missing_golden_fails_closed(capsys, tmp_path):
     code, _, err = run_cli(capsys, "verify", "--scenario", "memo-left-active", "--golden", str(tmp_path))
     assert code == 2
     assert "golden trace missing" in err
+
+
+@pytest.mark.parametrize("scenario", ["vertical", "horizontal", "bridge"])
+def test_verify_track_scenario_rejects_golden(capsys, scenario):
+    code, out, err = run_cli(capsys, "verify", "--scenario", scenario, "--golden", "/nonexistent")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: scenario {scenario!r} has no golden trace")
 
 
 def _tampered_rules(tmp_path, filename, old, new):
@@ -177,10 +194,47 @@ def test_negative_count_rejected(argv, capsys):
     assert "error: argument" in capsys.readouterr().err
 
 
+VERIFY_ALL_OUTPUT = """\
+PASS  rotation-group  (60 rotations, closed)
+PASS  rule-catalog-invariance  (134 rules)
+PASS  golden:memo-left-active  (8 rows match)
+PASS  golden:memo-left-sel  (8 rows match)
+PASS  golden:memo-left-nonsel  (8 rows match)
+PASS  golden:memo-right-active  (8 rows match)
+PASS  golden:memo-right-sel  (8 rows match)
+PASS  golden:memo-right-nonsel  (8 rows match)
+PASS  golden:fixed-active  (8 rows match)
+PASS  golden:fixed-sel  (8 rows match)
+PASS  golden:fixed-nonsel  (8 rows match)
+PASS  golden:flipflop-left-active  (8 rows match)
+PASS  golden:flipflop-right-active  (8 rows match)
+PASS  segment:vertical-fwd-n7  (10 steps clean)
+PASS  segment:vertical-rev-n7  (10 steps clean)
+PASS  segment:horizontal-fwd-k5  (13 steps clean)
+PASS  segment:horizontal-rev-k5  (13 steps clean)
+PASS  bridge:v1-fwd  (clean traversal)
+PASS  bridge:v1-rev  (clean traversal)
+PASS  bridge:v0-fwd  (clean traversal)
+PASS  bridge:v0-rev  (clean traversal)
+PASS  oracle:memo-left-active  (exit left, selected left)
+PASS  oracle:memo-left-sel  (exit u, selected left)
+PASS  oracle:memo-left-nonsel  (exit u, selected right)
+PASS  oracle:memo-right-active  (exit right, selected right)
+PASS  oracle:memo-right-sel  (exit u, selected right)
+PASS  oracle:memo-right-nonsel  (exit u, selected left)
+PASS  oracle:fixed-active  (exit left, selected left)
+PASS  oracle:fixed-sel  (exit u, selected left)
+PASS  oracle:fixed-nonsel  (exit u, selected left)
+PASS  oracle:flipflop-left-active  (exit left, selected right)
+PASS  oracle:flipflop-right-active  (exit right, selected left)
+
+32/32 checks passed
+"""
+
+
 def test_verify_all_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify-all")
-    assert code == 0
-    assert "32/32 checks passed" in out
+    # every check's name and detail, in matrix order
+    assert run_cli(capsys, "verify-all") == (0, VERIFY_ALL_OUTPUT, "")
 
 
 def test_oracle_crossings(capsys):

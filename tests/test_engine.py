@@ -19,7 +19,7 @@ from dodecagrid.engine import (
     with_states,
 )
 from dodecagrid.rules import B, R, RuleTable, W, context_from_letters
-from dodecagrid.scenarios import build_vertical_segment
+from dodecagrid.scenarios import SEGMENT_BUFFER, build_vertical_segment
 
 
 def ports(**faces):
@@ -130,13 +130,6 @@ def test_format_empty_trace_header_only():
     assert trace_tokens(format_trace(trace)) == ["1", "2", "3"]
 
 
-def test_format_trace_subset_order(catalog):
-    graph = CellGraph({1: ALL_WHITE_PORTS, 2: ALL_WHITE_PORTS})
-    config = with_states(uniform_configuration(graph), {1: B, 2: R})
-    trace = run(graph, config, RuleTable([]), 0)
-    assert trace_tokens(format_trace(trace, (2, 1)))[2:] == ["time", "0", ":", "R", "B"]
-
-
 def test_tsv_emission():
     trace = Trace((1, 2), ((0, (B, W)),))
     assert format_trace_tsv(trace) == "time\t1\t2\n0\tB\tW\n"
@@ -152,5 +145,5 @@ def test_parse_trace_round_trip(catalog):
 def test_trace_column(catalog):
     scenario = build_vertical_segment(4)
     trace = scenario.run(catalog, 2)
-    front_start = scenario.track_cells[scenario.meta["buffer"] + 1]
+    front_start = scenario.track_cells[SEGMENT_BUFFER + 1]
     assert trace.column(front_start)[0] is B

@@ -5,7 +5,7 @@ import pytest
 from dodecagrid.engine import CellGraph, Configuration, FixedPort, uniform_configuration, with_states
 from dodecagrid.render import FILL, PALE, LayoutError, ViewSide, render_scenario
 from dodecagrid.rules import B, R, W
-from dodecagrid.scenarios import Scenario, build_switch, build_vertical_segment
+from dodecagrid.scenarios import CrossingMode, Scenario, build_switch, build_vertical_segment
 from dodecagrid.railway import Side, SwitchKind
 
 # one isolated cell with a distinct state on every readable face
@@ -27,7 +27,7 @@ def fills(svg_text):
 
 
 def test_render_is_deterministic(catalog):
-    scenario = build_switch(SwitchKind.MEMORY, Side.LEFT)
+    scenario = build_switch(SwitchKind.MEMORY, Side.LEFT, CrossingMode.ACTIVE)
     a = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     b = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     assert a == b

@@ -1,7 +1,7 @@
 import pytest
 
 from dodecagrid.catalog import golden_tokens, load_golden_trace
-from dodecagrid.engine import LinkPort, context_of, format_trace, trace_tokens
+from dodecagrid.engine import LinkPort, context_of, format_trace, run, trace_tokens, uniform_configuration, with_states
 from dodecagrid.pentagrid import fibonacci_word
 from dodecagrid.railway import Side, SwitchKind
 from dodecagrid.rules import B, R, W, context_from_letters, minimal_context
@@ -16,8 +16,8 @@ from dodecagrid.scenarios import (
     build_straight_element,
     build_switch,
     build_vertical_segment,
-    crossing_start,
     horizontal_exit_faces,
+    idle_states,
 )
 from dodecagrid.verify import check_bridge, check_segment
 
@@ -28,9 +28,15 @@ def ctx(text):
     return context_from_letters(text.split())
 
 
+def idle_configuration(kind, lat):
+    """The switch graph with no locomotive: only the wiring's idle states on cells 17..22."""
+    graph = build_switch(kind, lat, CrossingMode.ACTIVE).graph
+    return graph, with_states(uniform_configuration(graph), idle_states(kind)[lat])
+
+
 def idle_context(kind, lat, cell):
-    scenario = build_switch(kind, lat)
-    return context_of(scenario.graph, scenario.initial, cell)
+    graph, idle = idle_configuration(kind, lat)
+    return context_of(graph, idle, cell)
 
 
 # --- track element templates -------------------------------------------------
@@ -113,14 +119,6 @@ def test_horizontal_exit_sequence_follows_word():
     assert set(faces) == {4, 10}
 
 
-def test_horizontal_node_kind_tags():
-    scenario = build_horizontal_segment(6)
-    kinds = scenario.meta["node_kinds"]
-    assert all(kind == "black" for element, kind in kinds if element == "corner")
-    straights = [kind for element, kind in kinds if element == "straight"]
-    assert straights == ["white" if c == "a" else "black" for c in fibonacci_word(6)]
-
-
 def test_horizontal_traverses_both_directions(catalog):
     for forward in (True, False):
         scenario = build_horizontal_segment(5, forward=forward)
@@ -136,7 +134,7 @@ def test_bridge_tracks_do_not_interact(catalog):
     for track in ("v0", "v1"):
         scenario = build_bridge(track)
         trace = scenario.run(catalog)
-        other = scenario.meta["other_track"]
+        other = scenario.crossing_track
         for _, states in trace.rows:
             row = dict(zip(trace.cell_ids, states))
             assert all(row[c] is W for c in other)
@@ -169,7 +167,7 @@ TRACK_BUILDERS = {
 @pytest.mark.parametrize("builder", TRACK_BUILDERS)
 def test_track_scenario_invariants(builder, forward, buffer, catalog):
     scenario = TRACK_BUILDERS[builder](forward, buffer)
-    other = scenario.meta.get("other_track", ())
+    other = scenario.crossing_track
     chain = tuple(c for c in scenario.graph.cell_ids if c not in other)
     for a, b in zip(chain, chain[1:]):
         assert LinkPort(b) in scenario.graph.ports(a), f"{a} is not linked to {b}"
@@ -217,34 +215,39 @@ def test_flipflop_sensor_ring_of_five():
 def test_fixed_switch_idle_contexts():
     assert idle_context(SwitchKind.FIXED, Side.LEFT, 20) == ctx("B W W R W W R R R R W B R")
     assert idle_context(SwitchKind.FIXED, Side.LEFT, 19) == ctx("W W W W W W W W W W W W W")
-    scenario = build_switch(SwitchKind.FIXED, Side.LEFT)
+    scenario = build_switch(SwitchKind.FIXED, Side.LEFT, CrossingMode.ACTIVE)
     assert scenario.initial.states[19] is W
 
 
 def test_fixed_right_rejected():
     with pytest.raises(ValueError):
-        build_switch(SwitchKind.FIXED, Side.RIGHT)
+        build_switch(SwitchKind.FIXED, Side.RIGHT, CrossingMode.ACTIVE)
 
 
 def test_idle_switch_is_stationary(catalog):
-    scenario = build_switch(SwitchKind.MEMORY, Side.LEFT)
-    trace = scenario.run(catalog, 7)
+    graph, idle = idle_configuration(SwitchKind.MEMORY, Side.LEFT)
+    trace = run(graph, idle, catalog, 7)
     assert all(states == trace.rows[0][1] for _, states in trace.rows)
 
 
 def test_flipflop_passive_rejected():
-    scenario = build_switch(SwitchKind.FLIPFLOP, Side.LEFT)
     with pytest.raises(ValueError):
-        crossing_start(scenario, CrossingMode.PASSIVE_SELECTED)
+        build_switch(SwitchKind.FLIPFLOP, Side.LEFT, CrossingMode.PASSIVE_SELECTED)
+
+
+def locomotive_start(kind, lat, mode):
+    """Non-white cells of a switch scenario's start outside the switch cells 17..22."""
+    initial = build_switch(kind, lat, mode).initial
+    assert {c: initial.states[c] for c in range(17, 23)} == idle_states(kind)[lat]
+    return {c: s for c, s in initial.states.items() if c < 17 and s is not W}
 
 
 def test_crossing_start_positions():
-    memory = build_switch(SwitchKind.MEMORY, Side.LEFT)
-    assert crossing_start(memory, CrossingMode.ACTIVE) == {2: R, 3: B}
-    assert crossing_start(memory, CrossingMode.PASSIVE_SELECTED) == {9: B, 10: R}
-    assert crossing_start(memory, CrossingMode.PASSIVE_NONSELECTED) == {14: B, 15: R}
-    right = build_switch(SwitchKind.MEMORY, Side.RIGHT)
-    assert crossing_start(right, CrossingMode.PASSIVE_SELECTED) == {14: B, 15: R}
+    memory = SwitchKind.MEMORY
+    assert locomotive_start(memory, Side.LEFT, CrossingMode.ACTIVE) == {2: R, 3: B}
+    assert locomotive_start(memory, Side.LEFT, CrossingMode.PASSIVE_SELECTED) == {9: B, 10: R}
+    assert locomotive_start(memory, Side.LEFT, CrossingMode.PASSIVE_NONSELECTED) == {14: B, 15: R}
+    assert locomotive_start(memory, Side.RIGHT, CrossingMode.PASSIVE_SELECTED) == {14: B, 15: R}
 
 
 # --- golden runs -------------------------------------------------------------
@@ -274,8 +277,7 @@ def final_row(name, catalog):
 
 def test_memory_nonselected_crossing_flips_switch(catalog):
     trace, final = final_row("memo-left-nonsel", catalog)
-    right_idle = build_switch(SwitchKind.MEMORY, Side.RIGHT).initial
-    assert {c: final[c] for c in range(17, 23)} == {c: right_idle.states[c] for c in range(17, 23)}
+    assert {c: final[c] for c in range(17, 23)} == idle_states(SwitchKind.MEMORY)[Side.RIGHT]
     at5 = trace.states_at(5)
     assert [at5[c].letter for c in range(17, 23)] == list("RBBBBR")
 
@@ -284,17 +286,15 @@ def test_memory_toggle_is_involution_at_state_level(catalog):
     # left --nonsel--> right pattern, and the right switch --nonsel--> left
     _, after_left = final_row("memo-left-nonsel", catalog)
     _, after_right = final_row("memo-right-nonsel", catalog)
-    left_idle = build_switch(SwitchKind.MEMORY, Side.LEFT).initial
-    right_idle = build_switch(SwitchKind.MEMORY, Side.RIGHT).initial
+    idle = idle_states(SwitchKind.MEMORY)
     mech = range(17, 23)
-    assert {c: after_left[c] for c in mech} == {c: right_idle.states[c] for c in mech}
-    assert {c: after_right[c] for c in mech} == {c: left_idle.states[c] for c in mech}
+    assert {c: after_left[c] for c in mech} == idle[Side.RIGHT]
+    assert {c: after_right[c] for c in mech} == idle[Side.LEFT]
 
 
 def test_memory_selected_crossing_keeps_switch(catalog):
     _, final = final_row("memo-left-sel", catalog)
-    left_idle = build_switch(SwitchKind.MEMORY, Side.LEFT).initial
-    assert {c: final[c] for c in range(17, 23)} == {c: left_idle.states[c] for c in range(17, 23)}
+    assert {c: final[c] for c in range(17, 23)} == idle_states(SwitchKind.MEMORY)[Side.LEFT]
 
 
 def test_flipflop_toggles_and_alternates_exits(catalog):

@@ -3,10 +3,12 @@ import pytest
 from dodecagrid import rules
 from dodecagrid.catalog import load_catalog
 from dodecagrid.engine import Trace
+from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
 from dodecagrid.scenarios import SCENARIOS, build_bridge, build_vertical_segment
 from dodecagrid.verify import (
     CheckResult,
+    ca_outcome,
     check_bridge,
     check_catalog_invariance,
     check_golden,
@@ -85,6 +87,21 @@ def test_verify_scenario_dispatch(catalog):
     assert verify_scenario("vertical", catalog).ok
     assert verify_scenario("bridge", catalog).ok
     assert verify_scenario("memo-left-active", catalog).ok
+    assert [verify_scenario(name, catalog).name for name in ("horizontal", "bridge")] == [
+        "segment:horizontal-fwd-k5",
+        "bridge:v1-fwd",
+    ]
+
+
+def test_ca_outcome_rejects_switch_cells_in_no_idle_state(catalog):
+    # a garbled controller (cell 19) leaves the sensors readable, but the
+    # switch cells 17..22 match neither side's idle state
+    trace = SCENARIOS["memo-left-active"].build().run(catalog)
+    t, final = trace.rows[-1]
+    garbled = tuple(W if cell == 19 else s for cell, s in zip(trace.cell_ids, final))
+    assert garbled != final
+    with pytest.raises(ValueError, match="no idle state of the memory switch"):
+        ca_outcome(Trace(trace.cell_ids, trace.rows[:-1] + ((t, garbled),)), SwitchKind.MEMORY)
 
 
 def test_verify_all_green():
