@@ -16,7 +16,7 @@ from .pentagrid import enumerate_levels
 from .railway import Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
 from .rules import RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
-from .scenarios import SCENARIOS, CrossingMode, oracle_mode, scenario_names
+from .scenarios import SCENARIOS, CrossingMode, check_crossing, oracle_mode, scenario_names
 from .verify import verify_all, verify_scenario
 
 
@@ -154,8 +154,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 def _cmd_oracle_crossings(args: argparse.Namespace) -> int:
     kind, mode, lat = SwitchKind(args.kind), CrossingMode(args.mode), Side(args.lat)
-    if kind is SwitchKind.FLIPFLOP and mode is not CrossingMode.ACTIVE:
-        print(f"error: a flip-flop switch is only crossed actively, not in mode {mode.value!r}", file=sys.stderr)
+    try:
+        check_crossing(kind, lat, mode)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     exit_taken, new_state = cross(SwitchState(kind, lat), oracle_mode(mode, lat))
     print(f"exit {exit_taken.value}, selected {new_state.selected.value}")

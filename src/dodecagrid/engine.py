@@ -5,14 +5,28 @@ state (milestones, quiescent surroundings, region boundary) or links to
 another cell of the graph.  A step reads every context from the old
 configuration, so update order is immaterial; the new configuration is a
 fresh value.
+
+``step`` is the full-sweep reference: it reads all 12 ports of every cell.
+``run`` gives the same result while evaluating only the cells whose context
+can have changed.  It compiles the graph once into flat wiring (12 list
+indices per cell, and for each cell the cells that read it), evaluates every
+cell on the first step, and afterwards only the cells that changed on the
+previous step plus the cells that read them.  This is exact because a cell
+whose own state and 12 neighbours are unchanged has the same context, so the
+deterministic ``RuleTable.lookup`` gives it the same new state as before,
+which is its current one.  Dirty cells are evaluated in ``graph.cell_ids``
+order, so an uncovered context raises the same ``EngineError`` (cell, time
+and context) as the full sweep: every cell outside the dirty set was covered
+on the previous step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .rules import CellState, Context, MissingRuleError, RuleTable, W
+from .rules import CellState, Context, MissingRuleError, RuleTable, W, minimal_context
 
 CellId = int
 
@@ -41,13 +55,14 @@ class TraceFormatError(ValueError):
 
 
 class EngineError(RuntimeError):
-    """A missing rule surfaced during a run, located by cell and time."""
+    """A missing rule surfaced during a run, located by cell and time, with the context's minimal form."""
 
     def __init__(self, cell: CellId, time: int, missing: MissingRuleError):
-        super().__init__(f"cell {cell} at time {time}: {missing}")
         self.cell = cell
         self.time = time
         self.context = missing.context
+        self.minimal = minimal_context(missing.context)
+        super().__init__(f"cell {cell} at time {time}: {missing} (minimal form {self.minimal})")
 
 
 class CellGraph:
@@ -146,13 +161,55 @@ class Trace:
         return tuple(states[i] for _, states in self.rows)
 
 
+# A fixed port compiles to the negative index that reads its state from the
+# tail of the state list ``run`` keeps: cell states first, then one of each state.
+_FIXED_TAIL = tuple(CellState)
+
+
+def _compile(graph: CellGraph) -> tuple[list[itemgetter], list[tuple[int, ...]]]:
+    """Per cell, in ``graph.cell_ids`` order: a getter of its 12 neighbour states, and the cells that read it."""
+    index = {cell: i for i, cell in enumerate(graph.cell_ids)}
+    getters: list[itemgetter] = []
+    readers: list[list[int]] = [[] for _ in index]
+    for i, cell in enumerate(graph.cell_ids):
+        slots = []
+        for port in graph.ports(cell):
+            if isinstance(port, LinkPort):
+                slots.append(index[port.cell])
+                readers[index[port.cell]].append(i)
+            else:
+                slots.append(port.state - len(_FIXED_TAIL))
+        getters.append(itemgetter(*slots))
+    return getters, [tuple(r) for r in readers]
+
+
 def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:
-    """``n_steps`` synchronous steps from ``config``; rows follow ``graph.cell_ids``."""
+    """``n_steps`` synchronous steps from ``config``; rows follow ``graph.cell_ids``.
+
+    Equal to ``n_steps`` calls of ``step``, evaluating only the dirty cells (see the module docstring).
+    """
     order = graph.cell_ids
-    rows = [(config.time, tuple(config.states[c] for c in order))]
+    n = len(order)
+    getters, readers = _compile(graph)
+    states = [config.states[c] for c in order] + list(_FIXED_TAIL)
+    time = config.time
+    rows = [(time, tuple(states[:n]))]
+    dirty: Iterable[int] = range(n)
     for _ in range(n_steps):
-        config = step(graph, config, table)
-        rows.append((config.time, tuple(config.states[c] for c in order)))
+        changed: list[tuple[int, CellState]] = []
+        for i in dirty:
+            current = states[i]
+            try:
+                new = table.lookup(Context(current, getters[i](states)))
+            except MissingRuleError as exc:
+                raise EngineError(order[i], time, exc) from None
+            if new != current:
+                changed.append((i, new))
+        for i, new in changed:
+            states[i] = new
+        time += 1
+        rows.append((time, tuple(states[:n])))
+        dirty = sorted({j for i, _ in changed for j in (i, *readers[i])})
     return Trace(order, tuple(rows))
 
 

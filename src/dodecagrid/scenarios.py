@@ -268,12 +268,17 @@ def switch_name(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> str:
     return f"{prefix}-{laterality.value}-{mode.value}"
 
 
-def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scenario:
-    """The switch idle on ``laterality``, with the locomotive (rear R, front B) placed for a ``mode`` crossing."""
+def check_crossing(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> None:
+    """Raise ``ValueError`` for a crossing the model has no switch for."""
     if kind is SwitchKind.FIXED and laterality is not Side.LEFT:
         raise ValueError("the fixed switch only exists left-handed; mirror it with a bridge")
     if kind is SwitchKind.FLIPFLOP and mode is not CrossingMode.ACTIVE:
-        raise ValueError("a flip-flop switch is only crossed actively")
+        raise ValueError(f"a flip-flop switch is only crossed actively, not in mode {mode.value!r}")
+
+
+def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scenario:
+    """The switch idle on ``laterality``, with the locomotive (rear R, front B) placed for a ``mode`` crossing."""
+    check_crossing(kind, laterality, mode)
     crossing = oracle_mode(mode, laterality)
     if isinstance(crossing, Passive):
         arm = LEFT_BRANCH if crossing.arm is Side.LEFT else RIGHT_BRANCH

@@ -251,6 +251,14 @@ def test_oracle_crossings_rejects_passive_flipflop(capsys, mode):
     assert err.startswith("error: a flip-flop switch is only crossed actively")
 
 
+@pytest.mark.parametrize("mode", ["active", "sel", "nonsel"])
+def test_oracle_crossings_rejects_right_handed_fixed(capsys, mode):
+    code, out, err = run_cli(capsys, "oracle", "crossings", "--kind", "fixed", "--mode", mode, "--lat", "right")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the fixed switch only exists left-handed")
+
+
 def test_pentagrid_levels(capsys):
     code, out, _ = run_cli(capsys, "pentagrid", "levels", "--depth", "1")
     assert code == 0

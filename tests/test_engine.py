@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dodecagrid.engine import (
     ALL_WHITE_PORTS,
     CellGraph,
+    Configuration,
     EngineError,
     FixedPort,
     GraphError,
@@ -18,8 +21,8 @@ from dodecagrid.engine import (
     uniform_configuration,
     with_states,
 )
-from dodecagrid.rules import B, R, RuleTable, W, context_from_letters
-from dodecagrid.scenarios import SEGMENT_BUFFER, build_vertical_segment
+from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters
+from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_vertical_segment
 
 
 def ports(**faces):
@@ -115,6 +118,9 @@ def test_run_past_modelled_region_raises(catalog):
         scenario.run(catalog, 5)
     assert err.value.cell == 3
     assert err.value.time == 2
+    assert err.value.context == context_from_letters("R W W B W W B B B W W W W".split())
+    assert err.value.minimal == context_from_letters("R W W W W W W W B B B B W".split())
+    assert str(err.value).endswith("(minimal form R | W W W W W W W B B B B W)")
 
 
 def test_format_trace_tokens(catalog):
@@ -147,3 +153,74 @@ def test_trace_column(catalog):
     trace = scenario.run(catalog, 2)
     front_start = scenario.track_cells[SEGMENT_BUFFER + 1]
     assert trace.column(front_start)[0] is B
+
+
+def sweep_run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:
+    """The reference: ``n_steps`` full sweeps of ``step``, every cell evaluated each time."""
+    order = graph.cell_ids
+    rows = [(config.time, tuple(config.states[c] for c in order))]
+    for _ in range(n_steps):
+        config = step(graph, config, table)
+        rows.append((config.time, tuple(config.states[c] for c in order)))
+    return Trace(order, tuple(rows))
+
+
+def outcome(run_fn, graph, config, table, n_steps):
+    try:
+        return run_fn(graph, config, table, n_steps)
+    except EngineError as exc:
+        return (exc.cell, exc.time, exc.context)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), name=st.sampled_from(sorted(SCENARIOS)), n_steps=st.integers(0, 14))
+def test_run_matches_full_sweep(catalog, data, name, n_steps):
+    # past the 7-step golden window, where switch crossings raise at time 9
+    scenario = SCENARIOS[name].build()
+    cells = st.sampled_from(scenario.graph.cell_ids)
+    overrides = data.draw(st.dictionaries(cells, st.sampled_from(tuple(CellState)), max_size=3), label="overrides")
+    config = with_states(scenario.initial, overrides)
+    expected = outcome(sweep_run, scenario.graph, config, catalog, n_steps)
+    assert outcome(run, scenario.graph, config, catalog, n_steps) == expected
+
+
+class CountingTable:
+    def __init__(self, table: RuleTable):
+        self.table = table
+        self.calls = 0
+
+    def lookup(self, ctx):
+        self.calls += 1
+        return self.table.lookup(ctx)
+
+
+def test_run_evaluates_only_active_cells(catalog):
+    # the full sweep makes len(graph) lookups per step, about 1 M here
+    scenario = build_vertical_segment(1000)
+    table = CountingTable(catalog)
+    scenario.run(table)
+    assert table.calls <= len(scenario.graph) + 10 * scenario.default_steps
+
+
+def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
+    """Two disjoint copies of the 3-cell track above, cells 1..3 and 11..13, in either insertion order."""
+    scenario = build_vertical_segment(3, buffer=0)
+
+    def shifted(port, by):
+        return LinkPort(port.cell + by) if isinstance(port, LinkPort) else port
+
+    cells = scenario.graph.cell_ids
+    ports = {c + by: [shifted(p, by) for p in scenario.graph.ports(c)] for by in (0, 10) for c in cells}
+    graph = CellGraph(dict(reversed(ports.items())) if reverse_order else ports)
+    states = {c + by: s for by in (0, 10) for c, s in scenario.initial.states.items()}
+    return graph, Configuration(states)
+
+
+@pytest.mark.parametrize("reverse_order, cell", [(False, 3), (True, 13)])
+def test_run_raises_at_first_uncovered_cell_in_order(catalog, reverse_order, cell):
+    # both rears are stranded at time 2; the error names the first in graph.cell_ids order, as step does
+    graph, config = twin_tracks(reverse_order)
+    with pytest.raises(EngineError) as err:
+        run(graph, config, catalog, 5)
+    assert (err.value.cell, err.value.time) == (cell, 2)
+    assert outcome(sweep_run, graph, config, catalog, 5) == (cell, 2, err.value.context)
