@@ -94,9 +94,6 @@ class CellGraph:
     def cell_ids(self) -> tuple[CellId, ...]:
         return tuple(self._ports)
 
-    def __contains__(self, cell: CellId) -> bool:
-        return cell in self._ports
-
     def __len__(self) -> int:
         return len(self._ports)
 
@@ -108,9 +105,6 @@ class CellGraph:
 class Configuration:
     states: Mapping[CellId, CellState]
     time: int = 0
-
-    def state(self, cell: CellId) -> CellState:
-        return self.states[cell]
 
 
 def uniform_configuration(graph: CellGraph, state: CellState = W, time: int = 0) -> Configuration:

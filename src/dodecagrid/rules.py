@@ -128,8 +128,11 @@ class Conflict:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    ok: bool
     conflicts: tuple[Conflict, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.conflicts
 
     def __str__(self) -> str:
         if self.ok:
@@ -172,9 +175,6 @@ class RuleTable:
         self._cache[ctx] = new_state
         return new_state
 
-    def covers(self, ctx: Context) -> bool:
-        return self.has_explicit(ctx) or blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD
-
     def has_explicit(self, ctx: Context) -> bool:
         return minimal_context(ctx) in self._index
 
@@ -188,7 +188,7 @@ def _index_minimal_forms(rules: Iterable[Rule]) -> tuple[dict[Context, Rule], In
         prior = first.setdefault(mctx, rule)
         if prior.new_state is not rule.new_state:
             conflicts.append(Conflict(prior, rule, mctx))
-    return first, InvarianceReport(not conflicts, tuple(conflicts))
+    return first, InvarianceReport(tuple(conflicts))
 
 
 def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:

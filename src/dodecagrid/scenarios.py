@@ -67,7 +67,6 @@ class CellTemplate:
     blue: tuple[int, ...]
     red: tuple[int, ...]
     open_faces: tuple[int, ...]
-    back: int = 0
 
     def ports(self, links: dict[int, CellId]) -> list[Port]:
         bad = set(links) - set(self.open_faces)

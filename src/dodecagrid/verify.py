@@ -1,7 +1,10 @@
 """Checks behind ``verify`` and ``verify-all``: golden runs, properties, oracle agreement.
 
 Every check returns a ``CheckResult``; the matrix printed by ``verify-all`` is
-just the ordered list of them.
+just the ordered list of them.  A check judges the trace it is given and never
+builds or runs a scenario: only ``verify_scenario`` and ``verify_all`` run
+scenarios, each once, so a switch crossing's golden and oracle checks read the
+same run.
 """
 
 from __future__ import annotations
@@ -93,12 +96,10 @@ def trace_divergence(got: Trace, want: Trace) -> str | None:
     return None
 
 
-def check_golden(entry: NamedScenario, table: RuleTable, golden_dir: Path | str | None = None) -> CheckResult:
-    name = f"golden:{entry.name}"
-    want = load_golden_trace(entry.name, golden_dir)  # missing file raises
-    got = entry.build().run(table)
-    diff = trace_divergence(got, want)
-    return CheckResult(name, diff is None, diff or "8 rows match")
+def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) -> CheckResult:
+    want = load_golden_trace(name, golden_dir)  # missing file raises
+    diff = trace_divergence(trace, want)
+    return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.rows)} rows match")
 
 
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
@@ -153,15 +154,13 @@ def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> li
     return problems
 
 
-def check_segment(scenario: Scenario, table: RuleTable) -> CheckResult:
-    trace = scenario.run(table)
+def check_segment(scenario: Scenario, trace: Trace) -> CheckResult:
     problems = traversal_problems(scenario, trace, "segment cells not idle after exit")
     detail = "; ".join(problems[:3]) or f"{len(trace.rows) - 1} steps clean"
     return CheckResult(f"segment:{scenario.name}", not problems, detail)
 
 
-def check_bridge(scenario: Scenario, table: RuleTable) -> CheckResult:
-    trace = scenario.run(table)
+def check_bridge(scenario: Scenario, trace: Trace) -> CheckResult:
     problems = []
     for t, states in trace.rows:
         row = dict(zip(trace.cell_ids, states))
@@ -195,11 +194,10 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
     raise ValueError(f"switch cells 17..22 read {letters}, no idle state of the {kind.value} switch")
 
 
-def check_oracle_agreement(entry: NamedScenario, table: RuleTable) -> CheckResult:
+def check_oracle_agreement(entry: NamedScenario, trace: Trace) -> CheckResult:
     name = f"oracle:{entry.name}"
     state = railway.SwitchState(entry.kind, entry.laterality)
     want_exit, want_state = railway.cross(state, oracle_mode(entry.mode, entry.laterality))
-    trace = entry.build().run(table)
     got_exit, got_selected = ca_outcome(trace, entry.kind)
     ok = got_exit is want_exit and got_selected is want_state.selected
     detail = (
@@ -211,13 +209,18 @@ def check_oracle_agreement(entry: NamedScenario, table: RuleTable) -> CheckResul
     return CheckResult(name, ok, detail)
 
 
+def _check_track(scenario: Scenario, trace: Trace) -> CheckResult:
+    check = check_bridge if scenario.crossing_track else check_segment
+    return check(scenario, trace)
+
+
 def verify_scenario(name: str, table: RuleTable, golden_dir: Path | str | None = None) -> CheckResult:
     entry = SCENARIOS[name]
-    if entry.is_switch:
-        return check_golden(entry, table, golden_dir)
     scenario = entry.build()
-    check = check_bridge if scenario.crossing_track else check_segment
-    return check(scenario, table)
+    trace = scenario.run(table)
+    if entry.is_switch:
+        return check_golden(name, trace, golden_dir)
+    return _check_track(scenario, trace)
 
 
 def verify_all(
@@ -225,18 +228,19 @@ def verify_all(
     golden_dir: Path | str | None = None,
 ) -> list[CheckResult]:
     table = load_catalog(rules_dir)
-    golden_entries = [e for e in SCENARIOS.values() if e.is_switch]
     results = [check_rotation_group(), check_catalog_invariance(table)]
-    results += [check_golden(e, table, golden_dir) for e in golden_entries]
-    results += [
-        check_segment(build_vertical_segment(7), table),
-        check_segment(build_vertical_segment(7, forward=False), table),
-        check_segment(build_horizontal_segment(5), table),
-        check_segment(build_horizontal_segment(5, forward=False), table),
-        check_bridge(build_bridge("v1"), table),
-        check_bridge(build_bridge("v1", forward=False), table),
-        check_bridge(build_bridge("v0"), table),
-        check_bridge(build_bridge("v0", forward=False), table),
+    crossings = [(e, e.build().run(table)) for e in SCENARIOS.values() if e.is_switch]
+    results += [check_golden(e.name, trace, golden_dir) for e, trace in crossings]
+    tracks = [
+        build_vertical_segment(7),
+        build_vertical_segment(7, forward=False),
+        build_horizontal_segment(5),
+        build_horizontal_segment(5, forward=False),
+        build_bridge("v1"),
+        build_bridge("v1", forward=False),
+        build_bridge("v0"),
+        build_bridge("v0", forward=False),
     ]
-    results += [check_oracle_agreement(e, table) for e in golden_entries]
+    results += [_check_track(s, s.run(table)) for s in tracks]
+    results += [check_oracle_agreement(e, trace) for e, trace in crossings]
     return results

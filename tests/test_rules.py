@@ -8,6 +8,7 @@ from dodecagrid.rules import (
     B,
     CellState,
     Context,
+    MissingRuleError,
     R,
     Rule,
     RuleConflictError,
@@ -181,8 +182,6 @@ def test_lookup_rotated_form_found(catalog):
 
 
 def test_lookup_missing_rule_raises(catalog):
-    from dodecagrid.rules import MissingRuleError
-
     lone_rear = ctx("R W W B W W B B B W W W W")
     with pytest.raises(MissingRuleError):
         catalog.lookup(lone_rear)
@@ -191,9 +190,14 @@ def test_lookup_missing_rule_raises(catalog):
 @given(contexts, rotations)
 @settings(max_examples=200)
 def test_lookup_rotation_invariant_when_covered(catalog, c, perm):
-    if not catalog.covers(c):
-        return
-    assert catalog.lookup(rotated_context(c, perm)) == catalog.lookup(c)
+    # a context and its rotation are both covered, with the same new state, or both raise
+    def answer(context):
+        try:
+            return catalog.lookup(context)
+        except MissingRuleError:
+            return None
+
+    assert answer(rotated_context(c, perm)) is answer(c)
 
 
 sparse_contexts = st.builds(

@@ -179,7 +179,7 @@ def test_track_scenario_invariants(builder, forward, buffer, catalog):
     assert sum(s is not W for s in scenario.initial.states.values()) == 2
     assert scenario.default_steps == len(chain) - buffer - 2
     check = check_bridge if builder.startswith("bridge") else check_segment
-    result = check(scenario, catalog)
+    result = check(scenario, scenario.run(catalog))
     assert result.ok, result.detail
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from dodecagrid import rules
-from dodecagrid.catalog import load_catalog
+from dodecagrid import rules, scenarios
+from dodecagrid.catalog import golden_path, load_catalog
 from dodecagrid.engine import Trace
 from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
@@ -37,13 +37,26 @@ def test_golden_checks_pass(catalog):
     for name, entry in SCENARIOS.items():
         if not entry.is_switch:
             continue
-        assert check_golden(entry, catalog).ok, name
+        result = check_golden(name, entry.build().run(catalog))
+        assert result.ok, name
+        assert result.detail == "8 rows match"
 
 
 def test_golden_check_fails_closed_on_missing_file(catalog, tmp_path):
-    entry = SCENARIOS["memo-left-active"]
+    trace = SCENARIOS["memo-left-active"].build().run(catalog)
     with pytest.raises(FileNotFoundError):
-        check_golden(entry, catalog, tmp_path)
+        check_golden("memo-left-active", trace, tmp_path)
+
+
+def test_golden_detail_counts_the_golden_rows(catalog, tmp_path):
+    name = "memo-left-active"
+    lines = golden_path(name).read_text().splitlines(keepends=True)
+    header = [line for line in lines if not line.startswith("time ")]
+    rows = [line for line in lines if line.startswith("time ")]
+    golden_path(name, tmp_path).write_text("".join(header + rows[:5]))
+    trace = SCENARIOS[name].build().run(catalog)
+    result = check_golden(name, Trace(trace.cell_ids, trace.rows[:5]), tmp_path)
+    assert result.line() == f"PASS  golden:{name}  (5 rows match)"
 
 
 def test_trace_divergence_reports_location():
@@ -66,20 +79,20 @@ def test_locomotive_progress_flags_split_locomotive():
 
 
 def test_segment_checks(catalog):
-    assert check_segment(build_vertical_segment(7), catalog).ok
-    assert check_segment(build_vertical_segment(7, forward=False), catalog).ok
+    for scenario in (build_vertical_segment(7), build_vertical_segment(7, forward=False)):
+        assert check_segment(scenario, scenario.run(catalog)).ok
 
 
 def test_bridge_checks(catalog):
-    assert check_bridge(build_bridge("v1"), catalog).ok
-    assert check_bridge(build_bridge("v0", forward=False), catalog).ok
+    for scenario in (build_bridge("v1"), build_bridge("v0", forward=False)):
+        assert check_bridge(scenario, scenario.run(catalog)).ok
 
 
 def test_oracle_agreement_all_modes(catalog):
     for entry in SCENARIOS.values():
         if not entry.is_switch:
             continue
-        result = check_oracle_agreement(entry, catalog)
+        result = check_oracle_agreement(entry, entry.build().run(catalog))
         assert result.ok, result.line()
 
 
@@ -108,6 +121,21 @@ def test_verify_all_green():
     results = verify_all()
     assert all(r.ok for r in results)
     assert len(results) == 32
+
+
+def test_verify_all_runs_each_scenario_once(monkeypatch):
+    # 11 switch crossings, each read by its golden and its oracle check, and 8 track scenarios
+    calls = 0
+    original = scenarios.run
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(scenarios, "run", counted)
+    verify_all()
+    assert calls == 19
 
 
 def _minimal_context_calls(monkeypatch, work) -> int:
