@@ -107,8 +107,9 @@ class Configuration:
     time: int = 0
 
 
-def uniform_configuration(graph: CellGraph, state: CellState = W, time: int = 0) -> Configuration:
-    return Configuration({cell: state for cell in graph.cell_ids}, time)
+def uniform_configuration(graph: CellGraph) -> Configuration:
+    """Every cell white, at time 0."""
+    return Configuration({cell: W for cell in graph.cell_ids})
 
 
 def with_states(config: Configuration, overrides: Mapping[CellId, CellState]) -> Configuration:

@@ -10,7 +10,7 @@ alignments through ``RINGS`` reconstructs the full face permutation.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 FACE_COUNT = 12
 
@@ -122,10 +122,10 @@ def preserves_adjacency(perm: FacePermutation) -> bool:
     )
 
 
-def dump_rotations(perms: Iterable[FacePermutation] | None = None) -> str:
+def dump_rotations() -> str:
     """One line per rotation: ``f0 f1 : i0 i1 ... i11``."""
     lines = []
-    for perm in perms if perms is not None else enumerate_motions():
+    for perm in enumerate_motions():
         f0, f1 = motion_label(perm)
         lines.append(f"{f0:2d} {f1:2d} : " + " ".join(f"{i:2d}" for i in perm))
     return "\n".join(lines)

@@ -58,34 +58,23 @@ def coord_value(digits: str) -> int:
 def longest_repr(n: int) -> str:
     """The maximal Fibonacci representation of n.
 
-    Start from the greedy (Zeckendorf) form, then expand fib(p) into
-    fib(p-1) + fib(p-2) from the least significant end while legal.  The
-    result has no 1 with two zeros directly below it, which pins it uniquely.
+    Take the fewest positions k whose all-ones string reaches n (its value is
+    fib(k + 2) - 2), then clear the digits of the surplus written in greedy
+    (Zeckendorf) form.  A greedy form has no two adjacent 1s, so the result
+    has no 1 with two zeros directly below it, which pins it uniquely.
     """
     if n < 1:
         raise ValueError("only positive integers have a coordinate")
-    top = 1
-    while fib(top + 1) <= n:
-        top += 1
-    digits = [0] * (top + 1)  # index p = basis position, index 0 unused
-    rest = n
-    for p in range(top, 0, -1):
-        if fib(p) <= rest:
-            digits[p] = 1
-            rest -= fib(p)
-    assert rest == 0
-    expanded = True
-    while expanded:
-        expanded = False
-        for p in range(3, top + 1):
-            if digits[p] == 1 and digits[p - 1] == 0 and digits[p - 2] == 0:
-                digits[p] = 0
-                digits[p - 1] = 1
-                digits[p - 2] = 1
-                expanded = True
-                break
-    out = "".join(str(d) for d in reversed(digits[1:])).lstrip("0")
-    return out
+    k = 1
+    while fib(k + 2) - 2 < n:
+        k += 1
+    digits = ["1"] * (k + 1)  # index p = basis position, index 0 unused
+    surplus = fib(k + 2) - 2 - n  # below fib(k), so the leading 1 stays
+    for p in range(k - 1, 0, -1):
+        if fib(p) <= surplus:
+            digits[p] = "0"
+            surplus -= fib(p)
+    return "".join(reversed(digits[1:]))
 
 
 def preferred_son_number(n: int) -> int:

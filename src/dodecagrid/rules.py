@@ -66,11 +66,7 @@ class Rule(NamedTuple):
 
 
 class RuleParseError(ValueError):
-    def __init__(self, source: str, line_no: int, reason: str):
-        super().__init__(f"{source}:{line_no}: {reason}")
-        self.source = source
-        self.line_no = line_no
-        self.reason = reason
+    """A rule text not in the ``CURRENT N0 .. N11 -> NEW`` layout, located by line."""
 
 
 class RuleConflictError(ValueError):
@@ -196,10 +192,6 @@ def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:
     return _index_minimal_forms(rules)[1]
 
 
-def parse_rule_table(text: str, source: str = "<string>") -> RuleTable:
-    return RuleTable(parse_rules(text, source))
-
-
 def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
     """One rule per non-comment line: ``CURRENT N0 .. N11 -> NEW``."""
     rules: list[Rule] = []
@@ -209,12 +201,12 @@ def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
             continue
         tokens = line.split()
         if len(tokens) != 15 or tokens[13] != "->":
-            raise RuleParseError(source, line_no, f"expected 'CURRENT N0 .. N11 -> NEW', got {len(tokens)} tokens")
+            raise RuleParseError(f"{source}:{line_no}: expected 'CURRENT N0 .. N11 -> NEW', got {len(tokens)} tokens")
         try:
             ctx = context_from_letters(tokens[:13])
             new_state = CellState.from_letter(tokens[14])
         except ValueError as exc:
-            raise RuleParseError(source, line_no, str(exc)) from None
+            raise RuleParseError(f"{source}:{line_no}: {exc}") from None
         rules.append(Rule(ctx, new_state, f"{source}:{line_no}"))
     return rules
 

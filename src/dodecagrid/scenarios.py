@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 
 from .catalog import load_switch_wiring
 from .engine import (
@@ -134,14 +135,13 @@ def _track_scenario(
     ports: dict[CellId, list[Port]],
     chain: tuple[CellId, ...],
     forward: bool,
-    buffer: int,
     **fields,
 ) -> Scenario:
-    """The locomotive on ``chain``, ``buffer`` cells in from the end it starts at.
+    """The locomotive on ``chain``, ``SEGMENT_BUFFER`` cells in from the end it starts at.
 
     It starts as rear R then front B, pointing along the chain (or against it
     when not ``forward``), and runs until its front reaches the last cell of
-    the chain; the ``buffer`` cells at each end lie outside the segment under
+    the chain; the buffer cells at each end lie outside the segment under
     test.  The layout defaults to the chain drawn as a straight line.
     """
     graph = CellGraph(ports)
@@ -150,21 +150,21 @@ def _track_scenario(
     return Scenario(
         name=name,
         graph=graph,
-        initial=with_states(uniform_configuration(graph), {track[buffer]: R, track[buffer + 1]: B}),
+        initial=with_states(uniform_configuration(graph), {track[SEGMENT_BUFFER]: R, track[SEGMENT_BUFFER + 1]: B}),
         track_cells=track,
-        segment_cells=chain[buffer : len(chain) - buffer],
-        default_steps=len(chain) - buffer - 2,
+        segment_cells=chain[SEGMENT_BUFFER : len(chain) - SEGMENT_BUFFER],
+        default_steps=len(chain) - SEGMENT_BUFFER - 2,
         **fields,
     )
 
 
-def build_vertical_segment(n: int, forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
+def build_vertical_segment(n: int, forward: bool = True) -> Scenario:
     """``n`` straight elements chained exit-4 to entry-1, plus end buffers."""
     if n < 3:
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
     straight = build_straight_element((1, 4))
-    ports = _chain_ports([(straight, 1, 4)] * (n + 2 * buffer))
-    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", ports, tuple(ports), forward, buffer)
+    ports = _chain_ports([(straight, 1, 4)] * (n + 2 * SEGMENT_BUFFER))
+    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", ports, tuple(ports), forward)
 
 
 def horizontal_exit_faces(k: int) -> tuple[int, ...]:
@@ -173,21 +173,21 @@ def horizontal_exit_faces(k: int) -> tuple[int, ...]:
     return tuple(4 if letter == "a" else 10 for letter in word)
 
 
-def build_horizontal_segment(k: int, forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
+def build_horizontal_segment(k: int, forward: bool = True) -> Scenario:
     """Alternating straight/corner blocks, straight exits riding the Fibonacci word."""
     if k < 2:
         raise ValueError(f"horizontal segment needs k >= 2, got {k}")
     plain = build_straight_element((1, 4))
     corner = build_corner()
-    elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4)] * buffer
+    elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4)] * SEGMENT_BUFFER
     for exit_face in horizontal_exit_faces(k):
         elements += [(build_straight_element((1, exit_face)), 1, exit_face), (corner, 1, 2)]
-    elements += [(plain, 1, 4)] * buffer
+    elements += [(plain, 1, 4)] * SEGMENT_BUFFER
     ports = _chain_ports(elements)
-    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", ports, tuple(ports), forward, buffer)
+    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", ports, tuple(ports), forward)
 
 
-def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = SEGMENT_BUFFER) -> Scenario:
+def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     """Two crossing tracks: v0 runs straight through, v1 detours over the deck.
 
     The deck is a short horizontal run (corner, straight, corner) reached by
@@ -200,26 +200,26 @@ def build_bridge(active_track: str = "v1", forward: bool = True, buffer: int = S
     ramp = build_straight_element((1, 3))
     corner = build_corner()
 
-    v0 = _chain_ports([(plain, 1, 4)] * (7 + 2 * buffer))
+    v0 = _chain_ports([(plain, 1, 4)] * (7 + 2 * SEGMENT_BUFFER))
     v1_elements = [
-        *[(plain, 1, 4)] * (buffer + 2),
+        *[(plain, 1, 4)] * (SEGMENT_BUFFER + 2),
         (ramp, 1, 3),
         (corner, 1, 2),
         (plain, 1, 4),
         (corner, 1, 2),
         (ramp, 1, 3),
-        *[(plain, 1, 4)] * (buffer + 2),
+        *[(plain, 1, 4)] * (SEGMENT_BUFFER + 2),
     ]
     v1 = _chain_ports(v1_elements, first=len(v0) + 1)
     v0_chain, v1_chain = tuple(v0), tuple(v1)
     chain, other = (v0_chain, v1_chain) if active_track == "v0" else (v1_chain, v0_chain)
 
-    deck = v1_chain[buffer + 2 : buffer + 7]
+    deck = v1_chain[SEGMENT_BUFFER + 2 : SEGMENT_BUFFER + 7]
     layout = {c: (float(i), 0.0) for i, c in enumerate(v0_chain)}
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
     name = f"{active_track}-{_HEADING[forward]}"
-    return _track_scenario(name, {**v0, **v1}, chain, forward, buffer, layout=layout, crossing_track=other)
+    return _track_scenario(name, {**v0, **v1}, chain, forward, layout=layout, crossing_track=other)
 
 
 LEFT_BRANCH = (7, 8, 9, 10, 11)
@@ -316,14 +316,14 @@ class NamedScenario:
 
 
 def _switch_entries() -> list[NamedScenario]:
+    """Every crossing ``check_crossing`` accepts: memory, fixed, then flip-flop switches."""
     entries = []
-    for kind, lats in (
-        (SwitchKind.MEMORY, (Side.LEFT, Side.RIGHT)),
-        (SwitchKind.FIXED, (Side.LEFT,)),
-        (SwitchKind.FLIPFLOP, (Side.LEFT, Side.RIGHT)),
-    ):
-        modes = (CrossingMode.ACTIVE,) if kind is SwitchKind.FLIPFLOP else tuple(CrossingMode)
-        entries += [NamedScenario(switch_name(kind, lat, mode), kind, lat, mode) for lat in lats for mode in modes]
+    for kind, lat, mode in product((SwitchKind.MEMORY, SwitchKind.FIXED, SwitchKind.FLIPFLOP), Side, CrossingMode):
+        try:
+            check_crossing(kind, lat, mode)
+        except ValueError:
+            continue
+        entries.append(NamedScenario(switch_name(kind, lat, mode), kind, lat, mode))
     return entries
 
 

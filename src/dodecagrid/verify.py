@@ -175,8 +175,8 @@ def check_bridge(scenario: Scenario, trace: Trace) -> CheckResult:
 def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
     """Exit branch taken and final selected side, read off a crossing trace.
 
-    The selected side is the one whose idle state the switch cells 17..22 are
-    back in at the end of the run.
+    The selected side is the one whose idle state the switch cells are back
+    in at the end of the run.
     """
     final = trace.states_at(trace.rows[-1][0])
     if any(final[c] is not W for c in APPROACH):
@@ -187,11 +187,12 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
         exit_taken = Exit.RIGHT
     else:
         raise ValueError("no locomotive on any exit track at the end of the run")
-    for side, cells in idle_states(kind).items():
+    idle = idle_states(kind)
+    for side, cells in idle.items():
         if all(final[c] is state for c, state in cells.items()):
             return exit_taken, side
-    letters = " ".join(final[c].letter for c in range(17, 23))
-    raise ValueError(f"switch cells 17..22 read {letters}, no idle state of the {kind.value} switch")
+    read = " ".join(f"{c}:{final[c].letter}" for c in next(iter(idle.values())))
+    raise ValueError(f"switch cells read {read}, no idle state of the {kind.value} switch")
 
 
 def check_oracle_agreement(entry: NamedScenario, trace: Trace) -> CheckResult:

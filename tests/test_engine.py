@@ -113,11 +113,11 @@ def test_run_zero_steps(catalog):
 def test_run_past_modelled_region_raises(catalog):
     # the lone rear left behind once the front walks off the modelled region
     # has no covering rule; the error names the cell and the step
-    scenario = build_vertical_segment(3, buffer=0)
+    scenario = build_vertical_segment(3)
     with pytest.raises(EngineError) as err:
-        scenario.run(catalog, 5)
-    assert err.value.cell == 3
-    assert err.value.time == 2
+        scenario.run(catalog, 10)
+    assert err.value.cell == 13
+    assert err.value.time == 7
     assert err.value.context == context_from_letters("R W W B W W B B B W W W W".split())
     assert err.value.minimal == context_from_letters("R W W W W W W W B B B B W".split())
     assert str(err.value).endswith("(minimal form R | W W W W W W W B B B B W)")
@@ -203,24 +203,24 @@ def test_run_evaluates_only_active_cells(catalog):
 
 
 def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
-    """Two disjoint copies of the 3-cell track above, cells 1..3 and 11..13, in either insertion order."""
-    scenario = build_vertical_segment(3, buffer=0)
+    """Two disjoint copies of the 13-cell track above, cells 1..13 and 21..33, in either insertion order."""
+    scenario = build_vertical_segment(3)
 
     def shifted(port, by):
         return LinkPort(port.cell + by) if isinstance(port, LinkPort) else port
 
     cells = scenario.graph.cell_ids
-    ports = {c + by: [shifted(p, by) for p in scenario.graph.ports(c)] for by in (0, 10) for c in cells}
+    ports = {c + by: [shifted(p, by) for p in scenario.graph.ports(c)] for by in (0, 20) for c in cells}
     graph = CellGraph(dict(reversed(ports.items())) if reverse_order else ports)
-    states = {c + by: s for by in (0, 10) for c, s in scenario.initial.states.items()}
+    states = {c + by: s for by in (0, 20) for c, s in scenario.initial.states.items()}
     return graph, Configuration(states)
 
 
-@pytest.mark.parametrize("reverse_order, cell", [(False, 3), (True, 13)])
+@pytest.mark.parametrize("reverse_order, cell", [(False, 13), (True, 33)])
 def test_run_raises_at_first_uncovered_cell_in_order(catalog, reverse_order, cell):
-    # both rears are stranded at time 2; the error names the first in graph.cell_ids order, as step does
+    # both rears are stranded at time 7; the error names the first in graph.cell_ids order, as step does
     graph, config = twin_tracks(reverse_order)
     with pytest.raises(EngineError) as err:
-        run(graph, config, catalog, 5)
-    assert (err.value.cell, err.value.time) == (cell, 2)
-    assert outcome(sweep_run, graph, config, catalog, 5) == (cell, 2, err.value.context)
+        run(graph, config, catalog, 10)
+    assert (err.value.cell, err.value.time) == (cell, 7)
+    assert outcome(sweep_run, graph, config, catalog, 10) == (cell, 7, err.value.context)

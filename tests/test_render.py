@@ -88,7 +88,7 @@ def test_below_view_marks_locomotive_with_pale_hue():
 
 
 def test_quiet_cells_omitted(catalog):
-    scenario = build_vertical_segment(4, buffer=2)
+    scenario = build_vertical_segment(4)
     svg = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     drawn = {int(m) for m in re.findall(r'data-cell="(\d+)"', svg)}
     # every track cell has blue milestones, so none is omitted here

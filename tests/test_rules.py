@@ -13,13 +13,13 @@ from dodecagrid.rules import (
     Rule,
     RuleConflictError,
     RuleParseError,
+    RuleTable,
     W,
     blank_count,
     check_rotation_invariance,
     context_from_letters,
     minimal_context,
     minimal_form,
-    parse_rule_table,
     parse_rules,
     rotated_context,
 )
@@ -43,7 +43,7 @@ STRAIGHT_REAR_LEAVES = "R W B B W W B B B W W W W"
 
 
 def test_parse_single_rule():
-    table = parse_rule_table("W W W B W W B B B W W W W -> W")
+    table = RuleTable(parse_rules("W W W B W W B B B W W W W -> W"))
     assert len(table) == 1
     rule = table.rules[0]
     assert rule.context.current is W
@@ -53,24 +53,24 @@ def test_parse_single_rule():
 
 def test_parse_comments_and_blanks():
     text = "# header\n\nW W W W W W W W W W W W W -> W  # quiescent\n"
-    assert len(parse_rule_table(text)) == 1
+    assert len(parse_rules(text)) == 1
 
 
 def test_parse_empty_file_gives_empty_table():
-    table = parse_rule_table("")
+    table = RuleTable(parse_rules(""))
     assert len(table) == 0
     # lookup falls through to the blank default
     assert table.lookup(ctx("B R W W W W W W W W W W W")) is B
 
 
 def test_parse_arity_error():
-    with pytest.raises(RuleParseError):
-        parse_rule_table("W W W B W W B B B W W W -> W")  # 11 neighbours
+    with pytest.raises(RuleParseError, match=r"^<string>:1: expected 'CURRENT N0 \.\. N11 -> NEW', got 14 tokens$"):
+        parse_rules("W W W B W W B B B W W W -> W")  # 11 neighbours
 
 
 def test_parse_bad_letter():
-    with pytest.raises(RuleParseError):
-        parse_rule_table("W W W B W W B B B W W W X -> W")
+    with pytest.raises(RuleParseError, match=r"^<string>:1: not a cell state: 'X'$"):
+        parse_rules("W W W B W W B B B W W W X -> W")
 
 
 def test_rotated_context_identity():
@@ -149,7 +149,7 @@ def test_constructed_conflict_detected():
 def test_table_raises_on_conflict():
     text = "W B W W W W W W W W W W W -> W\nW W B W W W W W W W W W W -> B\n"
     with pytest.raises(RuleConflictError) as raised:
-        parse_rule_table(text)
+        RuleTable(parse_rules(text))
     assert raised.value.report == check_rotation_invariance(parse_rules(text))
     assert not raised.value.report.ok
 
@@ -222,5 +222,5 @@ def test_default_rule_soundness(catalog, c):
 
 
 def test_rule_table_reports_sources():
-    table = parse_rule_table("W W W W W W W W W W W W W -> W", source="demo.rules")
+    table = RuleTable(parse_rules("W W W W W W W W W W W W W -> W", source="demo.rules"))
     assert table.rules[0].source == "demo.rules:1"

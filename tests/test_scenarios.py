@@ -9,6 +9,7 @@ from dodecagrid.scenarios import (
     LEFT_BRANCH,
     RIGHT_BRANCH,
     SCENARIOS,
+    SEGMENT_BUFFER,
     CrossingMode,
     build_bridge,
     build_corner,
@@ -155,29 +156,28 @@ def test_bridge_rejects_unknown_track():
 # --- invariants shared by every track scenario ---------------------------------
 
 TRACK_BUILDERS = {
-    "vertical": lambda forward, buffer: build_vertical_segment(7, forward, buffer),
-    "horizontal": lambda forward, buffer: build_horizontal_segment(5, forward, buffer),
-    "bridge-v0": lambda forward, buffer: build_bridge("v0", forward, buffer),
-    "bridge-v1": lambda forward, buffer: build_bridge("v1", forward, buffer),
+    "vertical": lambda forward: build_vertical_segment(7, forward),
+    "horizontal": lambda forward: build_horizontal_segment(5, forward),
+    "bridge-v0": lambda forward: build_bridge("v0", forward),
+    "bridge-v1": lambda forward: build_bridge("v1", forward),
 }
 
 
-@pytest.mark.parametrize("buffer", (3, 5))
 @pytest.mark.parametrize("forward", (True, False), ids=("fwd", "rev"))
 @pytest.mark.parametrize("builder", TRACK_BUILDERS)
-def test_track_scenario_invariants(builder, forward, buffer, catalog):
-    scenario = TRACK_BUILDERS[builder](forward, buffer)
+def test_track_scenario_invariants(builder, forward, catalog):
+    scenario = TRACK_BUILDERS[builder](forward)
     other = scenario.crossing_track
     chain = tuple(c for c in scenario.graph.cell_ids if c not in other)
     for a, b in zip(chain, chain[1:]):
         assert LinkPort(b) in scenario.graph.ports(a), f"{a} is not linked to {b}"
     track = chain if forward else chain[::-1]
     assert scenario.track_cells == track
-    assert scenario.segment_cells == chain[buffer : len(chain) - buffer]
-    assert scenario.initial.states[track[buffer]] is R
-    assert scenario.initial.states[track[buffer + 1]] is B
+    assert scenario.segment_cells == chain[SEGMENT_BUFFER : len(chain) - SEGMENT_BUFFER]
+    assert scenario.initial.states[track[SEGMENT_BUFFER]] is R
+    assert scenario.initial.states[track[SEGMENT_BUFFER + 1]] is B
     assert sum(s is not W for s in scenario.initial.states.values()) == 2
-    assert scenario.default_steps == len(chain) - buffer - 2
+    assert scenario.default_steps == len(chain) - SEGMENT_BUFFER - 2
     check = check_bridge if builder.startswith("bridge") else check_segment
     result = check(scenario, scenario.run(catalog))
     assert result.ok, result.detail

@@ -1,11 +1,19 @@
 import pytest
 
-from dodecagrid import rules, scenarios
+from dodecagrid import rules, scenarios, verify
 from dodecagrid.catalog import golden_path, load_catalog
 from dodecagrid.engine import Trace
+from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
 from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
-from dodecagrid.scenarios import SCENARIOS, build_bridge, build_vertical_segment
+from dodecagrid.scenarios import (
+    APPROACH,
+    LEFT_BRANCH,
+    RIGHT_BRANCH,
+    SCENARIOS,
+    build_bridge,
+    build_vertical_segment,
+)
 from dodecagrid.verify import (
     CheckResult,
     ca_outcome,
@@ -18,6 +26,7 @@ from dodecagrid.verify import (
     locomotive_progress,
     one_d_violations,
     trace_divergence,
+    traversal_problems,
     verify_all,
     verify_scenario,
 )
@@ -25,6 +34,27 @@ from dodecagrid.verify import (
 
 def test_rotation_group_check():
     assert check_rotation_group().ok
+
+
+FIFTH_TURN = permutation_from_motion(Motion(0, 5))  # about face 0, order 5
+FIFTH_TURN_BACK = permutation_from_motion(Motion(0, 2))  # its inverse
+HALF_TURN = permutation_from_motion(Motion(1, 0))  # about the edge between faces 0 and 1, order 2
+FACE_SWAP = (1, 0, *range(2, 12))  # faces 0 and 1 exchanged, no rotation
+
+
+@pytest.mark.parametrize(
+    "perms, detail",
+    [
+        ((IDENTITY, FIFTH_TURN, FIFTH_TURN_BACK), "3 distinct permutations; not closed under composition"),
+        ((HALF_TURN,), "1 distinct permutations; identity missing; not closed under composition"),
+        ((IDENTITY, FACE_SWAP), "2 distinct permutations; adjacency broken"),
+        ((IDENTITY, FIFTH_TURN), "2 distinct permutations; inverse missing; not closed under composition"),
+        ((IDENTITY, HALF_TURN), "2 distinct permutations"),
+    ],
+)
+def test_rotation_group_check_fails(monkeypatch, perms, detail):
+    monkeypatch.setattr(verify, "enumerate_motions", lambda: perms)
+    assert check_rotation_group().line() == f"FAIL  rotation-group  ({detail})"
 
 
 def test_catalog_invariance_check(catalog):
@@ -64,6 +94,85 @@ def test_trace_divergence_reports_location():
     b = Trace((1, 2), ((0, (W, B)), (1, (B, R))))
     assert trace_divergence(a, a) is None
     assert trace_divergence(a, b) == "time 1 cell 2: expected R, got W"
+
+
+@pytest.fixture(scope="module")
+def memo_left_active(catalog):
+    return SCENARIOS["memo-left-active"].build().run(catalog)
+
+
+def test_golden_check_fails_on_cell_order(memo_left_active):
+    swapped = (2, 1, *range(3, 23))
+    rows = tuple((t, (states[1], states[0], *states[2:])) for t, states in memo_left_active.rows)
+    result = check_golden("memo-left-active", Trace(swapped, rows))
+    detail = f"cell ordering differs: {swapped} vs {tuple(range(1, 23))}"
+    assert result.line() == f"FAIL  golden:memo-left-active  ({detail})"
+
+
+def test_golden_check_fails_on_time_labels(memo_left_active):
+    rows = tuple((t + 1, states) for t, states in memo_left_active.rows)
+    result = check_golden("memo-left-active", Trace(memo_left_active.cell_ids, rows))
+    assert result.line() == "FAIL  golden:memo-left-active  (time labels differ: 1 vs 0)"
+
+
+def test_golden_check_fails_on_row_count(memo_left_active):
+    result = check_golden("memo-left-active", Trace(memo_left_active.cell_ids, memo_left_active.rows[:-1]))
+    assert result.line() == "FAIL  golden:memo-left-active  (row counts differ: 7 vs 8)"
+
+
+def test_one_d_violations_flag_unexpected_triple():
+    # a lone front with white on both sides matches none of the 1D rules
+    triple = "(<CellState.W: 0>, <CellState.B: 1>, <CellState.W: 0>)"
+    assert one_d_violations([(B,), (W,)]) == [f"t0 cell#0: unexpected track triple {triple}"]
+
+
+def test_locomotive_progress_flags_detached_rear():
+    assert locomotive_progress([(R, W, B)]) == ["t0: front and rear not adjacent (2, 0)"]
+
+
+def test_locomotive_progress_flags_jumping_front():
+    assert locomotive_progress([(R, B, W, W), (W, W, R, B)]) == ["t0->1: front moved 2 cells"]
+
+
+def test_segment_check_fails_on_stuck_segment_cell(catalog):
+    # cut short while the rear is still on the first segment cell past the buffer
+    scenario = build_vertical_segment(7)
+    trace = scenario.run(catalog, 6)
+    rear = scenario.track_cells[11]
+    assert rear in scenario.segment_cells
+    assert traversal_problems(scenario, trace, "stuck") == [f"stuck: [{rear}]"]
+    assert check_segment(scenario, trace).line() == (
+        f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{rear}])"
+    )
+
+
+def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
+    scenario = build_bridge("v1")
+    trace = scenario.run(catalog)
+    crossing = scenario.crossing_track[6]
+    rows = tuple(
+        (t, tuple(B if t == 3 and cell == crossing else s for cell, s in zip(trace.cell_ids, states)))
+        for t, states in trace.rows
+    )
+    result = check_bridge(scenario, Trace(trace.cell_ids, rows))
+    assert result.line() == f"FAIL  bridge:v1-fwd  (t3: crossing track disturbed at [{crossing}])"
+
+
+def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active):
+    t, final = memo_left_active.rows[-1]
+    track = set(APPROACH + LEFT_BRANCH + RIGHT_BRANCH)
+    cleared = tuple(W if cell in track else s for cell, s in zip(memo_left_active.cell_ids, final))
+    trace = Trace(memo_left_active.cell_ids, memo_left_active.rows[:-1] + ((t, cleared),))
+    with pytest.raises(ValueError, match="^no locomotive on any exit track at the end of the run$"):
+        ca_outcome(trace, SwitchKind.MEMORY)
+
+
+def test_oracle_agreement_fails_on_another_crossings_trace(memo_left_active):
+    # an active crossing leaves by the left arm; a passive one by the selected arm leaves by the single track
+    result = check_oracle_agreement(SCENARIOS["memo-left-sel"], memo_left_active)
+    assert result.line() == (
+        "FAIL  oracle:memo-left-sel  (CA (exit left, selected left) != oracle (exit u, selected left))"
+    )
 
 
 def test_one_d_violations_flag_bad_transition():
@@ -108,12 +217,13 @@ def test_verify_scenario_dispatch(catalog):
 
 def test_ca_outcome_rejects_switch_cells_in_no_idle_state(catalog):
     # a garbled controller (cell 19) leaves the sensors readable, but the
-    # switch cells 17..22 match neither side's idle state
+    # switch cells match neither side's idle state
     trace = SCENARIOS["memo-left-active"].build().run(catalog)
     t, final = trace.rows[-1]
     garbled = tuple(W if cell == 19 else s for cell, s in zip(trace.cell_ids, final))
     assert garbled != final
-    with pytest.raises(ValueError, match="no idle state of the memory switch"):
+    message = "^switch cells read 17:B 18:R 19:W 20:B 21:R 22:B, no idle state of the memory switch$"
+    with pytest.raises(ValueError, match=message):
         ca_outcome(Trace(trace.cell_ids, trace.rows[:-1] + ((t, garbled),)), SwitchKind.MEMORY)
 
 
