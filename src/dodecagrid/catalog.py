@@ -7,7 +7,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .engine import Trace, parse_trace_text, trace_tokens
+from .engine import Trace, parse_trace_text
 from .rules import RuleTable, load_rule_dir
 
 
@@ -41,19 +41,11 @@ def golden_path(name: str, golden_dir: Path | str | None = None) -> Path:
     return base / f"{name}.trace"
 
 
-def load_golden_text(name: str, golden_dir: Path | str | None = None) -> str:
+def load_golden_trace(name: str, golden_dir: Path | str | None = None) -> Trace:
     path = golden_path(name, golden_dir)
     if not path.is_file():
         raise FileNotFoundError(f"golden trace missing: {path}")
-    return path.read_text()
-
-
-def load_golden_trace(name: str, golden_dir: Path | str | None = None) -> Trace:
-    return parse_trace_text(load_golden_text(name, golden_dir), str(golden_path(name, golden_dir)))
-
-
-def golden_tokens(name: str, golden_dir: Path | str | None = None) -> list[str]:
-    return trace_tokens(load_golden_text(name, golden_dir))
+    return parse_trace_text(path.read_text(), str(path))
 
 
 @lru_cache(maxsize=1)

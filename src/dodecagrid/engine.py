@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
 
-from .rules import CellState, Context, MissingRuleError, RuleTable, W, minimal_context
+from .rules import CellState, Context, MissingRuleError, RuleTable, W
 
 CellId = int
 
@@ -42,8 +42,6 @@ class LinkPort:
 
 
 Port = FixedPort | LinkPort
-
-ALL_WHITE_PORTS: tuple[Port, ...] = tuple(FixedPort(W) for _ in range(12))
 
 
 class GraphError(ValueError):
@@ -61,7 +59,7 @@ class EngineError(RuntimeError):
         self.cell = cell
         self.time = time
         self.context = missing.context
-        self.minimal = minimal_context(missing.context)
+        self.minimal = missing.minimal
         super().__init__(f"cell {cell} at time {time}: {missing} (minimal form {self.minimal})")
 
 
@@ -151,10 +149,6 @@ class Trace:
                 return dict(zip(self.cell_ids, states))
         raise KeyError(f"no row for time {time}")
 
-    def column(self, cell: CellId) -> tuple[CellState, ...]:
-        i = self.cell_ids.index(cell)
-        return tuple(states[i] for _, states in self.rows)
-
 
 # A fixed port compiles to the negative index that reads its state from the
 # tail of the state list ``run`` keeps: cell states first, then one of each state.
@@ -243,6 +237,8 @@ def parse_trace_text(text: str, source: str = "<string>") -> Trace:
         tokens = line.split()
         try:
             if tokens[0] != "time":
+                if cell_ids is not None:
+                    raise ValueError("second header line")
                 cell_ids = tuple(int(t) for t in tokens)
             elif cell_ids is None:
                 raise ValueError("trace rows before header")

@@ -82,9 +82,12 @@ class RuleConflictError(ValueError):
 
 
 class MissingRuleError(LookupError):
-    def __init__(self, context: Context):
+    """A context no rule covers, with the ``minimal`` form the lookup computed for it."""
+
+    def __init__(self, context: Context, minimal: Context):
         super().__init__(f"no rule covers context {context}")
         self.context = context
+        self.minimal = minimal
 
 
 def context_from_letters(letters: Iterable[str]) -> Context:
@@ -142,17 +145,16 @@ class InvarianceReport:
 
 
 class RuleTable:
-    """An ordered rule list with a canonical lookup index over minimal forms.
+    """An ordered rule list with a canonical lookup index: each minimal form maps to its deciding rule.
 
     A rule set that is not rotation invariant is refused with ``RuleConflictError``.
     """
 
     def __init__(self, rules: Iterable[Rule]):
         self.rules: tuple[Rule, ...] = tuple(rules)
-        first, self.invariance = _index_minimal_forms(self.rules)
-        if not self.invariance.ok:
-            raise RuleConflictError(self.invariance)
-        self._index: dict[Context, CellState] = {mctx: rule.new_state for mctx, rule in first.items()}
+        self._index, report = _index_minimal_forms(self.rules)
+        if not report.ok:
+            raise RuleConflictError(report)
         self._cache: dict[Context, CellState] = {}
 
     def __len__(self) -> int:
@@ -162,12 +164,14 @@ class RuleTable:
         hit = self._cache.get(ctx)
         if hit is not None:
             return hit
-        new_state = self._index.get(minimal_context(ctx))
-        if new_state is None:
-            if blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD:
-                new_state = ctx.current
-            else:
-                raise MissingRuleError(ctx)
+        minimal = minimal_context(ctx)
+        rule = self._index.get(minimal)
+        if rule is not None:
+            new_state = rule.new_state
+        elif blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD:
+            new_state = ctx.current
+        else:
+            raise MissingRuleError(ctx, minimal)
         self._cache[ctx] = new_state
         return new_state
 

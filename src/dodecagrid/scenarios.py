@@ -116,11 +116,12 @@ class Scenario:
         return run(self.graph, self.initial, table, steps)
 
 
-def _chain_ports(elements: list[tuple[CellTemplate, int, int]], first: int = 1) -> dict[CellId, list[Port]]:
-    """Link element i's exit face to element i+1's entry face, cell ids counted from ``first``; ends stay open."""
-    last = first + len(elements) - 1
+def _chain_ports(templates: list[CellTemplate], first: int = 1) -> dict[CellId, list[Port]]:
+    """Chain each template's second open face to the next one's first; ids count from ``first``, ends stay open."""
+    last = first + len(templates) - 1
     ports: dict[CellId, list[Port]] = {}
-    for cell, (template, entry, exit_) in enumerate(elements, start=first):
+    for cell, template in enumerate(templates, start=first):
+        entry, exit_ = template.open_faces
         links: dict[int, CellId] = {}
         if cell > first:
             links[entry] = cell - 1
@@ -163,7 +164,7 @@ def build_vertical_segment(n: int, forward: bool = True) -> Scenario:
     if n < 3:
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
     straight = build_straight_element((1, 4))
-    ports = _chain_ports([(straight, 1, 4)] * (n + 2 * SEGMENT_BUFFER))
+    ports = _chain_ports([straight] * (n + 2 * SEGMENT_BUFFER))
     return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", ports, tuple(ports), forward)
 
 
@@ -179,10 +180,10 @@ def build_horizontal_segment(k: int, forward: bool = True) -> Scenario:
         raise ValueError(f"horizontal segment needs k >= 2, got {k}")
     plain = build_straight_element((1, 4))
     corner = build_corner()
-    elements: list[tuple[CellTemplate, int, int]] = [(plain, 1, 4)] * SEGMENT_BUFFER
+    elements = [plain] * SEGMENT_BUFFER
     for exit_face in horizontal_exit_faces(k):
-        elements += [(build_straight_element((1, exit_face)), 1, exit_face), (corner, 1, 2)]
-    elements += [(plain, 1, 4)] * SEGMENT_BUFFER
+        elements += [build_straight_element((1, exit_face)), corner]
+    elements += [plain] * SEGMENT_BUFFER
     ports = _chain_ports(elements)
     return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", ports, tuple(ports), forward)
 
@@ -200,17 +201,9 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     ramp = build_straight_element((1, 3))
     corner = build_corner()
 
-    v0 = _chain_ports([(plain, 1, 4)] * (7 + 2 * SEGMENT_BUFFER))
-    v1_elements = [
-        *[(plain, 1, 4)] * (SEGMENT_BUFFER + 2),
-        (ramp, 1, 3),
-        (corner, 1, 2),
-        (plain, 1, 4),
-        (corner, 1, 2),
-        (ramp, 1, 3),
-        *[(plain, 1, 4)] * (SEGMENT_BUFFER + 2),
-    ]
-    v1 = _chain_ports(v1_elements, first=len(v0) + 1)
+    approach = [plain] * (SEGMENT_BUFFER + 2)
+    v0 = _chain_ports([plain] * (7 + 2 * SEGMENT_BUFFER))
+    v1 = _chain_ports([*approach, ramp, corner, plain, corner, ramp, *approach], first=len(v0) + 1)
     v0_chain, v1_chain = tuple(v0), tuple(v1)
     chain, other = (v0_chain, v1_chain) if active_track == "v0" else (v1_chain, v0_chain)
 
@@ -334,6 +327,3 @@ SCENARIOS: dict[str, NamedScenario] = {
     **{entry.name: entry for entry in _switch_entries()},
 }
 
-
-def scenario_names() -> list[str]:
-    return list(SCENARIOS)

@@ -17,7 +17,7 @@ from .catalog import load_catalog, load_golden_trace
 from .engine import Trace
 from .geometry import IDENTITY, compose, enumerate_motions, inverse, preserves_adjacency
 from .railway import Exit, Side, SwitchKind
-from .rules import B, CellState, R, RuleTable, W
+from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import (
     APPROACH,
     LEFT_BRANCH,
@@ -75,10 +75,13 @@ def check_rotation_group() -> CheckResult:
     return CheckResult("rotation-group", not problems, "; ".join(problems) or "60 rotations, closed")
 
 
-def check_catalog_invariance(table: RuleTable) -> CheckResult:
-    report = table.invariance
-    detail = f"{len(table)} rules" if report.ok else str(report)
-    return CheckResult("rule-catalog-invariance", report.ok, detail)
+def check_catalog_invariance(rules_dir: Path | str | None = None) -> CheckResult:
+    """Whether the catalogue in ``rules_dir`` loads, which it does exactly when it is rotation invariant."""
+    try:
+        table = load_catalog(rules_dir)
+    except RuleConflictError as exc:
+        return CheckResult("rule-catalog-invariance", False, str(exc))
+    return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules")
 
 
 def trace_divergence(got: Trace, want: Trace) -> str | None:
@@ -117,17 +120,20 @@ def one_d_violations(rows: list[tuple[CellState, ...]]) -> list[str]:
             ahead = old[i + 1] if i + 1 < len(old) else W
             triple = (behind, old[i], ahead)
             expected = ONE_D_RULES.get(triple, W if triple == (W, W, W) else None)
+            if new[i] is expected:
+                continue
+            letters = "".join(s.letter for s in triple)
             if expected is None:
-                out.append(f"t{t} cell#{i}: unexpected track triple {triple}")
-            elif new[i] is not expected:
-                out.append(f"t{t} cell#{i}: {triple} -> {new[i].letter}, 1D rules say {expected.letter}")
+                out.append(f"t{t} cell#{i}: unexpected track triple {letters}")
+            else:
+                out.append(f"t{t} cell#{i}: {letters} -> {new[i].letter}, 1D rules say {expected.letter}")
     return out
 
 
 def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
-    """Exactly one B and one R, adjacent, with the front advancing one cell per step."""
+    """Exactly one B and one R, adjacent, with the front advancing one cell per step (jumps labelled by row time)."""
     out = []
-    fronts = []
+    fronts = []  # (time, front index) of each well-formed row
     for t, row in enumerate(rows):
         bs = [i for i, s in enumerate(row) if s is B]
         rs = [i for i, s in enumerate(row) if s is R]
@@ -136,10 +142,10 @@ def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
             continue
         if abs(bs[0] - rs[0]) != 1:
             out.append(f"t{t}: front and rear not adjacent ({bs[0]}, {rs[0]})")
-        fronts.append(bs[0])
-    for t, (a, b_) in enumerate(zip(fronts, fronts[1:])):
-        if b_ - a != 1:
-            out.append(f"t{t}->{t + 1}: front moved {b_ - a} cells")
+        fronts.append((t, bs[0]))
+    for (t0, a), (t1, b_) in zip(fronts, fronts[1:]):
+        if (t1 - t0, b_ - a) != (1, 1):
+            out.append(f"t{t0}->{t1}: front moved {b_ - a} cells")
     return out
 
 
@@ -228,8 +234,10 @@ def verify_all(
     rules_dir: Path | str | None = None,
     golden_dir: Path | str | None = None,
 ) -> list[CheckResult]:
+    results = [check_rotation_group(), check_catalog_invariance(rules_dir)]
+    if not results[-1].ok:
+        return results  # no table to run the rest with
     table = load_catalog(rules_dir)
-    results = [check_rotation_group(), check_catalog_invariance(table)]
     crossings = [(e, e.build().run(table)) for e in SCENARIOS.values() if e.is_switch]
     results += [check_golden(e.name, trace, golden_dir) for e, trace in crossings]
     tracks = [

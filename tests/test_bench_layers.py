@@ -3,6 +3,9 @@
 import importlib.util
 from pathlib import Path
 
+from dodecagrid.catalog import load_catalog
+from dodecagrid.rules import context_from_letters
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 
@@ -38,3 +41,23 @@ def test_verify_matrix_output_checks_clean(monkeypatch):
     workload = _bench_sample(monkeypatch).VerifyMatrix()
     workload.setup(1)
     assert workload.check(workload.run()) == []
+
+
+def test_canon_sweep_output_checks_clean(monkeypatch):
+    # an API smoke test on a short stream: every catalogue rule under 5 rotations, 20 sparse and 20 uniform contexts
+    workload = _bench_sample(monkeypatch).CanonSweep()
+    workload.SPARSE = workload.UNIFORM = 20
+    workload.setup(1)
+    assert workload.work() == 710
+    assert workload.check(workload.run()) == []
+
+
+def test_lookup_outcomes_classify_missed_contexts(monkeypatch):
+    table = load_catalog()
+    tracer = _bench_sample(monkeypatch).Tracer()
+    tracer.missed = {
+        (table, table.rules[0].context),
+        (table, context_from_letters("R W W W W W W W W W W W W".split())),  # no rule, 12 blanks
+        (table, context_from_letters("W R R R R R R R R R R R R".split())),  # no rule, no blanks
+    }
+    assert tracer.lookup_outcomes() == {"distinct": 3, "explicit": 1, "fallback": 1, "missing": 1}

@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_tokens, load_catalog
+from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_path, load_catalog
 from dodecagrid.cli import main
 from dodecagrid.engine import trace_tokens
 
@@ -60,7 +60,7 @@ def test_rules_minform_rejects_wrong_literal_count(capsys, literal):
 def test_run_matches_golden_tokens(capsys):
     code, out, _ = run_cli(capsys, "run", "--scenario", "memo-left-active")
     assert code == 0
-    assert trace_tokens(out) == golden_tokens("memo-left-active")
+    assert trace_tokens(out) == trace_tokens(golden_path("memo-left-active").read_text())
 
 
 def test_run_tsv(capsys):
@@ -161,6 +161,23 @@ def test_rules_check_dir_reports_conflict(capsys, tmp_path):
     assert run_cli(capsys, "rules", "check", *files) == (code, out, "")
 
 
+def test_verify_all_reports_a_conflicting_catalogue(capsys, tmp_path):
+    # the conflict is a failed check; without a table nothing after it runs
+    rules_dir = _tampered_rules(
+        tmp_path,
+        "memory_sensor_motion.rules",
+        "B W W R W W W W W W R R R -> R",
+        "B W W R W W W W W W R R R -> B",
+    )
+    code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "PASS  rotation-group  (60 rotations, closed)"
+    assert lines[1].startswith("FAIL  rule-catalog-invariance  (rotation-invariance conflict between [")
+    assert "[memory_sensor_motion.rules:6]" in lines[1]
+    assert lines[2:] == ["", "1/2 checks passed"]
+
+
 def test_verify_all_malformed_rule_fails_closed(capsys, tmp_path):
     rules_dir = _tampered_rules(tmp_path, "straight_motion.rules", " -> ", " => ")
     code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
@@ -177,6 +194,19 @@ def test_verify_malformed_golden_fails_closed(capsys, tmp_path):
     assert code == 2
     assert err.startswith(f"error: {golden}:")
     assert "malformed trace row: 'time'" in err
+
+
+def test_verify_golden_with_a_second_header_fails_closed(capsys, tmp_path):
+    # a shorter first header over rows that omit cell 22 must not pass as the whole trace
+    lines = golden_path("memo-left-sel").read_text().splitlines()
+    header = next(line for line in lines if line[:1].isdigit())
+    rows = [line for line in lines if line.startswith("time ")]
+    short = [header.rsplit(" ", 1)[0]] + [row.rsplit(" ", 1)[0].rstrip() for row in rows[:4]]
+    golden = tmp_path / "memo-left-sel.trace"
+    golden.write_text("\n".join(short + [header] + rows[4:]) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--scenario", "memo-left-sel", "--golden", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {golden}:6: second header line\n"
 
 
 @pytest.mark.parametrize(

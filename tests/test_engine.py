@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dodecagrid import rules
+from dodecagrid.catalog import default_rules_dir
 from dodecagrid.engine import (
-    ALL_WHITE_PORTS,
     CellGraph,
     Configuration,
     EngineError,
@@ -21,14 +24,16 @@ from dodecagrid.engine import (
     uniform_configuration,
     with_states,
 )
-from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters
+from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters, load_rule_dir
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_vertical_segment
+
+ALL_WHITE = tuple(FixedPort(W) for _ in range(12))
 
 
 def ports(**faces):
     from dodecagrid.rules import CellState
 
-    row = list(ALL_WHITE_PORTS)
+    row = list(ALL_WHITE)
     for key, value in faces.items():
         face = int(key.removeprefix("f"))
         row[face] = FixedPort(value) if isinstance(value, CellState) else LinkPort(value)
@@ -36,7 +41,7 @@ def ports(**faces):
 
 
 def test_isolated_cell_context():
-    graph = CellGraph({1: ALL_WHITE_PORTS})
+    graph = CellGraph({1: ALL_WHITE})
     config = uniform_configuration(graph)
     assert context_of(graph, config, 1) == context_from_letters("W W W W W W W W W W W W W".split())
 
@@ -123,8 +128,30 @@ def test_run_past_modelled_region_raises(catalog):
     assert str(err.value).endswith("(minimal form R | W W W W W W W B B B B W)")
 
 
+def test_engine_error_reads_the_lookups_minimal_form(monkeypatch):
+    # one canonicalisation per distinct context looked up, the uncovered one included
+    table = load_rule_dir(default_rules_dir())
+    calls = 0
+    original = rules.minimal_context
+
+    def counted(ctx):
+        nonlocal calls
+        calls += 1
+        return original(ctx)
+
+    for name in [n for n in sys.modules if n.startswith("dodecagrid")]:
+        for alias, value in list(vars(sys.modules[name]).items()):
+            if value is original:
+                monkeypatch.setattr(sys.modules[name], alias, counted)
+    with pytest.raises(EngineError) as err:
+        build_vertical_segment(3).run(table, 14)
+    assert (err.value.cell, err.value.time) == (13, 7)
+    assert err.value.minimal == context_from_letters("R W W W W W W W B B B B W".split())
+    assert calls == 6
+
+
 def test_format_trace_tokens(catalog):
-    graph = CellGraph({1: ALL_WHITE_PORTS, 2: ALL_WHITE_PORTS})
+    graph = CellGraph({1: ALL_WHITE, 2: ALL_WHITE})
     config = with_states(uniform_configuration(graph), {1: B})
     trace = run(graph, config, RuleTable([]), 1)
     text = format_trace(trace)
@@ -152,7 +179,7 @@ def test_trace_column(catalog):
     scenario = build_vertical_segment(4)
     trace = scenario.run(catalog, 2)
     front_start = scenario.track_cells[SEGMENT_BUFFER + 1]
-    assert trace.column(front_start)[0] is B
+    assert trace.states_at(0)[front_start] is B
 
 
 def sweep_run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:

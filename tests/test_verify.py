@@ -1,7 +1,9 @@
+import shutil
+
 import pytest
 
 from dodecagrid import rules, scenarios, verify
-from dodecagrid.catalog import golden_path, load_catalog
+from dodecagrid.catalog import default_rules_dir, golden_path, load_catalog
 from dodecagrid.engine import Trace
 from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
 from dodecagrid.railway import SwitchKind
@@ -57,10 +59,22 @@ def test_rotation_group_check_fails(monkeypatch, perms, detail):
     assert check_rotation_group().line() == f"FAIL  rotation-group  ({detail})"
 
 
-def test_catalog_invariance_check(catalog):
-    result = check_catalog_invariance(catalog)
+def test_catalog_invariance_check():
+    result = check_catalog_invariance()
     assert result.ok
     assert "134" in result.detail
+
+
+def test_catalog_invariance_check_fails_on_conflict(tmp_path):
+    # the catalogue plus one rotated controller rule with the other new state
+    rules_dir = tmp_path / "rules"
+    shutil.copytree(default_rules_dir(), rules_dir)
+    (rules_dir / "zz.rules").write_text("B W W R W W W W W W R R R -> B\n")
+    conflict = (
+        "rotation-invariance conflict between [memory_controller_motion.rules:28] B | R W W W W W W W W R R R -> R"
+        " and [zz.rules:1] B | W W R W W W W W W R R R -> B"
+    )
+    assert check_catalog_invariance(rules_dir).line() == f"FAIL  rule-catalog-invariance  ({conflict})"
 
 
 def test_golden_checks_pass(catalog):
@@ -122,8 +136,7 @@ def test_golden_check_fails_on_row_count(memo_left_active):
 
 def test_one_d_violations_flag_unexpected_triple():
     # a lone front with white on both sides matches none of the 1D rules
-    triple = "(<CellState.W: 0>, <CellState.B: 1>, <CellState.W: 0>)"
-    assert one_d_violations([(B,), (W,)]) == [f"t0 cell#0: unexpected track triple {triple}"]
+    assert one_d_violations([(B,), (W,)]) == ["t0 cell#0: unexpected track triple WBW"]
 
 
 def test_locomotive_progress_flags_detached_rear():
@@ -132,6 +145,12 @@ def test_locomotive_progress_flags_detached_rear():
 
 def test_locomotive_progress_flags_jumping_front():
     assert locomotive_progress([(R, B, W, W), (W, W, R, B)]) == ["t0->1: front moved 2 cells"]
+
+
+def test_locomotive_progress_labels_a_jump_by_row_times():
+    # the split row at t1 is skipped, so the jump is from t0 to t2
+    rows = [(R, B, W, W, W), (W, W, W, W, W), (W, W, R, B, W), (W, W, W, R, B)]
+    assert locomotive_progress(rows) == ["t1: 0 front cells, 0 rear cells", "t0->2: front moved 2 cells"]
 
 
 def test_segment_check_fails_on_stuck_segment_cell(catalog):
@@ -177,7 +196,7 @@ def test_oracle_agreement_fails_on_another_crossings_trace(memo_left_active):
 
 def test_one_d_violations_flag_bad_transition():
     rows = [(R, B, W), (W, R, W)]  # front should have advanced into cell 2
-    assert one_d_violations(rows)
+    assert one_d_violations(rows) == ["t0 cell#2: BWW -> W, 1D rules say B"]
     good = [(R, B, W), (W, R, B)]
     assert not one_d_violations(good)
 
@@ -269,7 +288,7 @@ def _minimal_context_calls(monkeypatch, work) -> int:
 
 def test_catalog_invariance_reads_the_table_pass(monkeypatch):
     # one minimal form per catalogue rule builds both the index and the report
-    assert _minimal_context_calls(monkeypatch, lambda: check_catalog_invariance(load_catalog())) == 134
+    assert _minimal_context_calls(monkeypatch, check_catalog_invariance) == 134
 
 
 def test_verify_all_canonicalises_each_rule_once(monkeypatch):
