@@ -35,8 +35,9 @@ def _build_parser() -> argparse.ArgumentParser:
     rules = sub.add_parser("rules", help="rule table utilities")
     rules_sub = rules.add_subparsers(dest="rules_command", required=True)
     check = rules_sub.add_parser("check", help="check rotation invariance of rule files")
-    check.add_argument("files", nargs="*", type=Path, help="rule files (default: shipped catalog)")
-    check.add_argument("--rules", type=Path, default=None, help="rule directory to check instead")
+    source = check.add_mutually_exclusive_group()
+    source.add_argument("files", nargs="*", type=Path, default=[], help="rule files (default: shipped catalog)")
+    source.add_argument("--rules", type=Path, default=None, help="rule directory to check instead")
     check.set_defaults(handler=_cmd_rules_check)
     minform = rules_sub.add_parser("minform", help="print the minimal form of one rule")
     minform.add_argument("rule", help="rule literal, e.g. 'W W W B W W B B B W W W W -> W'")
@@ -59,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rules", type=Path, default=None)
     run_p.set_defaults(handler=_cmd_run)
 
-    verify_p = sub.add_parser("verify", help="verify one scenario against its golden trace or properties")
+    verify_p = sub.add_parser("verify", help="run every check of one scenario")
     verify_p.add_argument("--scenario", required=True, choices=SCENARIOS)
     verify_p.add_argument("--rules", type=Path, default=None)
     verify_p.add_argument("--golden", type=Path, default=None)
@@ -134,14 +135,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.golden is not None and not SCENARIOS[args.scenario].is_switch:
+    if args.golden is not None and not SCENARIOS[args.scenario].crossing:
         message = f"scenario {args.scenario!r} has no golden trace; only switch scenarios take --golden"
         print(f"error: {message}", file=sys.stderr)
         return 2
     table = load_catalog(args.rules)
-    result = verify_scenario(args.scenario, table, args.golden)
-    print(result.line())
-    return 0 if result.ok else 1
+    results = verify_scenario(SCENARIOS[args.scenario].build(), table, args.golden)
+    for result in results:
+        print(result.line())
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:

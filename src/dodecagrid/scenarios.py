@@ -110,6 +110,7 @@ class Scenario:
     layout: dict[CellId, tuple[float, float]] = field(default_factory=dict)
     # a bridge's other track, which the locomotive must never disturb
     crossing_track: tuple[CellId, ...] = ()
+    crossing: tuple[SwitchKind, Side, CrossingMode] | None = None  # what ``build_switch`` was called with
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
@@ -283,24 +284,19 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
         graph=graph,
         initial=with_states(uniform_configuration(graph), {**idle_states(kind)[laterality], **locomotive}),
         layout=dict(_SWITCH_LAYOUT),
+        crossing=(kind, laterality, mode),
     )
 
 
 @dataclass(frozen=True)
 class NamedScenario:
     name: str
-    kind: SwitchKind | None = None
-    laterality: Side | None = None
-    mode: CrossingMode | None = None
-
-    @property
-    def is_switch(self) -> bool:
-        return self.kind is not None
+    crossing: tuple[SwitchKind, Side, CrossingMode] | None = None  # what ``build_switch`` is called with
 
     def build(self) -> Scenario:
         """The runnable scenario; a switch starts with the locomotive placed for its crossing."""
-        if self.is_switch:
-            return build_switch(self.kind, self.laterality, self.mode)
+        if self.crossing:
+            return build_switch(*self.crossing)
         if self.name == "vertical":
             return build_vertical_segment(7)
         if self.name == "horizontal":
@@ -316,7 +312,7 @@ def _switch_entries() -> list[NamedScenario]:
             check_crossing(kind, lat, mode)
         except ValueError:
             continue
-        entries.append(NamedScenario(switch_name(kind, lat, mode), kind, lat, mode))
+        entries.append(NamedScenario(switch_name(kind, lat, mode), (kind, lat, mode)))
     return entries
 
 

@@ -2,19 +2,19 @@
 
 Every check returns a ``CheckResult``; the matrix printed by ``verify-all`` is
 just the ordered list of them.  A check judges the trace it is given and never
-builds or runs a scenario: only ``verify_scenario`` and ``verify_all`` run
-scenarios, each once, so a switch crossing's golden and oracle checks read the
-same run.
+builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
+its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
-from .engine import Trace
+from .engine import EngineError, Trace
 from .geometry import IDENTITY, compose, enumerate_motions, inverse, preserves_adjacency
 from .railway import Exit, Side, SwitchKind
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
@@ -23,7 +23,6 @@ from .scenarios import (
     LEFT_BRANCH,
     RIGHT_BRANCH,
     SCENARIOS,
-    NamedScenario,
     Scenario,
     build_bridge,
     build_horizontal_segment,
@@ -201,11 +200,14 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
     raise ValueError(f"switch cells read {read}, no idle state of the {kind.value} switch")
 
 
-def check_oracle_agreement(entry: NamedScenario, trace: Trace) -> CheckResult:
-    name = f"oracle:{entry.name}"
-    state = railway.SwitchState(entry.kind, entry.laterality)
-    want_exit, want_state = railway.cross(state, oracle_mode(entry.mode, entry.laterality))
-    got_exit, got_selected = ca_outcome(trace, entry.kind)
+def check_oracle_agreement(scenario: Scenario, trace: Trace) -> CheckResult:
+    name = f"oracle:{scenario.name}"
+    kind, laterality, mode = scenario.crossing
+    want_exit, want_state = railway.cross(railway.SwitchState(kind, laterality), oracle_mode(mode, laterality))
+    try:
+        got_exit, got_selected = ca_outcome(trace, kind)
+    except ValueError as exc:  # an end state with no reading is a failed check
+        return CheckResult(name, False, str(exc))
     ok = got_exit is want_exit and got_selected is want_state.selected
     detail = (
         f"exit {got_exit.value}, selected {got_selected.value}"
@@ -216,18 +218,16 @@ def check_oracle_agreement(entry: NamedScenario, trace: Trace) -> CheckResult:
     return CheckResult(name, ok, detail)
 
 
-def _check_track(scenario: Scenario, trace: Trace) -> CheckResult:
+def verify_scenario(scenario: Scenario, table: RuleTable, golden_dir: Path | str | None = None) -> list[CheckResult]:
+    """Golden then oracle for a crossing, bridge or segment for a track; an uncovered run fails as ``run:``."""
+    try:
+        trace = scenario.run(table)
+    except EngineError as exc:
+        return [CheckResult(f"run:{scenario.name}", False, str(exc))]
+    if scenario.crossing:
+        return [check_golden(scenario.name, trace, golden_dir), check_oracle_agreement(scenario, trace)]
     check = check_bridge if scenario.crossing_track else check_segment
-    return check(scenario, trace)
-
-
-def verify_scenario(name: str, table: RuleTable, golden_dir: Path | str | None = None) -> CheckResult:
-    entry = SCENARIOS[name]
-    scenario = entry.build()
-    trace = scenario.run(table)
-    if entry.is_switch:
-        return check_golden(name, trace, golden_dir)
-    return _check_track(scenario, trace)
+    return [check(scenario, trace)]
 
 
 def verify_all(
@@ -238,8 +238,8 @@ def verify_all(
     if not results[-1].ok:
         return results  # no table to run the rest with
     table = load_catalog(rules_dir)
-    crossings = [(e, e.build().run(table)) for e in SCENARIOS.values() if e.is_switch]
-    results += [check_golden(e.name, trace, golden_dir) for e, trace in crossings]
+    # built as they run, so one switch graph is held at a time
+    crossings = (e.build() for e in SCENARIOS.values() if e.crossing)
     tracks = [
         build_vertical_segment(7),
         build_vertical_segment(7, forward=False),
@@ -250,6 +250,6 @@ def verify_all(
         build_bridge("v0"),
         build_bridge("v0", forward=False),
     ]
-    results += [_check_track(s, s.run(table)) for s in tracks]
-    results += [check_oracle_agreement(e, trace) for e, trace in crossings]
+    for scenario in chain(crossings, tracks):
+        results += verify_scenario(scenario, table, golden_dir)
     return results

@@ -101,7 +101,7 @@ def test_criterion_3_rotated_pair_witness():
 @criterion(4, "all eleven golden traces reproduced token-for-token, < 1 s total")
 def test_criterion_4_golden_traces():
     table = load_catalog()
-    entries = [e for e in SCENARIOS.values() if e.is_switch]
+    entries = [e for e in SCENARIOS.values() if e.crossing]
     assert len(entries) == 11
     started = time.perf_counter()
     for entry in entries:
@@ -153,13 +153,14 @@ def test_criterion_6_oracle_agreement():
 
     checked = 0
     for entry in SCENARIOS.values():
-        if not entry.is_switch:
+        if not entry.crossing:
             continue
-        state = railway.SwitchState(entry.kind, entry.laterality)
-        if entry.mode is CrossingMode.ACTIVE:
+        kind, laterality, crossing_mode = entry.crossing
+        state = railway.SwitchState(kind, laterality)
+        if crossing_mode is CrossingMode.ACTIVE:
             mode = railway.Active()
         else:
-            arm = entry.laterality if entry.mode is CrossingMode.PASSIVE_SELECTED else entry.laterality.other
+            arm = laterality if crossing_mode is CrossingMode.PASSIVE_SELECTED else laterality.other
             mode = railway.Passive(arm)
         want_exit, want_state = railway.cross(state, mode)
         got_exit, got_selected = read_ca_outcome(entry.build().run(table))

@@ -5,6 +5,7 @@ import pytest
 from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_path, load_catalog
 from dodecagrid.cli import main
 from dodecagrid.engine import trace_tokens
+from dodecagrid.scenarios import SCENARIOS
 
 
 def run_cli(capsys, *argv):
@@ -40,6 +41,14 @@ def test_rules_check_reports_conflict(capsys, tmp_path):
     assert code == 1
     assert "FAILED" in out
     assert "bad.rules" in out
+
+
+def test_rules_check_refuses_files_with_a_rules_dir(capsys):
+    rules_dir = default_rules_dir()
+    with pytest.raises(SystemExit) as raised:
+        main(["rules", "check", str(rules_dir / "corner_motion.rules"), "--rules", str(rules_dir)])
+    assert raised.value.code == 2
+    assert "error: argument --rules: not allowed with argument files" in capsys.readouterr().err
 
 
 def test_rules_minform(capsys):
@@ -120,11 +129,55 @@ def test_flipped_rule_breaks_golden_run(capsys, tmp_path):
     )
     load_catalog.cache_clear()
     try:
-        code, _, err = run_cli(capsys, "verify", "--scenario", "memo-left-active", "--rules", str(rules_dir))
+        code, out, _ = run_cli(capsys, "verify", "--scenario", "memo-left-active", "--rules", str(rules_dir))
     finally:
         load_catalog.cache_clear()
     assert code == 1
-    assert "cell 6 at time 4" in err
+    assert "cell 6 at time 4" in out
+
+
+def test_verify_all_names_every_stranded_crossing(capsys, tmp_path):
+    # the same flipped rule strands every active crossing; each is one run: line and the matrix goes on
+    rules_dir = _tampered_rules(
+        tmp_path,
+        "memory_track_motion.rules",
+        "W B B B W W B B B W W W B -> B",
+        "W B B B W W B B B W W W B -> R",
+    )
+    load_catalog.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
+    finally:
+        load_catalog.cache_clear()
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    failed = [line.split("  ")[1] for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "run:memo-left-active",
+        "run:memo-right-active",
+        "run:fixed-active",
+        "run:flipflop-left-active",
+        "run:flipflop-right-active",
+    ]
+    assert lines[2].startswith("FAIL  run:memo-left-active  (cell 6 at time 4: no rule covers context ")
+    assert lines[-1] == "22/27 checks passed"
+
+
+def test_verify_all_fails_an_unreadable_switch_end_state(capsys, tmp_path):
+    rules_dir = _tampered_rules(
+        tmp_path,
+        "flipflop_motion.rules",
+        "R W W R W W W R R R R R B -> B",
+        "R W W R W W W R R R R R B -> W",
+    )
+    load_catalog.cache_clear()
+    try:
+        code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
+    finally:
+        load_catalog.cache_clear()
+    assert (code, err) == (1, "")
+    reading = "switch cells read 17:R 18:W 19:B 20:W 21:W 22:W, no idle state of the flipflop switch"
+    assert f"FAIL  oracle:flipflop-left-active  ({reading})" in out.splitlines()
 
 
 def test_flipped_rule_can_surface_as_invariance_conflict(capsys, tmp_path):
@@ -228,16 +281,27 @@ VERIFY_ALL_OUTPUT = """\
 PASS  rotation-group  (60 rotations, closed)
 PASS  rule-catalog-invariance  (134 rules)
 PASS  golden:memo-left-active  (8 rows match)
+PASS  oracle:memo-left-active  (exit left, selected left)
 PASS  golden:memo-left-sel  (8 rows match)
+PASS  oracle:memo-left-sel  (exit u, selected left)
 PASS  golden:memo-left-nonsel  (8 rows match)
+PASS  oracle:memo-left-nonsel  (exit u, selected right)
 PASS  golden:memo-right-active  (8 rows match)
+PASS  oracle:memo-right-active  (exit right, selected right)
 PASS  golden:memo-right-sel  (8 rows match)
+PASS  oracle:memo-right-sel  (exit u, selected right)
 PASS  golden:memo-right-nonsel  (8 rows match)
+PASS  oracle:memo-right-nonsel  (exit u, selected left)
 PASS  golden:fixed-active  (8 rows match)
+PASS  oracle:fixed-active  (exit left, selected left)
 PASS  golden:fixed-sel  (8 rows match)
+PASS  oracle:fixed-sel  (exit u, selected left)
 PASS  golden:fixed-nonsel  (8 rows match)
+PASS  oracle:fixed-nonsel  (exit u, selected left)
 PASS  golden:flipflop-left-active  (8 rows match)
+PASS  oracle:flipflop-left-active  (exit left, selected right)
 PASS  golden:flipflop-right-active  (8 rows match)
+PASS  oracle:flipflop-right-active  (exit right, selected left)
 PASS  segment:vertical-fwd-n7  (10 steps clean)
 PASS  segment:vertical-rev-n7  (10 steps clean)
 PASS  segment:horizontal-fwd-k5  (13 steps clean)
@@ -246,17 +310,6 @@ PASS  bridge:v1-fwd  (clean traversal)
 PASS  bridge:v1-rev  (clean traversal)
 PASS  bridge:v0-fwd  (clean traversal)
 PASS  bridge:v0-rev  (clean traversal)
-PASS  oracle:memo-left-active  (exit left, selected left)
-PASS  oracle:memo-left-sel  (exit u, selected left)
-PASS  oracle:memo-left-nonsel  (exit u, selected right)
-PASS  oracle:memo-right-active  (exit right, selected right)
-PASS  oracle:memo-right-sel  (exit u, selected right)
-PASS  oracle:memo-right-nonsel  (exit u, selected left)
-PASS  oracle:fixed-active  (exit left, selected left)
-PASS  oracle:fixed-sel  (exit u, selected left)
-PASS  oracle:fixed-nonsel  (exit u, selected left)
-PASS  oracle:flipflop-left-active  (exit left, selected right)
-PASS  oracle:flipflop-right-active  (exit right, selected left)
 
 32/32 checks passed
 """
@@ -265,6 +318,23 @@ PASS  oracle:flipflop-right-active  (exit right, selected left)
 def test_verify_all_passes(capsys):
     # every check's name and detail, in matrix order
     assert run_cli(capsys, "verify-all") == (0, VERIFY_ALL_OUTPUT, "")
+
+
+TRACK_CHECKS = {
+    "vertical": ["segment:vertical-fwd-n7"],
+    "horizontal": ["segment:horizontal-fwd-k5"],
+    "bridge": ["bridge:v1-fwd"],
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_verify_prints_the_scenarios_lines_of_verify_all(capsys, name):
+    # VERIFY_ALL_OUTPUT is what verify-all prints (test_verify_all_passes)
+    checks = TRACK_CHECKS.get(name, [f"golden:{name}", f"oracle:{name}"])
+    code, out, err = run_cli(capsys, "verify", "--scenario", name)
+    assert (code, err) == (0, "")
+    assert [line.split("  ")[1] for line in out.splitlines()] == checks
+    assert out.splitlines() == [line for line in VERIFY_ALL_OUTPUT.splitlines() if line[6:].split("  ")[0] in checks]
 
 
 def test_oracle_crossings(capsys):

@@ -22,7 +22,7 @@ from dodecagrid.scenarios import (
 )
 from dodecagrid.verify import check_bridge, check_segment
 
-GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.is_switch]
+GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.crossing]
 
 
 def ctx(text):

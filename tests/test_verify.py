@@ -79,7 +79,7 @@ def test_catalog_invariance_check_fails_on_conflict(tmp_path):
 
 def test_golden_checks_pass(catalog):
     for name, entry in SCENARIOS.items():
-        if not entry.is_switch:
+        if not entry.crossing:
             continue
         result = check_golden(name, entry.build().run(catalog))
         assert result.ok, name
@@ -188,7 +188,7 @@ def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active
 
 def test_oracle_agreement_fails_on_another_crossings_trace(memo_left_active):
     # an active crossing leaves by the left arm; a passive one by the selected arm leaves by the single track
-    result = check_oracle_agreement(SCENARIOS["memo-left-sel"], memo_left_active)
+    result = check_oracle_agreement(SCENARIOS["memo-left-sel"].build(), memo_left_active)
     assert result.line() == (
         "FAIL  oracle:memo-left-sel  (CA (exit left, selected left) != oracle (exit u, selected left))"
     )
@@ -218,20 +218,17 @@ def test_bridge_checks(catalog):
 
 def test_oracle_agreement_all_modes(catalog):
     for entry in SCENARIOS.values():
-        if not entry.is_switch:
+        if not entry.crossing:
             continue
-        result = check_oracle_agreement(entry, entry.build().run(catalog))
+        scenario = entry.build()
+        result = check_oracle_agreement(scenario, scenario.run(catalog))
         assert result.ok, result.line()
 
 
 def test_verify_scenario_dispatch(catalog):
-    assert verify_scenario("vertical", catalog).ok
-    assert verify_scenario("bridge", catalog).ok
-    assert verify_scenario("memo-left-active", catalog).ok
-    assert [verify_scenario(name, catalog).name for name in ("horizontal", "bridge")] == [
-        "segment:horizontal-fwd-k5",
-        "bridge:v1-fwd",
-    ]
+    built = [SCENARIOS["memo-left-sel"].build(), build_vertical_segment(7), build_bridge("v0")]
+    names = [[r.name for r in verify_scenario(s, catalog)] for s in built]
+    assert names == [["golden:memo-left-sel", "oracle:memo-left-sel"], ["segment:vertical-fwd-n7"], ["bridge:v0-fwd"]]
 
 
 def test_ca_outcome_rejects_switch_cells_in_no_idle_state(catalog):
