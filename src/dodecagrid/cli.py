@@ -17,7 +17,7 @@ from .railway import Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
 from .rules import InvarianceReport, RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
 from .scenarios import SCENARIOS, CrossingMode, check_crossing, oracle_mode
-from .verify import verify_all, verify_scenario
+from .verify import check_catalog_invariance, verify_all, verify_scenario
 
 
 def _non_negative_int(text: str) -> int:
@@ -139,8 +139,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         message = f"scenario {args.scenario!r} has no golden trace; only switch scenarios take --golden"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    table = load_catalog(args.rules)
-    results = verify_scenario(SCENARIOS[args.scenario].build(), table, args.golden)
+    invariance = check_catalog_invariance(args.rules)
+    if not invariance.ok:
+        print(invariance.line())  # the line verify-all prints for this catalogue
+        return 1
+    results = verify_scenario(SCENARIOS[args.scenario].build(), load_catalog(args.rules), args.golden)
     for result in results:
         print(result.line())
     return 0 if all(r.ok for r in results) else 1

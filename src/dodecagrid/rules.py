@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -85,9 +87,12 @@ class MissingRuleError(LookupError):
     """A context no rule covers, with the ``minimal`` form the lookup computed for it."""
 
     def __init__(self, context: Context, minimal: Context):
-        super().__init__(f"no rule covers context {context}")
+        super().__init__(context, minimal)
         self.context = context
         self.minimal = minimal
+
+    def __str__(self) -> str:
+        return f"no rule covers context {self.context}"
 
 
 def context_from_letters(letters: Iterable[str]) -> Context:
@@ -103,10 +108,26 @@ def rotated_context(ctx: Context, perm: FacePermutation) -> Context:
     return Context(ctx.current, tuple(n[perm[i]] for i in range(FACE_COUNT)))
 
 
+@lru_cache(maxsize=1)
+def _rotations_by_first_face() -> tuple[tuple[itemgetter, ...], ...]:
+    """Entry f: an ``itemgetter`` for each of the rotations that put face f's state in slot 0."""
+    groups: list[list[itemgetter]] = [[] for _ in range(FACE_COUNT)]
+    for perm in enumerate_motions():
+        groups[perm[0]].append(itemgetter(*perm))
+    return tuple(tuple(group) for group in groups)
+
+
 def minimal_context(ctx: Context) -> Context:
-    """Lexicographic minimum of the 60 rotated forms, key (current, n0..n11)."""
+    """Lexicographic minimum of the 60 rotated forms, key (current, n0..n11).
+
+    Only the rotations that put a least neighbour state in slot 0 are tried.
+    This is exact: the rotations are transitive on faces, so the minimum
+    starts with ``min(n)``, and every rotation attaining it is among those.
+    """
     n = ctx.neighbors
-    best = min(tuple(n[perm[i]] for i in range(FACE_COUNT)) for perm in enumerate_motions())
+    least = min(n)
+    groups = _rotations_by_first_face()
+    best = min([rotate(n) for state, group in zip(n, groups) if state == least for rotate in group])
     return Context(ctx.current, best)
 
 
@@ -115,7 +136,7 @@ def minimal_form(rule: Rule) -> Rule:
 
 
 def blank_count(ctx: Context) -> int:
-    return sum(1 for s in ctx.neighbors if s is W)
+    return ctx.neighbors.count(W)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,8 @@ def test_verify_all_fails_an_unreadable_switch_end_state(capsys, tmp_path):
 
 def test_flipped_rule_can_surface_as_invariance_conflict(capsys, tmp_path):
     # this sensor rule shares its orbit with a marker rule; flipping it breaks
-    # the invariance check before any trace is run
+    # the invariance check before any trace is run, and verify prints the
+    # same failed check line as verify-all
     rules_dir = _tampered_rules(
         tmp_path,
         "memory_sensor_motion.rules",
@@ -191,11 +192,15 @@ def test_flipped_rule_can_surface_as_invariance_conflict(capsys, tmp_path):
     )
     load_catalog.cache_clear()
     try:
-        code, _, err = run_cli(capsys, "verify", "--scenario", "memo-left-nonsel", "--rules", str(rules_dir))
+        code, out, err = run_cli(capsys, "verify", "--scenario", "memo-left-nonsel", "--rules", str(rules_dir))
+        all_code, all_out, _ = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
     finally:
         load_catalog.cache_clear()
-    assert code == 1
-    assert "conflict" in err
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL  rule-catalog-invariance  (rotation-invariance conflict between [")
+    assert "[memory_sensor_motion.rules:6]" in out
+    assert all_code == 1
+    assert out.splitlines() == [line for line in all_out.splitlines() if "rule-catalog-invariance" in line]
 
 
 def test_rules_check_dir_reports_conflict(capsys, tmp_path):

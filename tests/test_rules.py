@@ -1,3 +1,7 @@
+from collections import Counter
+from itertools import product
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,6 +40,25 @@ contexts = st.builds(
     Context, states, st.tuples(*[states] * 12)
 )
 rotations = st.sampled_from(MOTIONS)
+# at most two non-blank neighbours, so at least ten blanks
+sparse_contexts = st.builds(
+    lambda current, faces, values: Context(
+        current,
+        tuple(values[faces.index(i)] if i in faces else W for i in range(12)),
+    ),
+    states,
+    st.lists(st.integers(0, 11), min_size=0, max_size=2, unique=True),
+    st.lists(st.sampled_from([B, R]), min_size=2, max_size=2),
+)
+# at most two blank neighbours
+dense_contexts = st.builds(
+    lambda current, neighbors, blanks: Context(
+        current, tuple(W if i in blanks else s for i, s in enumerate(neighbors))
+    ),
+    states,
+    st.tuples(*[st.sampled_from([B, R])] * 12),
+    st.sets(st.integers(0, 11), max_size=2),
+)
 
 # the two rotated forms anchoring the scanned-cell/straight-element coincidence
 SCANNED_REAR_LEAVES = "R W B W W W B B B W W W B"
@@ -111,6 +134,47 @@ def test_minimal_context_is_minimum_of_orbit():
     assert all(key <= (o.current, *o.neighbors) for o in orbit)
 
 
+def test_each_face_reaches_slot_zero_by_five_rotations():
+    # the prune in minimal_context rests on this: every face holding the
+    # least state brings its five rotations into the candidate set
+    assert Counter(p[0] for p in MOTIONS) == {face: 5 for face in range(12)}
+
+
+@given(st.one_of(sparse_contexts, dense_contexts))
+@settings(max_examples=300)
+def test_minimal_context_matches_brute_force(c):
+    # sparse: 50-60 rotations survive the prune; dense: 5 or 10 with one or
+    # two blanks, else the five of every face holding B
+    assert minimal_context(c) == min(rotated_context(c, p) for p in MOTIONS)
+
+
+def _cycle_count(perm):
+    seen, cycles = set(), 0
+    for start in range(12):
+        if start not in seen:
+            cycles += 1
+            face = start
+            while face not in seen:
+                seen.add(face)
+                face = perm[face]
+    return cycles
+
+
+def test_canonicaliser_exhaustive():
+    # Burnside: the number of orbits of 3-colourings of the 12 faces is the
+    # mean over the rotations of 3 ** (number of cycles)
+    fixed_colourings = sum(3 ** _cycle_count(p) for p in MOTIONS)
+    assert fixed_colourings % len(MOTIONS) == 0
+    orbit_count = fixed_colourings // len(MOTIONS)
+    assert orbit_count == 9099
+    forms = {minimal_context(Context(W, n)) for n in product(CellState, repeat=12)}
+    assert len(forms) == orbit_count
+    assert all(minimal_context(m) == m for m in forms)
+    # and each is the least of its own orbit
+    rotations = [itemgetter(*p) for p in MOTIONS]
+    assert all(m.neighbors == min(rotate(m.neighbors) for rotate in rotations) for m in forms)
+
+
 @given(contexts)
 def test_minimal_form_idempotent(c):
     m = minimal_context(c)
@@ -183,8 +247,17 @@ def test_lookup_rotated_form_found(catalog):
 
 def test_lookup_missing_rule_raises(catalog):
     lone_rear = ctx("R W W B W W B B B W W W W")
-    with pytest.raises(MissingRuleError):
+    assert blank_count(lone_rear) < 10
+    with pytest.raises(MissingRuleError) as raised:
         catalog.lookup(lone_rear)
+    assert raised.value.context == lone_rear
+    assert raised.value.minimal == minimal_context(lone_rear)
+
+
+def test_missing_rule_error_message():
+    c = ctx("R W W B W W B B B W W W W")
+    error = MissingRuleError(c, minimal_context(c))
+    assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
 
 
 @given(contexts, rotations)
@@ -198,17 +271,6 @@ def test_lookup_rotation_invariant_when_covered(catalog, c, perm):
             return None
 
     assert answer(rotated_context(c, perm)) is answer(c)
-
-
-sparse_contexts = st.builds(
-    lambda current, faces, values: Context(
-        current,
-        tuple(values[faces.index(i)] if i in faces else W for i in range(12)),
-    ),
-    states,
-    st.lists(st.integers(0, 11), min_size=0, max_size=2, unique=True),
-    st.lists(st.sampled_from([B, R]), min_size=2, max_size=2),
-)
 
 
 @given(sparse_contexts)
