@@ -18,10 +18,18 @@ which is its current one.  Dirty cells are evaluated in ``graph.cell_ids``
 order, so an uncovered context raises the same ``EngineError`` (cell, time
 and context) as the full sweep: every cell outside the dirty set was covered
 on the previous step.
+
+A ``Trace`` stores what ``run`` computes and no more: the initial row and,
+for each step, the ``(cell index, new state)`` pairs that changed.  A run's
+time and memory therefore follow its activity, not the size of its graph.
+``Trace.rows`` rebuilds the dense rows on demand, which costs one tuple of
+``len(cell_ids)`` states per row; ``Trace.states_at`` replays only up to the
+row it returns.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -76,17 +84,19 @@ class CellGraph:
         self._validate_links()
 
     def _validate_links(self) -> None:
-        for cell, ports in self._ports.items():
-            for face, port in enumerate(ports):
-                if not isinstance(port, LinkPort):
-                    continue
-                if port.cell not in self._ports:
-                    raise GraphError(f"cell {cell} face {face} links to unknown cell {port.cell}")
-                back = [p for p in self._ports[port.cell] if isinstance(p, LinkPort) and p.cell == cell]
-                if len(back) != 1:
-                    raise GraphError(
-                        f"link {cell}/{face} -> {port.cell} has {len(back)} return links, expected exactly 1"
-                    )
+        links = [
+            (cell, face, port.cell)
+            for cell, ports in self._ports.items()
+            for face, port in enumerate(ports)
+            if isinstance(port, LinkPort)
+        ]
+        count = Counter((cell, target) for cell, _, target in links)  # links from each cell to each target
+        for cell, face, target in links:
+            if target not in self._ports:
+                raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
+            back = count[target, cell]
+            if back != 1:
+                raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
 
     @property
     def cell_ids(self) -> tuple[CellId, ...]:
@@ -138,16 +148,65 @@ def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configura
 
 @dataclass(frozen=True)
 class Trace:
-    """Per-step state rows over a fixed cell ordering, starting at time 0."""
+    """Rows of states over a fixed cell ordering, stored as the first row and each step's changes.
+
+    Row ``k`` is at time ``start + k``.  ``changes[k]`` lists the ``(index
+    into cell_ids, new state)`` pairs that differ between rows ``k`` and
+    ``k + 1``, in ascending index order.  A header-only trace, with no rows
+    at all, has ``initial`` None.  Reading ``rows`` replays every step into
+    a dense row of ``len(cell_ids)`` states; ``states_at`` stops at its row.
+    """
 
     cell_ids: tuple[CellId, ...]
-    rows: tuple[tuple[int, tuple[CellState, ...]], ...]
+    start: int
+    initial: tuple[CellState, ...] | None
+    changes: tuple[tuple[tuple[int, CellState], ...], ...]
+
+    @classmethod
+    def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:
+        """The trace of dense ``(time, states)`` rows, whose times must count up by one."""
+        cell_ids = tuple(cell_ids)
+        start = initial = previous = None
+        changes = []
+        for t, states in rows:
+            states = tuple(states)
+            if len(states) != len(cell_ids):
+                raise TraceFormatError(f"row at time {t} has {len(states)} states for {len(cell_ids)} cells")
+            if previous is None:
+                start, initial = t, states
+            elif t != start + len(changes) + 1:
+                raise TraceFormatError(f"time {t} after time {start + len(changes)}")
+            else:
+                changes.append(tuple((i, s) for i, (old, s) in enumerate(zip(previous, states)) if s != old))
+            previous = states
+        return cls(cell_ids, 0 if start is None else start, initial, tuple(changes))
+
+    @property
+    def end(self) -> int:
+        """Time of the last row."""
+        return self.start + len(self.changes)
+
+    @property
+    def rows(self) -> tuple[tuple[int, tuple[CellState, ...]], ...]:
+        """Every ``(time, states)`` row, replayed from the changes."""
+        if self.initial is None:
+            return ()
+        states = list(self.initial)
+        rows = [(self.start, self.initial)]
+        for t, changes in enumerate(self.changes, start=self.start + 1):
+            for i, new in changes:
+                states[i] = new
+            rows.append((t, tuple(states)))
+        return tuple(rows)
 
     def states_at(self, time: int) -> dict[CellId, CellState]:
-        for t, states in self.rows:
-            if t == time:
-                return dict(zip(self.cell_ids, states))
-        raise KeyError(f"no row for time {time}")
+        if self.initial is None or not self.start <= time <= self.end:
+            raise KeyError(f"no row for time {time}")
+        states = list(self.initial)
+        for changes in self.changes[: time - self.start]:
+            for i, new in changes:
+                states[i] = new
+        return dict(zip(self.cell_ids, states))
 
 
 # A fixed port compiles to the negative index that reads its state from the
@@ -182,7 +241,8 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     getters, readers = _compile(graph)
     states = [config.states[c] for c in order] + list(_FIXED_TAIL)
     time = config.time
-    rows = [(time, tuple(states[:n]))]
+    initial = tuple(states[:n])
+    changes: list[tuple[tuple[int, CellState], ...]] = []
     dirty: Iterable[int] = range(n)
     for _ in range(n_steps):
         changed: list[tuple[int, CellState]] = []
@@ -197,9 +257,9 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
         for i, new in changed:
             states[i] = new
         time += 1
-        rows.append((time, tuple(states[:n])))
+        changes.append(tuple(changed))
         dirty = sorted({j for i, _ in changed for j in (i, *readers[i])})
-    return Trace(order, tuple(rows))
+    return Trace(order, config.time, initial, tuple(changes))
 
 
 def format_trace(trace: Trace) -> str:
@@ -244,10 +304,12 @@ def parse_trace_text(text: str, source: str = "<string>") -> Trace:
                 raise ValueError("trace rows before header")
             elif len(tokens) != 3 + len(cell_ids) or tokens[2] != ":":
                 raise ValueError(f"malformed trace row: {line!r}")
+            elif rows and int(tokens[1]) != rows[-1][0] + 1:
+                raise ValueError(f"time {int(tokens[1])} after time {rows[-1][0]}")
             else:
                 rows.append((int(tokens[1]), tuple(CellState.from_letter(s) for s in tokens[3:])))
         except ValueError as exc:
             raise TraceFormatError(f"{source}:{line_no}: {exc}") from None
     if cell_ids is None:
         raise TraceFormatError(f"{source}: trace has no header")
-    return Trace(cell_ids, tuple(rows))
+    return Trace.from_rows(cell_ids, rows)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import product
 
 from .catalog import load_switch_wiring
@@ -69,20 +70,19 @@ class CellTemplate:
     red: tuple[int, ...]
     open_faces: tuple[int, ...]
 
+    @cached_property
+    def _fixed(self) -> tuple[Port, ...]:
+        """The 12 ports before links are patched in: milestones, white elsewhere; shared by every cell of this shape."""
+        colour = {**{face: R for face in self.red}, **{face: B for face in self.blue}}
+        return tuple(FixedPort(colour.get(face, W)) for face in range(12))
+
     def ports(self, links: dict[int, CellId]) -> list[Port]:
         bad = set(links) - set(self.open_faces)
         if bad:
             raise ValueError(f"faces {sorted(bad)} are not linkable on this element")
-        ports: list[Port] = []
-        for face in range(12):
-            if face in links:
-                ports.append(LinkPort(links[face]))
-            elif face in self.blue:
-                ports.append(FixedPort(B))
-            elif face in self.red:
-                ports.append(FixedPort(R))
-            else:
-                ports.append(FixedPort(W))
+        ports = list(self._fixed)
+        for face, cell in links.items():
+            ports[face] = LinkPort(cell)
         return ports
 
 

@@ -105,7 +105,8 @@ def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) 
 
 
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
-    index = [trace.cell_ids.index(c) for c in chain]
+    position = {c: i for i, c in enumerate(trace.cell_ids)}
+    index = [position[c] for c in chain]
     return [tuple(states[i] for i in index) for _, states in trace.rows]
 
 
@@ -152,7 +153,7 @@ def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> li
     """Locomotive progress and 1D rules along the track, and ``segment_cells`` all white at the end."""
     rows = chain_rows(trace, scenario.track_cells)  # track_cells is in travel order
     problems = locomotive_progress(rows) + one_d_violations(rows)
-    final = trace.states_at(trace.rows[-1][0])
+    final = trace.states_at(trace.end)
     stuck = [c for c in scenario.segment_cells if final[c] is not W]
     if stuck:
         problems.append(f"{stuck_label}: {stuck}")
@@ -161,7 +162,7 @@ def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> li
 
 def check_segment(scenario: Scenario, trace: Trace) -> CheckResult:
     problems = traversal_problems(scenario, trace, "segment cells not idle after exit")
-    detail = "; ".join(problems[:3]) or f"{len(trace.rows) - 1} steps clean"
+    detail = "; ".join(problems[:3]) or f"{len(trace.changes)} steps clean"
     return CheckResult(f"segment:{scenario.name}", not problems, detail)
 
 
@@ -183,7 +184,7 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
     The selected side is the one whose idle state the switch cells are back
     in at the end of the run.
     """
-    final = trace.states_at(trace.rows[-1][0])
+    final = trace.states_at(trace.end)
     if any(final[c] is not W for c in APPROACH):
         exit_taken = Exit.U
     elif any(final[c] is not W for c in LEFT_BRANCH[1:]):

@@ -14,6 +14,7 @@ from dodecagrid.engine import (
     GraphError,
     LinkPort,
     Trace,
+    TraceFormatError,
     context_of,
     format_trace,
     format_trace_tsv,
@@ -25,7 +26,7 @@ from dodecagrid.engine import (
     with_states,
 )
 from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters, load_rule_dir
-from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_vertical_segment
+from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
 
 ALL_WHITE = tuple(FixedPort(W) for _ in range(12))
 
@@ -64,13 +65,18 @@ def test_graph_rejects_wrong_arity():
 
 
 def test_graph_rejects_dangling_link():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^cell 1 face 4 links to unknown cell 2$"):
         CellGraph({1: ports(f4=2)})
 
 
 def test_graph_rejects_asymmetric_link():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^link 1/4 -> 2 has 0 return links, expected exactly 1$"):
         CellGraph({1: ports(f4=2), 2: ports(f2=3), 3: ports(f2=2)})
+
+
+def test_graph_rejects_doubled_return_link():
+    with pytest.raises(GraphError, match="^link 1/4 -> 2 has 2 return links, expected exactly 1$"):
+        CellGraph({1: ports(f4=2), 2: ports(f1=1, f3=1)})
 
 
 def test_all_white_is_fixed_point(catalog):
@@ -159,12 +165,30 @@ def test_format_trace_tokens(catalog):
 
 
 def test_format_empty_trace_header_only():
-    trace = Trace((1, 2, 3), ())
+    trace = Trace.from_rows((1, 2, 3), ())
     assert trace_tokens(format_trace(trace)) == ["1", "2", "3"]
+    assert parse_trace_text("1 2 3\n") == trace
+    assert format_trace(parse_trace_text("1 2 3\n")) == "1 2 3\n\n"
+
+
+def test_trace_from_rows_rejects_skipped_time():
+    with pytest.raises(TraceFormatError, match="^time 3 after time 1$"):
+        Trace.from_rows((1, 2), ((0, (B, W)), (1, (R, B)), (3, (W, R))))
+
+
+def test_parse_trace_names_the_line_of_a_skipped_time():
+    text = "1 2\n\ntime 0 :  B  W\ntime 1 :  R  B\ntime 3 :  W  R\n"
+    with pytest.raises(TraceFormatError, match="^t.trace:5: time 3 after time 1$"):
+        parse_trace_text(text, "t.trace")
+
+
+def test_trace_from_rows_rejects_a_short_row():
+    with pytest.raises(TraceFormatError, match="^row at time 1 has 1 states for 2 cells$"):
+        Trace.from_rows((1, 2), ((0, (B, W)), (1, (R,))))
 
 
 def test_tsv_emission():
-    trace = Trace((1, 2), ((0, (B, W)),))
+    trace = Trace.from_rows((1, 2), ((0, (B, W)),))
     assert format_trace_tsv(trace) == "time\t1\t2\n0\tB\tW\n"
 
 
@@ -189,14 +213,15 @@ def sweep_run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps
     for _ in range(n_steps):
         config = step(graph, config, table)
         rows.append((config.time, tuple(config.states[c] for c in order)))
-    return Trace(order, tuple(rows))
+    return Trace.from_rows(order, tuple(rows))
 
 
 def outcome(run_fn, graph, config, table, n_steps):
     try:
-        return run_fn(graph, config, table, n_steps)
+        trace = run_fn(graph, config, table, n_steps)
     except EngineError as exc:
         return (exc.cell, exc.time, exc.context)
+    return trace.cell_ids, trace.rows
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -209,6 +234,17 @@ def test_run_matches_full_sweep(catalog, data, name, n_steps):
     config = with_states(scenario.initial, overrides)
     expected = outcome(sweep_run, scenario.graph, config, catalog, n_steps)
     assert outcome(run, scenario.graph, config, catalog, n_steps) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(vertical=st.booleans(), size=st.integers(3, 40), forward=st.booleans())
+def test_trace_stores_exactly_the_changes(catalog, vertical, size, forward):
+    build = build_vertical_segment if vertical else build_horizontal_segment
+    trace = build(size, forward=forward).run(catalog)
+    assert Trace.from_rows(trace.cell_ids, trace.rows) == trace
+    rows = [states for _, states in trace.rows]
+    differing = sum(a != b for old, new in zip(rows, rows[1:]) for a, b in zip(old, new))
+    assert sum(len(changes) for changes in trace.changes) == differing
 
 
 class CountingTable:

@@ -99,13 +99,13 @@ def test_golden_detail_counts_the_golden_rows(catalog, tmp_path):
     rows = [line for line in lines if line.startswith("time ")]
     golden_path(name, tmp_path).write_text("".join(header + rows[:5]))
     trace = SCENARIOS[name].build().run(catalog)
-    result = check_golden(name, Trace(trace.cell_ids, trace.rows[:5]), tmp_path)
+    result = check_golden(name, Trace.from_rows(trace.cell_ids, trace.rows[:5]), tmp_path)
     assert result.line() == f"PASS  golden:{name}  (5 rows match)"
 
 
 def test_trace_divergence_reports_location():
-    a = Trace((1, 2), ((0, (W, B)), (1, (B, W))))
-    b = Trace((1, 2), ((0, (W, B)), (1, (B, R))))
+    a = Trace.from_rows((1, 2), ((0, (W, B)), (1, (B, W))))
+    b = Trace.from_rows((1, 2), ((0, (W, B)), (1, (B, R))))
     assert trace_divergence(a, a) is None
     assert trace_divergence(a, b) == "time 1 cell 2: expected R, got W"
 
@@ -118,19 +118,20 @@ def memo_left_active(catalog):
 def test_golden_check_fails_on_cell_order(memo_left_active):
     swapped = (2, 1, *range(3, 23))
     rows = tuple((t, (states[1], states[0], *states[2:])) for t, states in memo_left_active.rows)
-    result = check_golden("memo-left-active", Trace(swapped, rows))
+    result = check_golden("memo-left-active", Trace.from_rows(swapped, rows))
     detail = f"cell ordering differs: {swapped} vs {tuple(range(1, 23))}"
     assert result.line() == f"FAIL  golden:memo-left-active  ({detail})"
 
 
 def test_golden_check_fails_on_time_labels(memo_left_active):
     rows = tuple((t + 1, states) for t, states in memo_left_active.rows)
-    result = check_golden("memo-left-active", Trace(memo_left_active.cell_ids, rows))
+    result = check_golden("memo-left-active", Trace.from_rows(memo_left_active.cell_ids, rows))
     assert result.line() == "FAIL  golden:memo-left-active  (time labels differ: 1 vs 0)"
 
 
 def test_golden_check_fails_on_row_count(memo_left_active):
-    result = check_golden("memo-left-active", Trace(memo_left_active.cell_ids, memo_left_active.rows[:-1]))
+    trace = Trace.from_rows(memo_left_active.cell_ids, memo_left_active.rows[:-1])
+    result = check_golden("memo-left-active", trace)
     assert result.line() == "FAIL  golden:memo-left-active  (row counts differ: 7 vs 8)"
 
 
@@ -173,7 +174,7 @@ def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
         (t, tuple(B if t == 3 and cell == crossing else s for cell, s in zip(trace.cell_ids, states)))
         for t, states in trace.rows
     )
-    result = check_bridge(scenario, Trace(trace.cell_ids, rows))
+    result = check_bridge(scenario, Trace.from_rows(trace.cell_ids, rows))
     assert result.line() == f"FAIL  bridge:v1-fwd  (t3: crossing track disturbed at [{crossing}])"
 
 
@@ -181,7 +182,7 @@ def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active
     t, final = memo_left_active.rows[-1]
     track = set(APPROACH + LEFT_BRANCH + RIGHT_BRANCH)
     cleared = tuple(W if cell in track else s for cell, s in zip(memo_left_active.cell_ids, final))
-    trace = Trace(memo_left_active.cell_ids, memo_left_active.rows[:-1] + ((t, cleared),))
+    trace = Trace.from_rows(memo_left_active.cell_ids, memo_left_active.rows[:-1] + ((t, cleared),))
     with pytest.raises(ValueError, match="^no locomotive on any exit track at the end of the run$"):
         ca_outcome(trace, SwitchKind.MEMORY)
 
@@ -240,7 +241,7 @@ def test_ca_outcome_rejects_switch_cells_in_no_idle_state(catalog):
     assert garbled != final
     message = "^switch cells read 17:B 18:R 19:W 20:B 21:R 22:B, no idle state of the memory switch$"
     with pytest.raises(ValueError, match=message):
-        ca_outcome(Trace(trace.cell_ids, trace.rows[:-1] + ((t, garbled),)), SwitchKind.MEMORY)
+        ca_outcome(Trace.from_rows(trace.cell_ids, trace.rows[:-1] + ((t, garbled),)), SwitchKind.MEMORY)
 
 
 def test_verify_all_green():
