@@ -135,7 +135,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.golden is not None and not SCENARIOS[args.scenario].crossing:
+    scenario = SCENARIOS[args.scenario].build()
+    if args.golden is not None and not scenario.crossing:
         message = f"scenario {args.scenario!r} has no golden trace; only switch scenarios take --golden"
         print(f"error: {message}", file=sys.stderr)
         return 2
@@ -143,7 +144,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not invariance.ok:
         print(invariance.line())  # the line verify-all prints for this catalogue
         return 1
-    results = verify_scenario(SCENARIOS[args.scenario].build(), load_catalog(args.rules), args.golden)
+    results = verify_scenario(scenario, load_catalog(args.rules), args.golden)
     for result in results:
         print(result.line())
     return 0 if all(r.ok for r in results) else 1

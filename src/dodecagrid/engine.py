@@ -92,6 +92,8 @@ class CellGraph:
         ]
         count = Counter((cell, target) for cell, _, target in links)  # links from each cell to each target
         for cell, face, target in links:
+            if target == cell:  # no cell of {5,3,4} is its own face-neighbour
+                raise GraphError(f"cell {cell} face {face} links to itself")
             if target not in self._ports:
                 raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
             back = count[target, cell]

@@ -18,6 +18,7 @@ window the golden runs cover.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -290,36 +291,36 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
 
 @dataclass(frozen=True)
 class NamedScenario:
-    name: str
-    crossing: tuple[SwitchKind, Side, CrossingMode] | None = None  # what ``build_switch`` is called with
+    """A registry entry: a builder and its arguments, built only when asked for."""
+
+    builder: Callable[..., Scenario]
+    args: tuple = ()
 
     def build(self) -> Scenario:
-        """The runnable scenario; a switch starts with the locomotive placed for its crossing."""
-        if self.crossing:
-            return build_switch(*self.crossing)
-        if self.name == "vertical":
-            return build_vertical_segment(7)
-        if self.name == "horizontal":
-            return build_horizontal_segment(5)
-        return build_bridge()
+        return self.builder(*self.args)
 
 
-def _switch_entries() -> list[NamedScenario]:
+def _switch_entries() -> dict[str, NamedScenario]:
     """Every crossing ``check_crossing`` accepts: memory, fixed, then flip-flop switches."""
-    entries = []
+    entries = {}
     for kind, lat, mode in product((SwitchKind.MEMORY, SwitchKind.FIXED, SwitchKind.FLIPFLOP), Side, CrossingMode):
         try:
             check_crossing(kind, lat, mode)
         except ValueError:
             continue
-        entries.append(NamedScenario(switch_name(kind, lat, mode), (kind, lat, mode)))
+        entries[switch_name(kind, lat, mode)] = NamedScenario(build_switch, (kind, lat, mode))
     return entries
 
 
+# Every scenario ``verify-all`` runs, in its order, keyed by the name its checks print.
 SCENARIOS: dict[str, NamedScenario] = {
-    "vertical": NamedScenario("vertical"),
-    "horizontal": NamedScenario("horizontal"),
-    "bridge": NamedScenario("bridge"),
-    **{entry.name: entry for entry in _switch_entries()},
+    **_switch_entries(),
+    "vertical-fwd-n7": NamedScenario(build_vertical_segment, (7,)),
+    "vertical-rev-n7": NamedScenario(build_vertical_segment, (7, False)),
+    "horizontal-fwd-k5": NamedScenario(build_horizontal_segment, (5,)),
+    "horizontal-rev-k5": NamedScenario(build_horizontal_segment, (5, False)),
+    "v1-fwd": NamedScenario(build_bridge, ("v1",)),
+    "v1-rev": NamedScenario(build_bridge, ("v1", False)),
+    "v0-fwd": NamedScenario(build_bridge, ("v0",)),
+    "v0-rev": NamedScenario(build_bridge, ("v0", False)),
 }
-

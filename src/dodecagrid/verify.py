@@ -9,7 +9,6 @@ its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 from . import railway
@@ -24,9 +23,6 @@ from .scenarios import (
     RIGHT_BRANCH,
     SCENARIOS,
     Scenario,
-    build_bridge,
-    build_horizontal_segment,
-    build_vertical_segment,
     idle_states,
     oracle_mode,
 )
@@ -239,18 +235,6 @@ def verify_all(
     if not results[-1].ok:
         return results  # no table to run the rest with
     table = load_catalog(rules_dir)
-    # built as they run, so one switch graph is held at a time
-    crossings = (e.build() for e in SCENARIOS.values() if e.crossing)
-    tracks = [
-        build_vertical_segment(7),
-        build_vertical_segment(7, forward=False),
-        build_horizontal_segment(5),
-        build_horizontal_segment(5, forward=False),
-        build_bridge("v1"),
-        build_bridge("v1", forward=False),
-        build_bridge("v0"),
-        build_bridge("v0", forward=False),
-    ]
-    for scenario in chain(crossings, tracks):
-        results += verify_scenario(scenario, table, golden_dir)
+    for entry in SCENARIOS.values():  # built as they run, so one graph is held at a time
+        results += verify_scenario(entry.build(), table, golden_dir)
     return results

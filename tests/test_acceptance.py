@@ -101,12 +101,12 @@ def test_criterion_3_rotated_pair_witness():
 @criterion(4, "all eleven golden traces reproduced token-for-token, < 1 s total")
 def test_criterion_4_golden_traces():
     table = load_catalog()
-    entries = [e for e in SCENARIOS.values() if e.crossing]
-    assert len(entries) == 11
+    crossings = [s for s in (e.build() for e in SCENARIOS.values()) if s.crossing]
+    assert len(crossings) == 11
     started = time.perf_counter()
-    for entry in entries:
-        got = trace_tokens(format_trace(entry.build().run(table)))
-        assert got == trace_tokens(golden_path(entry.name).read_text()), entry.name
+    for scenario in crossings:
+        got = trace_tokens(format_trace(scenario.run(table)))
+        assert got == trace_tokens(golden_path(scenario.name).read_text()), scenario.name
     assert time.perf_counter() - started < 1.0
 
 
@@ -153,9 +153,10 @@ def test_criterion_6_oracle_agreement():
 
     checked = 0
     for entry in SCENARIOS.values():
-        if not entry.crossing:
+        scenario = entry.build()
+        if not scenario.crossing:
             continue
-        kind, laterality, crossing_mode = entry.crossing
+        kind, laterality, crossing_mode = scenario.crossing
         state = railway.SwitchState(kind, laterality)
         if crossing_mode is CrossingMode.ACTIVE:
             mode = railway.Active()
@@ -163,9 +164,9 @@ def test_criterion_6_oracle_agreement():
             arm = laterality if crossing_mode is CrossingMode.PASSIVE_SELECTED else laterality.other
             mode = railway.Passive(arm)
         want_exit, want_state = railway.cross(state, mode)
-        got_exit, got_selected = read_ca_outcome(entry.build().run(table))
-        assert got_exit is want_exit, entry.name
-        assert got_selected is want_state.selected, entry.name
+        got_exit, got_selected = read_ca_outcome(scenario.run(table))
+        assert got_exit is want_exit, scenario.name
+        assert got_selected is want_state.selected, scenario.name
         checked += 1
     assert checked == 11
 

@@ -8,6 +8,9 @@ from dodecagrid.engine import trace_tokens
 from dodecagrid.scenarios import SCENARIOS
 
 
+TRACK_NAMES = list(SCENARIOS)[11:]  # after the 11 switch crossings
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -17,9 +20,7 @@ def run_cli(capsys, *argv):
 def test_scenario_list(capsys):
     code, out, _ = run_cli(capsys, "scenario", "list")
     assert code == 0
-    names = out.split()
-    assert names[:3] == ["vertical", "horizontal", "bridge"]
-    assert "flipflop-right-active" in names
+    assert out.split() == list(SCENARIOS)
 
 
 def test_rotations_dump(capsys):
@@ -73,7 +74,7 @@ def test_run_matches_golden_tokens(capsys):
 
 
 def test_run_tsv(capsys):
-    code, out, _ = run_cli(capsys, "run", "--scenario", "vertical", "--steps", "2", "--emit", "tsv")
+    code, out, _ = run_cli(capsys, "run", "--scenario", "vertical-fwd-n7", "--steps", "2", "--emit", "tsv")
     assert code == 0
     assert out.splitlines()[0].startswith("time\t1\t2")
 
@@ -100,7 +101,7 @@ def test_verify_missing_golden_fails_closed(capsys, tmp_path):
     assert "golden trace missing" in err
 
 
-@pytest.mark.parametrize("scenario", ["vertical", "horizontal", "bridge"])
+@pytest.mark.parametrize("scenario", TRACK_NAMES)
 def test_verify_track_scenario_rejects_golden(capsys, scenario):
     code, out, err = run_cli(capsys, "verify", "--scenario", scenario, "--golden", "/nonexistent")
     assert code == 2
@@ -270,8 +271,8 @@ def test_verify_golden_with_a_second_header_fails_closed(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["run", "--scenario", "vertical", "--steps", "-3"],
-        ["render", "--scenario", "vertical", "--time", "-1", "--out", "frame.svg"],
+        ["run", "--scenario", "vertical-fwd-n7", "--steps", "-3"],
+        ["render", "--scenario", "vertical-fwd-n7", "--time", "-1", "--out", "frame.svg"],
         ["pentagrid", "levels", "--depth", "-1"],
     ],
 )
@@ -279,7 +280,7 @@ def test_negative_count_rejected(argv, capsys):
     with pytest.raises(SystemExit) as raised:
         main(argv)
     assert raised.value.code == 2
-    assert "error: argument" in capsys.readouterr().err
+    assert "must not be negative" in capsys.readouterr().err
 
 
 VERIFY_ALL_OUTPUT = """\
@@ -325,21 +326,20 @@ def test_verify_all_passes(capsys):
     assert run_cli(capsys, "verify-all") == (0, VERIFY_ALL_OUTPUT, "")
 
 
-TRACK_CHECKS = {
-    "vertical": ["segment:vertical-fwd-n7"],
-    "horizontal": ["segment:horizontal-fwd-k5"],
-    "bridge": ["bridge:v1-fwd"],
-}
+def test_verify_all_runs_the_scenarios_in_registry_order():
+    checked = [line[6:].split("  ")[0].partition(":")[2] for line in VERIFY_ALL_OUTPUT.splitlines()[2:-2]]
+    assert list(dict.fromkeys(checked)) == list(SCENARIOS)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_verify_prints_the_scenarios_lines_of_verify_all(capsys, name):
-    # VERIFY_ALL_OUTPUT is what verify-all prints (test_verify_all_passes)
-    checks = TRACK_CHECKS.get(name, [f"golden:{name}", f"oracle:{name}"])
     code, out, err = run_cli(capsys, "verify", "--scenario", name)
     assert (code, err) == (0, "")
-    assert [line.split("  ")[1] for line in out.splitlines()] == checks
-    assert out.splitlines() == [line for line in VERIFY_ALL_OUTPUT.splitlines() if line[6:].split("  ")[0] in checks]
+    kinds = [line.split("  ")[1].partition(":")[0] for line in out.splitlines()]
+    assert kinds in (["golden", "oracle"], ["segment"], ["bridge"])
+    # VERIFY_ALL_OUTPUT is what verify-all prints (test_verify_all_passes); each check line names <kind>:<scenario>
+    checks = [line for line in VERIFY_ALL_OUTPUT.splitlines() if line[6:].split("  ")[0].partition(":")[2] == name]
+    assert out.splitlines() == checks
 
 
 def test_oracle_crossings(capsys):

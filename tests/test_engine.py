@@ -25,6 +25,7 @@ from dodecagrid.engine import (
     uniform_configuration,
     with_states,
 )
+from dodecagrid.geometry import enumerate_motions
 from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters, load_rule_dir
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
 
@@ -67,6 +68,12 @@ def test_graph_rejects_wrong_arity():
 def test_graph_rejects_dangling_link():
     with pytest.raises(GraphError, match="^cell 1 face 4 links to unknown cell 2$"):
         CellGraph({1: ports(f4=2)})
+
+
+def test_graph_rejects_self_link():
+    # a single self-link would count as its own return link
+    with pytest.raises(GraphError, match="^cell 1 face 0 links to itself$"):
+        CellGraph({1: [LinkPort(1)] + [FixedPort(W)] * 11})
 
 
 def test_graph_rejects_asymmetric_link():
@@ -234,6 +241,22 @@ def test_run_matches_full_sweep(catalog, data, name, n_steps):
     config = with_states(scenario.initial, overrides)
     expected = outcome(sweep_run, scenario.graph, config, catalog, n_steps)
     assert outcome(run, scenario.graph, config, catalog, n_steps) == expected
+
+
+@settings(max_examples=38, deadline=None)
+@given(data=st.data(), name=st.sampled_from(list(SCENARIOS)))
+def test_run_is_unchanged_when_each_cell_is_rotated(catalog, data, name):
+    # each cell's faces relabelled by its own rotation: engine, wiring and lookups together are invariant;
+    # a LinkPort names only its target cell, so no neighbour's link needs rewriting
+    scenario = SCENARIOS[name].build()
+    graph = scenario.graph
+    motions = st.lists(st.sampled_from(enumerate_motions()), min_size=len(graph), max_size=len(graph))
+    rotated = {
+        cell: [graph.ports(cell)[p[i]] for i in range(12)]
+        for cell, p in zip(graph.cell_ids, data.draw(motions, label="rotations"))
+    }
+    trace = run(CellGraph(rotated), scenario.initial, catalog, scenario.default_steps)
+    assert trace == scenario.run(catalog)
 
 
 @settings(max_examples=40, deadline=None)

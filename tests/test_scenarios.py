@@ -22,7 +22,7 @@ from dodecagrid.scenarios import (
 )
 from dodecagrid.verify import check_bridge, check_segment
 
-GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.crossing]
+GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.build().crossing]
 
 
 def ctx(text):
@@ -155,18 +155,20 @@ def test_bridge_rejects_unknown_track():
 
 # --- invariants shared by every track scenario ---------------------------------
 
-TRACK_BUILDERS = {
-    "vertical": lambda forward: build_vertical_segment(7, forward),
-    "horizontal": lambda forward: build_horizontal_segment(5, forward),
-    "bridge-v0": lambda forward: build_bridge("v0", forward),
-    "bridge-v1": lambda forward: build_bridge("v1", forward),
+# registry name of each track scenario, by shape and heading
+TRACK_NAMES = {
+    "vertical": "vertical-{}-n7",
+    "horizontal": "horizontal-{}-k5",
+    "bridge-v0": "v0-{}",
+    "bridge-v1": "v1-{}",
 }
 
 
-@pytest.mark.parametrize("forward", (True, False), ids=("fwd", "rev"))
-@pytest.mark.parametrize("builder", TRACK_BUILDERS)
-def test_track_scenario_invariants(builder, forward, catalog):
-    scenario = TRACK_BUILDERS[builder](forward)
+@pytest.mark.parametrize("heading", ("fwd", "rev"))
+@pytest.mark.parametrize("shape", TRACK_NAMES)
+def test_track_scenario_invariants(shape, heading, catalog):
+    scenario = SCENARIOS[TRACK_NAMES[shape].format(heading)].build()
+    forward = heading == "fwd"
     other = scenario.crossing_track
     chain = tuple(c for c in scenario.graph.cell_ids if c not in other)
     for a, b in zip(chain, chain[1:]):
@@ -178,7 +180,7 @@ def test_track_scenario_invariants(builder, forward, catalog):
     assert scenario.initial.states[track[SEGMENT_BUFFER + 1]] is B
     assert sum(s is not W for s in scenario.initial.states.values()) == 2
     assert scenario.default_steps == len(chain) - SEGMENT_BUFFER - 2
-    check = check_bridge if builder.startswith("bridge") else check_segment
+    check = check_bridge if shape.startswith("bridge") else check_segment
     result = check(scenario, scenario.run(catalog))
     assert result.ok, result.detail
 
@@ -255,9 +257,8 @@ def test_crossing_start_positions():
 
 @pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_golden_trace_token_for_token(name, catalog):
-    entry = SCENARIOS[name]
-    got = trace_tokens(format_trace(entry.build().run(catalog)))
-    assert got == trace_tokens(golden_path(entry.name).read_text())
+    got = trace_tokens(format_trace(SCENARIOS[name].build().run(catalog)))
+    assert got == trace_tokens(golden_path(name).read_text())
 
 
 def test_golden_files_have_expected_shape():
@@ -338,9 +339,6 @@ def test_switch_scenario_run_returns_eight_rows(catalog):
 
 def test_scenario_catalog_names():
     assert list(SCENARIOS) == [
-        "vertical",
-        "horizontal",
-        "bridge",
         "memo-left-active",
         "memo-left-sel",
         "memo-left-nonsel",
@@ -352,4 +350,13 @@ def test_scenario_catalog_names():
         "fixed-nonsel",
         "flipflop-left-active",
         "flipflop-right-active",
+        "vertical-fwd-n7",
+        "vertical-rev-n7",
+        "horizontal-fwd-k5",
+        "horizontal-rev-k5",
+        "v1-fwd",
+        "v1-rev",
+        "v0-fwd",
+        "v0-rev",
     ]
+    assert [entry.build().name for entry in SCENARIOS.values()] == list(SCENARIOS)

@@ -79,9 +79,10 @@ def test_catalog_invariance_check_fails_on_conflict(tmp_path):
 
 def test_golden_checks_pass(catalog):
     for name, entry in SCENARIOS.items():
-        if not entry.crossing:
+        scenario = entry.build()
+        if not scenario.crossing:
             continue
-        result = check_golden(name, entry.build().run(catalog))
+        result = check_golden(name, scenario.run(catalog))
         assert result.ok, name
         assert result.detail == "8 rows match"
 
@@ -219,9 +220,9 @@ def test_bridge_checks(catalog):
 
 def test_oracle_agreement_all_modes(catalog):
     for entry in SCENARIOS.values():
-        if not entry.crossing:
-            continue
         scenario = entry.build()
+        if not scenario.crossing:
+            continue
         result = check_oracle_agreement(scenario, scenario.run(catalog))
         assert result.ok, result.line()
 
