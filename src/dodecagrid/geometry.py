@@ -114,12 +114,18 @@ def inverse(perm: FacePermutation) -> FacePermutation:
     return tuple(out)
 
 
+# The 60 ordered pairs of adjacent faces.
+_EDGES = frozenset((face, other) for face in range(FACE_COUNT) for other in RINGS[face])
+
+
 def preserves_adjacency(perm: FacePermutation) -> bool:
-    return all(
-        are_adjacent(perm[i], perm[j]) == are_adjacent(i, j)
-        for i in range(FACE_COUNT)
-        for j in range(i + 1, FACE_COUNT)
-    )
+    """Whether ``perm`` maps the adjacent pairs of faces exactly onto themselves.
+
+    Every face lies on an edge, so this holds only for a bijection of the 12
+    faces, and then it says that adjacent and non-adjacent pairs both keep
+    their kind.
+    """
+    return {(perm[a], perm[b]) for a, b in _EDGES} == _EDGES
 
 
 def dump_rotations() -> str:

@@ -36,7 +36,7 @@ class CellState(IntEnum):
     @classmethod
     def from_letter(cls, letter: str) -> "CellState":
         try:
-            return cls[letter]
+            return _BY_LETTER[letter]
         except KeyError:
             raise ValueError(f"not a cell state: {letter!r}") from None
 
@@ -46,6 +46,7 @@ class CellState(IntEnum):
 
 
 W, B, R = CellState.W, CellState.B, CellState.R
+_BY_LETTER = {"W": W, "B": B, "R": R}  # a dict read, not the Enum's slower ``__getitem__``
 
 Neighborhood = tuple[CellState, ...]
 

@@ -10,10 +10,12 @@ permanently white boundary.
 
 Switch graphs (22 cells, printed as columns 1..22) are built from the frozen
 wiring in ``data/switch_wiring.json``, which also gives the switch cells 17..22
-of an idle switch for each selected side.  ``build_switch`` sets those idle
-states, puts the locomotive on the approach (active crossing) or on the arm
-the crossing enters by (passive crossing) and runs 7 steps, which is the
-window the golden runs cover.
+of an idle switch for each selected side.  Each kind's graph is built once and
+shared by all of its crossings, which differ only in their initial
+configurations.  ``build_switch`` sets those idle states, puts the locomotive
+on the approach (active crossing) or on the arm the crossing enters by
+(passive crossing) and runs 7 steps, which is the window the golden runs
+cover.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 
 from .catalog import load_switch_wiring
@@ -235,7 +237,9 @@ _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
 }
 
 
+@lru_cache(maxsize=None)
 def _switch_graph(kind: SwitchKind) -> CellGraph:
+    """The 22-cell graph of a ``kind`` switch, built once: a ``CellGraph`` is immutable, so every crossing shares it."""
     wiring = load_switch_wiring()["kinds"][kind.value]
     ports: dict[CellId, list[Port]] = {}
     for cell_str, entry in wiring.items():

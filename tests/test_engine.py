@@ -189,6 +189,12 @@ def test_parse_trace_names_the_line_of_a_skipped_time():
         parse_trace_text(text, "t.trace")
 
 
+def test_parse_trace_names_the_line_of_a_bad_letter():
+    text = "1 2\n\ntime 0 :  B  W\ntime 1 :  R  w\n"
+    with pytest.raises(TraceFormatError, match="^t.trace:4: not a cell state: 'w'$"):
+        parse_trace_text(text, "t.trace")
+
+
 def test_trace_from_rows_rejects_a_short_row():
     with pytest.raises(TraceFormatError, match="^row at time 1 has 1 states for 2 cells$"):
         Trace.from_rows((1, 2), ((0, (B, W)), (1, (R,))))

@@ -1,11 +1,14 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dodecagrid.geometry import (
     FACE_COUNT,
     IDENTITY,
     Motion,
+    are_adjacent,
     compose,
     dump_rotations,
     enumerate_motions,
@@ -111,3 +114,40 @@ def test_dump_rotations_format():
     assert len(lines) == 60
     assert lines[0].split(":")[0].split() == ["0", "1"]
     assert lines[0].split(":")[1].split() == [str(i) for i in range(12)]
+
+
+def pairwise_preserves_adjacency(perm):
+    """Reference: every pair of faces keeps its adjacency, one ``are_adjacent`` test per pair."""
+    return all(
+        are_adjacent(perm[i], perm[j]) == are_adjacent(i, j)
+        for i in range(FACE_COUNT)
+        for j in range(i + 1, FACE_COUNT)
+    )
+
+
+INVERSION = (11, 9, 10, 6, 7, 8, 3, 4, 5, 1, 2, 0)  # each face to its opposite face: a reflection
+FACE_SWAP = (1, 0, *range(2, 12))  # faces 0 and 1 exchanged, no symmetry
+
+
+# the 120 symmetries of the solid: the 60 rotations and the 60 reflections
+SYMMETRIES = [*enumerate_motions(), *(compose(INVERSION, p) for p in enumerate_motions())]
+
+
+@given(st.one_of(st.permutations(range(FACE_COUNT)).map(tuple), st.sampled_from(SYMMETRIES)))
+def test_preserves_adjacency_matches_pairwise_on_permutations(perm):
+    assert preserves_adjacency(perm) == pairwise_preserves_adjacency(perm)
+
+
+@pytest.mark.parametrize(
+    "perm, preserved",
+    [
+        (INVERSION, True),
+        (FACE_SWAP, False),
+        ((0,) * 12, False),  # every face onto one
+        ((*range(11), 10), False),  # adjacent faces 10 and 11 onto one
+        ((*range(11), 0), False),  # opposite faces 0 and 11 onto one
+        ((*INVERSION[:11], INVERSION[1]), False),  # a reflection that sends faces 1 and 11 both to 9
+    ],
+)
+def test_preserves_adjacency_matches_pairwise_on_chosen_tuples(perm, preserved):
+    assert preserves_adjacency(perm) is pairwise_preserves_adjacency(perm) is preserved

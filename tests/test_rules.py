@@ -96,6 +96,25 @@ def test_parse_bad_letter():
         parse_rules("W W W B W W B B B W W W X -> W")
 
 
+def test_parse_bad_letter_names_file_and_line():
+    text = "# header\nW W W W W W W W W W W W W -> W\n\nW W W W W W W W W W W W W -> BB\n"
+    with pytest.raises(RuleParseError, match=r"^a\.rules:4: not a cell state: 'BB'$"):
+        parse_rules(text, "a.rules")
+    with pytest.raises(RuleParseError, match=r"^a\.rules:2: not a cell state: 'w'$"):
+        parse_rules(text.replace("W W W W W W W W W W W W W -> W", "W W W W W W W W W W W w W -> W"), "a.rules")
+
+
+def test_from_letter_reads_each_state():
+    assert [CellState.from_letter(s.letter) for s in CellState] == [W, B, R]
+
+
+@pytest.mark.parametrize("letter", ["w", "", "BB"])
+def test_from_letter_rejects_anything_else(letter):
+    with pytest.raises(ValueError) as err:
+        CellState.from_letter(letter)
+    assert str(err.value) == f"not a cell state: {letter!r}"
+
+
 def test_rotated_context_identity():
     c = ctx("R W B B W W B B B W W W W")
     assert rotated_context(c, MOTIONS[0]) == c

@@ -20,7 +20,7 @@ from dodecagrid.scenarios import (
     horizontal_exit_faces,
     idle_states,
 )
-from dodecagrid.verify import check_bridge, check_segment
+from dodecagrid.verify import check_bridge, check_segment, trace_divergence
 
 GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.build().crossing]
 
@@ -335,6 +335,21 @@ def test_switch_scenario_run_returns_eight_rows(catalog):
     trace = scenario.run(catalog)
     assert len(trace.rows) == 8
     assert trace.cell_ids == tuple(range(1, 23))
+
+
+def test_crossings_of_one_switch_kind_share_its_graph(catalog):
+    built = [entry.build() for entry in SCENARIOS.values()]
+    graphs = {kind: {id(s.graph) for s in built if s.crossing and s.crossing[0] is kind} for kind in SwitchKind}
+    assert all(len(ids) == 1 for ids in graphs.values())
+    assert len(set.union(*graphs.values())) == 3
+    left = build_switch(SwitchKind.MEMORY, Side.LEFT, CrossingMode.ACTIVE)
+    right = build_switch(SwitchKind.MEMORY, Side.RIGHT, CrossingMode.PASSIVE_SELECTED)
+    assert left.graph is right.graph
+    # running one crossing leaves the other's start, and so its golden run, as built
+    start = dict(right.initial.states)
+    left.run(catalog)
+    assert right.initial.states == start != left.initial.states
+    assert trace_divergence(right.run(catalog), load_golden_trace(right.name)) is None
 
 
 def test_scenario_catalog_names():

@@ -4,7 +4,7 @@ import pytest
 
 from dodecagrid import rules, scenarios, verify
 from dodecagrid.catalog import default_rules_dir, golden_path, load_catalog
-from dodecagrid.engine import Trace
+from dodecagrid.engine import Trace, format_trace
 from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
 from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
@@ -111,6 +111,14 @@ def test_trace_divergence_reports_location():
     assert trace_divergence(a, b) == "time 1 cell 2: expected R, got W"
 
 
+def test_trace_divergence_counts_rows_of_header_only_traces():
+    a = Trace.from_rows((1, 2), ((0, (W, B)), (1, (B, W))))
+    empty = Trace.from_rows((1, 2), ())
+    assert trace_divergence(empty, empty) is None
+    assert trace_divergence(a, empty) == "row counts differ: 2 vs 0"
+    assert trace_divergence(empty, a) == "row counts differ: 0 vs 2"
+
+
 @pytest.fixture(scope="module")
 def memo_left_active(catalog):
     return SCENARIOS["memo-left-active"].build().run(catalog)
@@ -134,6 +142,16 @@ def test_golden_check_fails_on_row_count(memo_left_active):
     trace = Trace.from_rows(memo_left_active.cell_ids, memo_left_active.rows[:-1])
     result = check_golden("memo-left-active", trace)
     assert result.line() == "FAIL  golden:memo-left-active  (row counts differ: 7 vs 8)"
+
+
+def test_golden_check_replays_each_trace_once(memo_left_active, monkeypatch, tmp_path):
+    golden_path("empty", tmp_path).write_text(format_trace(Trace.from_rows(memo_left_active.cell_ids, ())))
+    replayed = []
+    replay = Trace.rows.fget
+    monkeypatch.setattr(Trace, "rows", property(lambda trace: replayed.append(trace) or replay(trace)))
+    assert check_golden("memo-left-active", memo_left_active).detail == "8 rows match"
+    assert check_golden("empty", memo_left_active, tmp_path).detail == "row counts differ: 8 vs 0"
+    assert [trace is memo_left_active for trace in replayed] == [True, False, True, False]
 
 
 def test_one_d_violations_flag_unexpected_triple():
