@@ -8,15 +8,21 @@ invariant exactly when no two rules share a minimal context but disagree on
 the new state, and lookups go through the minimal form so that any rotated
 variant of a listed rule is found.
 
+A rotation only permutes faces, so it keeps a context's census: its current
+state and its numbers of white and black neighbours.  A lookup canonicalises
+only a context whose census some indexed minimal form has; any other context
+is certain to miss the index and skips the 60-rotation minimum.
+
 Contexts that miss the index but have at least ten white neighbours fall back
-to keeping their current state; anything else is a hard ``MissingRuleError``.
+to keeping their current state; anything else is a hard ``MissingRuleError``,
+whose minimal form is computed the first time it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -85,12 +91,15 @@ class RuleConflictError(ValueError):
 
 
 class MissingRuleError(LookupError):
-    """A context no rule covers, with the ``minimal`` form the lookup computed for it."""
+    """A context no rule covers; its ``minimal`` form is computed the first time it is read."""
 
-    def __init__(self, context: Context, minimal: Context):
-        super().__init__(context, minimal)
+    def __init__(self, context: Context):
+        super().__init__(context)
         self.context = context
-        self.minimal = minimal
+
+    @cached_property
+    def minimal(self) -> Context:
+        return minimal_context(self.context)
 
     def __str__(self) -> str:
         return f"no rule covers context {self.context}"
@@ -140,6 +149,12 @@ def blank_count(ctx: Context) -> int:
     return ctx.neighbors.count(W)
 
 
+def census(ctx: Context) -> tuple[CellState, int, int]:
+    """Current state and the numbers of white and black neighbours: the same for every rotated form."""
+    n = ctx.neighbors
+    return ctx.current, n.count(W), n.count(B)
+
+
 @dataclass(frozen=True)
 class Conflict:
     a: Rule
@@ -169,6 +184,8 @@ class InvarianceReport:
 class RuleTable:
     """An ordered rule list with a canonical lookup index: each minimal form maps to its deciding rule.
 
+    ``_censuses`` holds the census of every indexed minimal form; a context
+    whose census is not among them cannot match a rule under any rotation.
     A rule set that is not rotation invariant is refused with ``RuleConflictError``.
     """
 
@@ -177,6 +194,7 @@ class RuleTable:
         self._index, report = _index_minimal_forms(self.rules)
         if not report.ok:
             raise RuleConflictError(report)
+        self._censuses = {census(mctx) for mctx in self._index}
         self._cache: dict[Context, CellState] = {}
 
     def __len__(self) -> int:
@@ -186,14 +204,14 @@ class RuleTable:
         hit = self._cache.get(ctx)
         if hit is not None:
             return hit
-        minimal = minimal_context(ctx)
-        rule = self._index.get(minimal)
+        key = census(ctx)  # (current, white neighbours, black neighbours)
+        rule = self._index.get(minimal_context(ctx)) if key in self._censuses else None
         if rule is not None:
             new_state = rule.new_state
-        elif blank_count(ctx) >= DEFAULT_BLANK_THRESHOLD:
+        elif key[1] >= DEFAULT_BLANK_THRESHOLD:
             new_state = ctx.current
         else:
-            raise MissingRuleError(ctx, minimal)
+            raise MissingRuleError(ctx)
         self._cache[ctx] = new_state
         return new_state
 

@@ -170,14 +170,31 @@ def check_segment(scenario: Scenario, trace: Trace) -> CheckResult:
     return CheckResult(f"segment:{scenario.name}", not problems, detail)
 
 
-def check_bridge(scenario: Scenario, trace: Trace) -> CheckResult:
-    problems = []
-    for t, states in trace.rows:
-        row = dict(zip(trace.cell_ids, states))
-        touched = [c for c in scenario.crossing_track if row[c] is not W]
+def crossing_disturbance(scenario: Scenario, trace: Trace) -> str | None:
+    """The first row with a non-white crossing-track cell, and those cells, read from the trace's changes.
+
+    Up to that row every crossing cell is white, so the cells a step changes
+    among them are exactly the ones it leaves non-white.
+    """
+    if trace.initial is None:
+        return None
+    position = {c: i for i, c in enumerate(trace.cell_ids)}
+    crossing = [(c, position[c]) for c in scenario.crossing_track]
+    watched = {i for _, i in crossing}
+    t = trace.start
+    touched = [c for c, i in crossing if trace.initial[i] is not W]
+    for changes in trace.changes:
         if touched:
-            problems.append(f"t{t}: crossing track disturbed at {touched}")
             break
+        t += 1
+        hit = watched.intersection([i for i, _ in changes])
+        touched = [c for c, i in crossing if i in hit]
+    return f"t{t}: crossing track disturbed at {touched}" if touched else None
+
+
+def check_bridge(scenario: Scenario, trace: Trace) -> CheckResult:
+    disturbance = crossing_disturbance(scenario, trace)
+    problems = [] if disturbance is None else [disturbance]
     problems += traversal_problems(scenario, trace, "bridge cells not idle after traversal")
     return CheckResult(f"bridge:{scenario.name}", not problems, "; ".join(problems[:3]) or "clean traversal")
 

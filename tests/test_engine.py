@@ -142,7 +142,8 @@ def test_run_past_modelled_region_raises(catalog):
 
 
 def test_engine_error_reads_the_lookups_minimal_form(monkeypatch):
-    # one canonicalisation per distinct context looked up, the uncovered one included
+    # one canonicalisation for each of the 5 distinct contexts whose census some
+    # rule shares, and one more when EngineError reads the uncovered context's minimal form
     table = load_rule_dir(default_rules_dir())
     calls = 0
     original = rules.minimal_context

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dodecagrid import rules
 from dodecagrid.catalog import default_rules_dir, load_catalog
 from dodecagrid.geometry import Motion, enumerate_motions, permutation_from_motion
 from dodecagrid.rules import (
@@ -20,6 +21,7 @@ from dodecagrid.rules import (
     RuleTable,
     W,
     blank_count,
+    census,
     check_rotation_invariance,
     context_from_letters,
     minimal_context,
@@ -275,8 +277,73 @@ def test_lookup_missing_rule_raises(catalog):
 
 def test_missing_rule_error_message():
     c = ctx("R W W B W W B B B W W W W")
-    error = MissingRuleError(c, minimal_context(c))
+    error = MissingRuleError(c)
     assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
+
+
+CATALOGUE_RULES = load_catalog().rules
+# a catalogue context under a rotation, or under any face shuffle: the same
+# census, so the gate always lets it through, but mostly not a rule's orbit
+catalogue_contexts = st.sampled_from([rule.context for rule in CATALOGUE_RULES])
+rotated_catalogue_contexts = st.builds(rotated_context, catalogue_contexts, rotations)
+shuffled_catalogue_contexts = st.builds(rotated_context, catalogue_contexts, st.permutations(range(12)).map(tuple))
+
+
+def brute_minimal(c):
+    return min(rotated_context(c, p) for p in MOTIONS)
+
+
+REFERENCE_INDEX = {brute_minimal(rule.context): rule.new_state for rule in CATALOGUE_RULES}
+
+
+def reference_lookup(c):
+    """The lookup with no census gate: always the brute-force minimal form, then the index, then the fallback."""
+    new_state = REFERENCE_INDEX.get(brute_minimal(c))
+    if new_state is None and blank_count(c) >= 10:
+        new_state = c.current
+    return new_state
+
+
+@given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts, shuffled_catalogue_contexts))
+@settings(max_examples=200)
+def test_census_gated_lookup_matches_always_canonicalising_reference(c):
+    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so every example goes through the gate
+    want = reference_lookup(c)
+    try:
+        got = table.lookup(c)
+    except MissingRuleError as exc:
+        assert want is None
+        assert exc.context == c
+        assert exc.minimal == brute_minimal(c)
+    else:
+        assert got is want
+
+
+def test_census_is_rotation_invariant():
+    c = ctx(SCANNED_REAR_LEAVES)
+    assert {census(rotated_context(c, p)) for p in MOTIONS} == {(R, 7, 5)}
+
+
+def test_lookup_rejected_by_census_canonicalises_only_when_minimal_is_read(catalog, monkeypatch):
+    uncovered = ctx("R R R B R R B W R R R B R")
+    assert census(uncovered) not in {census(minimal_context(rule.context)) for rule in catalog.rules}
+    assert blank_count(uncovered) < 10
+    calls = 0
+    original = rules.minimal_context
+
+    def counted(c):
+        nonlocal calls
+        calls += 1
+        return original(c)
+
+    monkeypatch.setattr(rules, "minimal_context", counted)
+    with pytest.raises(MissingRuleError) as raised:
+        catalog.lookup(uncovered)
+    assert calls == 0
+    minimal = raised.value.minimal
+    assert raised.value.minimal is minimal  # computed once, then kept
+    assert calls == 1
+    assert minimal == original(uncovered)
 
 
 @given(contexts, rotations)
