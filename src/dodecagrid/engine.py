@@ -6,18 +6,24 @@ another cell of the graph.  A step reads every context from the old
 configuration, so update order is immaterial; the new configuration is a
 fresh value.
 
-``step`` is the full-sweep reference: it reads all 12 ports of every cell.
-``run`` gives the same result while evaluating only the cells whose context
-can have changed.  It compiles the graph once into flat wiring (12 list
-indices per cell, and for each cell the cells that read it), evaluates every
-cell on the first step, and afterwards only the cells that changed on the
-previous step plus the cells that read them.  This is exact because a cell
-whose own state and 12 neighbours are unchanged has the same context, so the
-deterministic ``RuleTable.lookup`` gives it the same new state as before,
-which is its current one.  Dirty cells are evaluated in ``graph.cell_ids``
-order, so an uncovered context raises the same ``EngineError`` (cell, time
-and context) as the full sweep: every cell outside the dirty set was covered
-on the previous step.
+``step`` is the full-sweep reference: it reads all 12 ports of every cell
+and builds a ``Context`` for each.  ``run`` gives the same result while
+evaluating only the cells whose context can have changed.  It compiles the
+graph once into flat wiring: 12 list indices per cell, and each cell's
+reach, the cell itself plus the cells that read it.  It evaluates every cell
+on the first step, and afterwards only the reach of the cells that changed on
+the previous step.  This is exact because a cell whose own state and 12
+neighbours are unchanged has the same context, so the deterministic
+``RuleTable.lookup`` gives it the same new state as before, which is its
+current one.  Dirty cells are evaluated in ``graph.cell_ids`` order, so an
+uncovered context raises the same ``EngineError`` (cell, time and context)
+as the full sweep: every cell outside the dirty set was covered on the
+previous step.
+
+``run`` passes ``lookup`` the plain ``(current, neighbours)`` pair and builds
+no ``Context``: a ``Context`` equals and hashes as that pair, so both forms
+share the table's cache entries, and ``EngineError`` still carries a
+``Context``, built from the pair only when a rule is missing.
 
 A ``Trace`` stores what ``run`` computes and no more: the initial row and,
 for each step, the ``(cell index, new state)`` pairs that changed.  A run's
@@ -216,21 +222,24 @@ class Trace:
 _FIXED_TAIL = tuple(CellState)
 
 
-def _compile(graph: CellGraph) -> tuple[list[itemgetter], list[tuple[int, ...]]]:
-    """Per cell, in ``graph.cell_ids`` order: a getter of its 12 neighbour states, and the cells that read it."""
+def _compile(graph: CellGraph) -> tuple[list[itemgetter], list[list[int]]]:
+    """Per cell, in ``graph.cell_ids`` order: a getter of its 12 neighbour states, and its reach.
+
+    A cell's reach is the cell itself followed by the cells that read it.
+    """
     index = {cell: i for i, cell in enumerate(graph.cell_ids)}
     getters: list[itemgetter] = []
-    readers: list[list[int]] = [[] for _ in index]
+    reach: list[list[int]] = [[i] for i in range(len(index))]
     for i, cell in enumerate(graph.cell_ids):
         slots = []
         for port in graph.ports(cell):
             if isinstance(port, LinkPort):
                 slots.append(index[port.cell])
-                readers[index[port.cell]].append(i)
+                reach[index[port.cell]].append(i)
             else:
                 slots.append(port.state - len(_FIXED_TAIL))
         getters.append(itemgetter(*slots))
-    return getters, [tuple(r) for r in readers]
+    return getters, reach
 
 
 def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:
@@ -240,7 +249,8 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     """
     order = graph.cell_ids
     n = len(order)
-    getters, readers = _compile(graph)
+    getters, reach = _compile(graph)
+    lookup = table.lookup
     states = [config.states[c] for c in order] + list(_FIXED_TAIL)
     time = config.time
     initial = tuple(states[:n])
@@ -251,16 +261,16 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
         for i in dirty:
             current = states[i]
             try:
-                new = table.lookup(Context(current, getters[i](states)))
+                new = lookup((current, getters[i](states)))
             except MissingRuleError as exc:
                 raise EngineError(order[i], time, exc) from None
-            if new != current:
+            if new is not current:
                 changed.append((i, new))
         for i, new in changed:
             states[i] = new
         time += 1
         changes.append(tuple(changed))
-        dirty = sorted({j for i, _ in changed for j in (i, *readers[i])})
+        dirty = sorted({j for i, _ in changed for j in reach[i]})
     return Trace(order, config.time, initial, tuple(changes))
 
 

@@ -15,7 +15,12 @@ is certain to miss the index and skips the 60-rotation minimum.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
-whose minimal form is computed the first time it is read.
+whose ``Context`` and minimal form are built the first time they are read.
+
+Every function here that reads a context takes any ``(current, neighbours)``
+pair; a ``Context`` is one.  A ``Context`` equals and hashes as the plain pair
+with the same fields, so the lookup cache keeps one entry per context
+whichever form filled it, and a caller on a hot path can pass plain pairs.
 """
 
 from __future__ import annotations
@@ -91,15 +96,22 @@ class RuleConflictError(ValueError):
 
 
 class MissingRuleError(LookupError):
-    """A context no rule covers; its ``minimal`` form is computed the first time it is read."""
+    """A context no rule covers, raised with the pair looked up.
 
-    def __init__(self, context: Context):
-        super().__init__(context)
-        self.context = context
+    Its ``context`` and ``minimal`` form are built the first time they are read.
+    """
+
+    def __init__(self, pair: tuple[CellState, Neighborhood]):
+        super().__init__(pair)
+        self._pair = pair
+
+    @cached_property
+    def context(self) -> Context:
+        return Context(*self._pair)
 
     @cached_property
     def minimal(self) -> Context:
-        return minimal_context(self.context)
+        return minimal_context(self._pair)
 
     def __str__(self) -> str:
         return f"no rule covers context {self.context}"
@@ -114,8 +126,8 @@ def context_from_letters(letters: Iterable[str]) -> Context:
 
 def rotated_context(ctx: Context, perm: FacePermutation) -> Context:
     """Neighbour at slot i of the result is the input neighbour at perm[i]."""
-    n = ctx.neighbors
-    return Context(ctx.current, tuple(n[perm[i]] for i in range(FACE_COUNT)))
+    current, n = ctx
+    return Context(current, tuple(n[perm[i]] for i in range(FACE_COUNT)))
 
 
 @lru_cache(maxsize=1)
@@ -134,11 +146,11 @@ def minimal_context(ctx: Context) -> Context:
     This is exact: the rotations are transitive on faces, so the minimum
     starts with ``min(n)``, and every rotation attaining it is among those.
     """
-    n = ctx.neighbors
+    current, n = ctx
     least = min(n)
     groups = _rotations_by_first_face()
     best = min([rotate(n) for state, group in zip(n, groups) if state == least for rotate in group])
-    return Context(ctx.current, best)
+    return Context(current, best)
 
 
 def minimal_form(rule: Rule) -> Rule:
@@ -146,13 +158,14 @@ def minimal_form(rule: Rule) -> Rule:
 
 
 def blank_count(ctx: Context) -> int:
-    return ctx.neighbors.count(W)
+    _, n = ctx
+    return n.count(W)
 
 
 def census(ctx: Context) -> tuple[CellState, int, int]:
     """Current state and the numbers of white and black neighbours: the same for every rotated form."""
-    n = ctx.neighbors
-    return ctx.current, n.count(W), n.count(B)
+    current, n = ctx
+    return current, n.count(W), n.count(B)
 
 
 @dataclass(frozen=True)
@@ -201,6 +214,10 @@ class RuleTable:
         return len(self.rules)
 
     def lookup(self, ctx: Context) -> CellState:
+        """New state for ``ctx``, any ``(current, neighbours)`` pair; a ``Context`` is one.
+
+        ``MissingRuleError.context`` is built from the pair when first read.
+        """
         hit = self._cache.get(ctx)
         if hit is not None:
             return hit
@@ -209,7 +226,7 @@ class RuleTable:
         if rule is not None:
             new_state = rule.new_state
         elif key[1] >= DEFAULT_BLANK_THRESHOLD:
-            new_state = ctx.current
+            new_state = key[0]
         else:
             raise MissingRuleError(ctx)
         self._cache[ctx] = new_state

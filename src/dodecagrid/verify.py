@@ -154,10 +154,14 @@ def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
 
 
 def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> list[str]:
-    """Locomotive progress and 1D rules along the track, and ``segment_cells`` all white at the end."""
+    """Locomotive progress and 1D rules along the track, and ``segment_cells`` all white at the end.
+
+    ``segment_cells`` is a sub-span of ``track_cells``, so the final states
+    are read from the last track row, not from a second replay.
+    """
     rows = chain_rows(trace, scenario.track_cells)  # track_cells is in travel order
     problems = locomotive_progress(rows) + one_d_violations(rows)
-    final = trace.states_at(trace.end)
+    final = dict(zip(scenario.track_cells, rows[-1]))
     stuck = [c for c in scenario.segment_cells if final[c] is not W]
     if stuck:
         problems.append(f"{stuck_label}: {stuck}")

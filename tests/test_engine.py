@@ -26,7 +26,7 @@ from dodecagrid.engine import (
     with_states,
 )
 from dodecagrid.geometry import enumerate_motions
-from dodecagrid.rules import B, CellState, R, RuleTable, W, context_from_letters, load_rule_dir
+from dodecagrid.rules import B, CellState, Context, R, RuleTable, W, context_from_letters, load_rule_dir
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
 
 ALL_WHITE = tuple(FixedPort(W) for _ in range(12))
@@ -138,7 +138,11 @@ def test_run_past_modelled_region_raises(catalog):
     assert err.value.time == 7
     assert err.value.context == context_from_letters("R W W B W W B B B W W W W".split())
     assert err.value.minimal == context_from_letters("R W W W W W W W B B B B W".split())
-    assert str(err.value).endswith("(minimal form R | W W W W W W W B B B B W)")
+    assert type(err.value.context) is Context
+    assert str(err.value) == (
+        "cell 13 at time 7: no rule covers context R | W W B W W B B B W W W W"
+        " (minimal form R | W W W W W W W B B B B W)"
+    )
 
 
 def test_engine_error_reads_the_lookups_minimal_form(monkeypatch):
@@ -293,6 +297,19 @@ def test_run_evaluates_only_active_cells(catalog):
     table = CountingTable(catalog)
     scenario.run(table)
     assert table.calls <= len(scenario.graph) + 10 * scenario.default_steps
+
+
+def test_run_looks_up_plain_pairs(catalog):
+    # run hands lookup (current, neighbours) tuples, never a Context
+    seen = set()
+
+    class RecordingTable:
+        def lookup(self, ctx):
+            seen.add(type(ctx))
+            return catalog.lookup(ctx)
+
+    build_vertical_segment(7).run(RecordingTable())
+    assert seen == {tuple}
 
 
 def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:

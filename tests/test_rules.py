@@ -281,6 +281,16 @@ def test_missing_rule_error_message():
     assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
 
 
+def test_missing_rule_error_from_a_pair_builds_its_context_when_read():
+    c = ctx("R W W B W W B B B W W W W")
+    error = MissingRuleError((c.current, c.neighbors))
+    assert "context" not in vars(error)
+    assert type(error.context) is Context
+    assert error.context == c
+    assert error.minimal == minimal_context(c)
+    assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
+
+
 CATALOGUE_RULES = load_catalog().rules
 # a catalogue context under a rotation, or under any face shuffle: the same
 # census, so the gate always lets it through, but mostly not a rule's orbit
@@ -317,6 +327,56 @@ def test_census_gated_lookup_matches_always_canonicalising_reference(c):
         assert exc.minimal == brute_minimal(c)
     else:
         assert got is want
+
+
+def outcome(table, c):
+    """The new state ``table`` gives ``c``, or the context, minimal form and message of its error."""
+    try:
+        return table.lookup(c)
+    except MissingRuleError as exc:
+        assert type(exc.context) is Context
+        return exc.context, exc.minimal, str(exc)
+
+
+@given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts))
+@settings(max_examples=200)
+def test_pair_lookup_matches_context_lookup(c):
+    # fresh tables, so each form goes through the census gate and the index itself
+    pair = (c.current, c.neighbors)
+    got = outcome(RuleTable(CATALOGUE_RULES), pair)
+    assert got == outcome(RuleTable(CATALOGUE_RULES), c)
+    if not isinstance(got, CellState):
+        assert got[0] == c
+
+
+@given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts), rotations)
+@settings(max_examples=100)
+def test_context_helpers_accept_plain_pairs(catalog, c, perm):
+    pair = (c.current, c.neighbors)
+    assert rotated_context(pair, perm) == rotated_context(c, perm)
+    assert census(pair) == census(c)
+    assert blank_count(pair) == blank_count(c)
+    assert type(minimal_context(pair)) is Context
+    assert minimal_context(pair) == minimal_context(c)
+    assert catalog.has_explicit(pair) is catalog.has_explicit(c)
+
+
+def test_pair_and_context_share_one_cache_entry(monkeypatch):
+    table = RuleTable(CATALOGUE_RULES)
+    c = ctx(SCANNED_REAR_LEAVES)
+    calls = 0
+    original = rules.census
+
+    def counted(context):
+        nonlocal calls
+        calls += 1
+        return original(context)
+
+    monkeypatch.setattr(rules, "census", counted)
+    assert table.lookup((c.current, c.neighbors)) is W
+    assert calls == 1
+    assert table.lookup(c) is W  # a cache hit: no second census
+    assert calls == 1
 
 
 def test_census_is_rotation_invariant():

@@ -188,6 +188,15 @@ def test_segment_check_fails_on_stuck_segment_cell(catalog):
     )
 
 
+def test_stuck_cells_are_listed_in_segment_order_on_a_reversed_track(catalog):
+    # travelling backwards, the locomotive sits on cells 8 (rear) then 7 (front);
+    # the detail lists them as segment_cells does, not in travel order
+    scenario = build_vertical_segment(7, forward=False)
+    trace = scenario.run(catalog, 4)
+    assert scenario.track_cells.index(8) < scenario.track_cells.index(7)
+    assert traversal_problems(scenario, trace, "stuck") == ["stuck: [7, 8]"]
+
+
 def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
     scenario = build_bridge("v1")
     trace = scenario.run(catalog)
@@ -334,6 +343,22 @@ def test_verify_all_runs_each_scenario_once(monkeypatch):
     monkeypatch.setattr(scenarios, "run", counted)
     verify_all()
     assert calls == 19
+
+
+def test_verify_all_replays_states_at_only_for_oracle_checks(monkeypatch):
+    # one replay per switch crossing's oracle check; segment and bridge checks
+    # read their final states from the track rows they already replayed
+    calls = 0
+    original = Trace.states_at
+
+    def counted(trace, time):
+        nonlocal calls
+        calls += 1
+        return original(trace, time)
+
+    monkeypatch.setattr(Trace, "states_at", counted)
+    verify_all()
+    assert calls == 11
 
 
 def _minimal_context_calls(monkeypatch, work) -> int:
