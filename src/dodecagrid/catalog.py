@@ -24,16 +24,8 @@ def default_golden_dir() -> Path:
 
 
 def load_catalog(rules_dir: Path | str | None = None) -> RuleTable:
-    """The rule catalog in ``rules_dir`` (default: the shipped one), one table per directory."""
-    return _load_catalog(Path(rules_dir if rules_dir is not None else default_rules_dir()).resolve())
-
-
-@lru_cache(maxsize=8)
-def _load_catalog(rules_dir: Path) -> RuleTable:
-    return load_rule_dir(rules_dir)
-
-
-load_catalog.cache_clear = _load_catalog.cache_clear  # type: ignore[attr-defined]
+    """The rule catalog in ``rules_dir`` (default: the shipped one), read from its files on every call."""
+    return load_rule_dir(rules_dir if rules_dir is not None else default_rules_dir())
 
 
 def golden_path(name: str, golden_dir: Path | str | None = None) -> Path:

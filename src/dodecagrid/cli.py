@@ -140,11 +140,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         message = f"scenario {args.scenario!r} has no golden trace; only switch scenarios take --golden"
         print(f"error: {message}", file=sys.stderr)
         return 2
-    invariance = check_catalog_invariance(args.rules)
-    if not invariance.ok:
+    invariance, table = check_catalog_invariance(args.rules)
+    if table is None:
         print(invariance.line())  # the line verify-all prints for this catalogue
         return 1
-    results = verify_scenario(scenario, load_catalog(args.rules), args.golden)
+    results = verify_scenario(scenario, table, args.golden)
     for result in results:
         print(result.line())
     return 0 if all(r.ok for r in results) else 1

@@ -72,13 +72,13 @@ def check_rotation_group() -> CheckResult:
     return CheckResult("rotation-group", not problems, "; ".join(problems) or "60 rotations, closed")
 
 
-def check_catalog_invariance(rules_dir: Path | str | None = None) -> CheckResult:
-    """Whether the catalogue in ``rules_dir`` loads, which it does exactly when it is rotation invariant."""
+def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[CheckResult, RuleTable | None]:
+    """Read the catalogue in ``rules_dir`` once: its verdict, and its table, or None when it is not rotation invariant."""
     try:
         table = load_catalog(rules_dir)
     except RuleConflictError as exc:
-        return CheckResult("rule-catalog-invariance", False, str(exc))
-    return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules")
+        return CheckResult("rule-catalog-invariance", False, str(exc)), None
+    return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules"), table
 
 
 def _row_count(trace: Trace) -> int:
@@ -260,10 +260,11 @@ def verify_all(
     rules_dir: Path | str | None = None,
     golden_dir: Path | str | None = None,
 ) -> list[CheckResult]:
-    results = [check_rotation_group(), check_catalog_invariance(rules_dir)]
-    if not results[-1].ok:
+    results = [check_rotation_group()]
+    invariance, table = check_catalog_invariance(rules_dir)
+    results.append(invariance)
+    if table is None:
         return results  # no table to run the rest with
-    table = load_catalog(rules_dir)
     for entry in SCENARIOS.values():  # built as they run; the crossings of one switch kind share its graph
         results += verify_scenario(entry.build(), table, golden_dir)
     return results

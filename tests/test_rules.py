@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodecagrid import rules
-from dodecagrid.catalog import default_rules_dir, load_catalog
+from dodecagrid.catalog import load_catalog
 from dodecagrid.geometry import Motion, enumerate_motions, permutation_from_motion
 from dodecagrid.rules import (
     B,
@@ -237,14 +237,6 @@ def test_table_raises_on_conflict():
         RuleTable(parse_rules(text))
     assert raised.value.report == check_rotation_invariance(parse_rules(text))
     assert not raised.value.report.ok
-
-
-def test_load_catalog_one_table_per_directory():
-    load_catalog.cache_clear()
-    table = load_catalog()
-    assert load_catalog(None) is table
-    assert load_catalog(default_rules_dir()) is table
-    assert load_catalog(str(default_rules_dir())) is table
 
 
 def test_lookup_quiescent(catalog):

@@ -148,6 +148,22 @@ def test_bridge_idle_restored_both_directions(catalog):
         assert all(final[c] is W for c in scenario.segment_cells)
 
 
+@pytest.mark.parametrize("name", ("v0-fwd", "v0-rev", "v1-fwd", "v1-rev"))
+def test_bridge_link_walk_from_the_track_never_reaches_the_crossing_track(name):
+    # so the locomotive cannot disturb the crossing track; what crossing_disturbance
+    # still checks there is that the catalogue keeps the idle crossing cells white
+    scenario = SCENARIOS[name].build()
+    reached, frontier = set(scenario.track_cells), list(scenario.track_cells)
+    while frontier:
+        for port in scenario.graph.ports(frontier.pop()):
+            if isinstance(port, LinkPort) and port.cell not in reached:
+                reached.add(port.cell)
+                frontier.append(port.cell)
+    assert reached == set(scenario.track_cells)
+    assert reached.isdisjoint(scenario.crossing_track)
+    assert reached.union(scenario.crossing_track) == set(scenario.graph.cell_ids)
+
+
 def test_bridge_rejects_unknown_track():
     with pytest.raises(ValueError):
         build_bridge("v2")

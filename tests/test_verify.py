@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodecagrid import rules, scenarios, verify
-from dodecagrid.catalog import default_rules_dir, golden_path, load_catalog
+from dodecagrid.catalog import default_rules_dir, golden_path
 from dodecagrid.engine import Trace, format_trace
 from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
 from dodecagrid.railway import SwitchKind
@@ -63,9 +63,9 @@ def test_rotation_group_check_fails(monkeypatch, perms, detail):
 
 
 def test_catalog_invariance_check():
-    result = check_catalog_invariance()
+    result, table = check_catalog_invariance()
     assert result.ok
-    assert "134" in result.detail
+    assert result.detail == f"{len(table)} rules" == "134 rules"
 
 
 def test_catalog_invariance_check_fails_on_conflict(tmp_path):
@@ -77,7 +77,31 @@ def test_catalog_invariance_check_fails_on_conflict(tmp_path):
         "rotation-invariance conflict between [memory_controller_motion.rules:28] B | R W W W W W W W W R R R -> R"
         " and [zz.rules:1] B | W W R W W W W W W R R R -> B"
     )
-    assert check_catalog_invariance(rules_dir).line() == f"FAIL  rule-catalog-invariance  ({conflict})"
+    result, table = check_catalog_invariance(rules_dir)
+    assert result.line() == f"FAIL  rule-catalog-invariance  ({conflict})"
+    assert table is None
+
+
+def test_verify_all_judges_an_edited_catalogue_as_it_now_reads(tmp_path):
+    # one process, one directory, edited between two calls: the second verdict
+    # comes from the edited files, not from the table the first call read
+    rules_dir = tmp_path / "rules"
+    shutil.copytree(default_rules_dir(), rules_dir)
+    assert [r.name for r in verify_all(rules_dir) if not r.ok] == []
+    target = rules_dir / "memory_track_motion.rules"
+    text = target.read_text()
+    arrival = "W B B B W W B B B W W W B -> B"  # the scanned cell's arrival rule
+    assert arrival in text
+    target.write_text(text.replace(arrival, "W B B B W W B B B W W W B -> R"))
+    results = verify_all(rules_dir)
+    assert [r.name for r in results if not r.ok] == [
+        "run:memo-left-active",
+        "run:memo-right-active",
+        "run:fixed-active",
+        "run:flipflop-left-active",
+        "run:flipflop-right-active",
+    ]
+    assert len(results) == 27
 
 
 def test_golden_checks_pass(catalog):
@@ -372,11 +396,7 @@ def _minimal_context_calls(monkeypatch, work) -> int:
         return original(ctx)
 
     monkeypatch.setattr(rules, "minimal_context", counted)
-    load_catalog.cache_clear()
-    try:
-        work()
-    finally:
-        load_catalog.cache_clear()
+    work()
     return calls
 
 
