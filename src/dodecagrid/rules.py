@@ -8,10 +8,18 @@ invariant exactly when no two rules share a minimal context but disagree on
 the new state, and lookups go through the minimal form so that any rotated
 variant of a listed rule is found.
 
+The minimum is found without building the 60 forms.  It starts with the least
+neighbour state, and the five rotations that bring a face f holding it to slot
+0 lay f's ring of five neighbours in slots 1..5 as the five cyclic shifts of
+one sequence (checked once against ``enumerate_motions``).  So each such face
+allows at best its ring's least cyclic shift, found by one memoised lookup per
+ring pattern (the least-circular-shift problem, Booth 1980), and only the
+rotations reaching the least of these 6-slot prefixes build 12-tuples.
+
 A rotation only permutes faces, so it keeps a context's census: its current
 state and its numbers of white and black neighbours.  A lookup canonicalises
 only a context whose census some indexed minimal form has; any other context
-is certain to miss the index and skips the 60-rotation minimum.
+is certain to miss the index, and the lookup does not canonicalise it.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
@@ -96,22 +104,20 @@ class RuleConflictError(ValueError):
 
 
 class MissingRuleError(LookupError):
-    """A context no rule covers, raised with the pair looked up.
+    """A context no rule covers, raised with the pair looked up as its one argument, ``args[0]``.
 
-    Its ``context`` and ``minimal`` form are built the first time they are read.
+    Its ``context`` and ``minimal`` form are built from that pair the first
+    time they are read.  It has no ``__init__`` of its own, so a raise costs
+    what a plain exception's does.
     """
-
-    def __init__(self, pair: tuple[CellState, Neighborhood]):
-        super().__init__(pair)
-        self._pair = pair
 
     @cached_property
     def context(self) -> Context:
-        return Context(*self._pair)
+        return Context(*self.args[0])
 
     @cached_property
     def minimal(self) -> Context:
-        return minimal_context(self._pair)
+        return minimal_context(self.args[0])
 
     def __str__(self) -> str:
         return f"no rule covers context {self.context}"
@@ -127,30 +133,66 @@ def context_from_letters(letters: Iterable[str]) -> Context:
 def rotated_context(ctx: Context, perm: FacePermutation) -> Context:
     """Neighbour at slot i of the result is the input neighbour at perm[i]."""
     current, n = ctx
-    return Context(current, tuple(n[perm[i]] for i in range(FACE_COUNT)))
+    return Context(current, itemgetter(*perm)(n))
 
 
 @lru_cache(maxsize=1)
-def _rotations_by_first_face() -> tuple[tuple[itemgetter, ...], ...]:
-    """Entry f: an ``itemgetter`` for each of the rotations that put face f's state in slot 0."""
-    groups: list[list[itemgetter]] = [[] for _ in range(FACE_COUNT)]
-    for perm in enumerate_motions():
-        groups[perm[0]].append(itemgetter(*perm))
-    return tuple(tuple(group) for group in groups)
+def _ring_shifts() -> tuple[tuple[itemgetter, tuple[itemgetter, ...]], ...]:
+    """Per face f: a getter for f's ring as slots 1..5 read it, and the rotations with ``perm[0] == f`` by shift.
+
+    Entry k of the rotations puts ``ring[k:] + ring[:k]`` in slots 1..5, where
+    ``ring`` is what the getter reads.  That the five rotations taking f to
+    slot 0 are exactly these five cyclic shifts is checked here, against
+    ``enumerate_motions``, and a ``ValueError`` is raised if it fails.
+    """
+    faces = []
+    motions = enumerate_motions()
+    for face in range(FACE_COUNT):
+        perms = [perm for perm in motions if perm[0] == face]
+        ring = perms[0][1:6]
+        shifts = [ring[k:] + ring[:k] for k in range(5)]
+        if sorted(perm[1:6] for perm in perms) != sorted(shifts):
+            raise ValueError(f"the rotations taking face {face} to slot 0 are not the shifts of one ring: {perms}")
+        perms.sort(key=lambda perm: shifts.index(perm[1:6]))
+        faces.append((itemgetter(*ring), tuple(itemgetter(*perm) for perm in perms)))
+    return tuple(faces)
+
+
+@lru_cache(maxsize=None)  # keyed by a ring of states: at most 3 ** 5 = 243 entries
+def _least_shift(ring: tuple[CellState, ...]) -> tuple[tuple[CellState, ...], tuple[int, ...]]:
+    """The least cyclic shift of ``ring``, and every k for which ``ring[k:] + ring[:k]`` is it."""
+    shifts = [ring[k:] + ring[:k] for k in range(len(ring))]
+    least = min(shifts)
+    return least, tuple(k for k, shift in enumerate(shifts) if shift == least)
 
 
 def minimal_context(ctx: Context) -> Context:
     """Lexicographic minimum of the 60 rotated forms, key (current, n0..n11).
 
-    Only the rotations that put a least neighbour state in slot 0 are tried.
-    This is exact: the rotations are transitive on faces, so the minimum
-    starts with ``min(n)``, and every rotation attaining it is among those.
+    This is exact without building all 60 forms.  The rotations are
+    transitive on faces, so the minimum starts with ``least = min(n)``, and
+    only the five rotations of each face f holding ``least`` can reach it.
+    Those five put f's ring in slots 1..5 as the five cyclic shifts of one
+    sequence (``_ring_shifts`` checks this), so the best 6-slot prefix f
+    allows is ``least`` followed by the least shift of its ring, which
+    ``_least_shift`` finds once per ring pattern.  Only the rotations that
+    reach the least such prefix over all those faces build full 12-tuples.
     """
     current, n = ctx
     least = min(n)
-    groups = _rotations_by_first_face()
-    best = min([rotate(n) for state, group in zip(n, groups) if state == least for rotate in group])
-    return Context(current, best)
+    best = None
+    for state, (ring, rotations) in zip(n, _ring_shifts()):
+        if state == least:
+            prefix, shifts = _least_shift(ring(n))
+            if best is None or prefix < best:
+                best = prefix
+                tied = [(rotations, shifts)]
+            elif prefix == best:
+                tied.append((rotations, shifts))
+    if len(tied) == 1 and len(tied[0][1]) == 1:  # one rotation reaches the least prefix
+        rotations, (k,) = tied[0]
+        return Context(current, rotations[k](n))
+    return Context(current, min([rotations[k](n) for rotations, shifts in tied for k in shifts]))
 
 
 def minimal_form(rule: Rule) -> Rule:

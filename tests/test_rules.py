@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dodecagrid import rules
 from dodecagrid.catalog import load_catalog
-from dodecagrid.geometry import Motion, enumerate_motions, permutation_from_motion
+from dodecagrid.geometry import IDENTITY, RINGS, Motion, enumerate_motions, permutation_from_motion
 from dodecagrid.rules import (
     B,
     CellState,
@@ -156,16 +156,82 @@ def test_minimal_context_is_minimum_of_orbit():
 
 
 def test_each_face_reaches_slot_zero_by_five_rotations():
-    # the prune in minimal_context rests on this: every face holding the
-    # least state brings its five rotations into the candidate set
+    # so the minimum over the rotations that put a least state in slot 0
+    # is the minimum over all 60
     assert Counter(p[0] for p in MOTIONS) == {face: 5 for face in range(12)}
 
 
-@given(st.one_of(sparse_contexts, dense_contexts))
-@settings(max_examples=300)
+@pytest.mark.parametrize("face", range(12))
+def test_slot_zero_rotations_of_a_face_shift_one_ring(face):
+    # minimal_context compares faces by the least shift of this ring alone
+    perms = [p for p in MOTIONS if p[0] == face]
+    ring = perms[0][1:6]
+    assert set(ring) == set(RINGS[face])
+    assert sorted(p[1:6] for p in perms) == sorted(ring[k:] + ring[:k] for k in range(5))
+    # and the table built from it: rotation k puts shift k of the getter's ring in slots 1..5
+    ring_getter, by_shift = rules._ring_shifts()[face]
+    assert ring_getter(IDENTITY) == ring
+    rotated = [rotate(IDENTITY) for rotate in by_shift]
+    assert sorted(rotated) == sorted(perms)
+    assert [r[1:6] for r in rotated] == [ring[k:] + ring[:k] for k in range(5)]
+
+
+def test_least_shift_matches_brute_force_on_every_ring():
+    tie_counts = Counter()
+    for ring in product(CellState, repeat=5):
+        shifts = [ring[k:] + ring[:k] for k in range(5)]
+        least, reaching = rules._least_shift(ring)
+        assert least == min(shifts)
+        assert reaching == tuple(k for k in range(5) if shifts[k] == least)
+        tie_counts[len(reaching)] += 1
+    # 5 is prime, so only the three constant rings have more than one least shift
+    assert tie_counts == {1: 240, 5: 3}
+
+
+def _antipode(face):
+    near = {face, *RINGS[face], *(g for f in RINGS[face] for g in RINGS[f])}
+    (far,) = set(range(12)) - near
+    return far
+
+
+ANTIPODES = tuple(_antipode(face) for face in range(12))
+# one state per antipodal pair of faces: every ring meets its antipode's ring in the same states
+antipodal_contexts = st.builds(
+    lambda current, pair_states: Context(current, tuple(pair_states[min(f, ANTIPODES[f])] for f in range(12))),
+    states,
+    st.tuples(*[states] * 12),
+)
+
+
+def _fixed_by(current, perm, palette):
+    """A context that ``perm`` fixes: each cycle of ``perm`` takes one state of ``palette``."""
+    n = [None] * 12
+    for start in range(12):
+        face = start
+        while n[face] is None:
+            n[face] = palette[start]
+            face = perm[face]
+    return Context(current, tuple(n))
+
+
+# each is fixed by a rotation, so at least two rotations tie on the whole 12-tuple
+symmetric_contexts = st.builds(_fixed_by, states, rotations, st.tuples(*[st.sampled_from([W, B])] * 12))
+
+
+def test_tie_heavy_strategies_hold_their_symmetry():
+    assert all(ANTIPODES[ANTIPODES[f]] == f != ANTIPODES[f] for f in range(12))
+    perm = permutation_from_motion(Motion(1, 2))
+    c = _fixed_by(B, perm, (W, B) * 6)
+    assert rotated_context(c, perm) == c
+    assert len({rotated_context(c, p) for p in MOTIONS}) < 60
+
+
+@given(st.one_of(sparse_contexts, dense_contexts, antipodal_contexts, symmetric_contexts))
+@settings(max_examples=400)
 def test_minimal_context_matches_brute_force(c):
-    # sparse: 50-60 rotations survive the prune; dense: 5 or 10 with one or
-    # two blanks, else the five of every face holding B
+    # rotations tied on the 6-slot prefix, which build 12-tuples: 60 with no
+    # non-blank neighbour, 30 with one, 5-20 with two; dense ones mostly 1;
+    # antipodal and rotation-fixed colourings tie many, down to whole forms
     assert minimal_context(c) == min(rotated_context(c, p) for p in MOTIONS)
 
 
@@ -280,6 +346,24 @@ def test_missing_rule_error_from_a_pair_builds_its_context_when_read():
     assert type(error.context) is Context
     assert error.context == c
     assert error.minimal == minimal_context(c)
+    assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
+
+
+@pytest.mark.parametrize("as_pair", [True, False], ids=["pair", "Context"])
+def test_missing_rule_error_carries_what_was_looked_up(catalog, as_pair):
+    c = ctx("R W W B W W B B B W W W W")
+    looked_up = (c.current, c.neighbors) if as_pair else c
+    with pytest.raises(MissingRuleError) as raised:
+        catalog.lookup(looked_up)
+    error = raised.value
+    assert error.args == (looked_up,)
+    assert error.args[0] is looked_up
+    assert type(error.context) is Context
+    assert error.context == c
+    assert "minimal" not in vars(error)
+    minimal = error.minimal
+    assert minimal == context_from_letters("R W W W W W W W B B B B W".split())
+    assert error.minimal is minimal  # computed on the first read, then kept
     assert str(error) == "no rule covers context R | W W B W W B B B W W W W"
 
 
