@@ -6,19 +6,23 @@ another cell of the graph.  A step reads every context from the old
 configuration, so update order is immaterial; the new configuration is a
 fresh value.
 
+A ``CellGraph`` reads its ports once, when it is built, and keeps only the
+compiled wiring: for each cell a getter of 12 list indices, a link as the
+linked cell's index and a fixed port as a negative index into the tail of
+one state of each kind, and the cell's reach, the cell itself plus the cells
+that read it.  ``ports`` reads a cell's ports back through the same getter.
+
 ``step`` is the full-sweep reference: it reads all 12 ports of every cell
 and builds a ``Context`` for each.  ``run`` gives the same result while
-evaluating only the cells whose context can have changed.  It compiles the
-graph once into flat wiring: 12 list indices per cell, and each cell's
-reach, the cell itself plus the cells that read it.  It evaluates every cell
-on the first step, and afterwards only the reach of the cells that changed on
-the previous step.  This is exact because a cell whose own state and 12
-neighbours are unchanged has the same context, so the deterministic
-``RuleTable.lookup`` gives it the same new state as before, which is its
-current one.  Dirty cells are evaluated in ``graph.cell_ids`` order, so an
-uncovered context raises the same ``EngineError`` (cell, time and context)
-as the full sweep: every cell outside the dirty set was covered on the
-previous step.
+evaluating only the cells whose context can have changed, reading the
+graph's compiled wiring.  It evaluates every cell on the first step, and
+afterwards only the reach of the cells that changed on the previous step.
+This is exact because a cell whose own state and 12 neighbours are unchanged
+has the same context, so the deterministic ``RuleTable.lookup`` gives it the
+same new state as before, which is its current one.  Dirty cells are
+evaluated in ``graph.cell_ids`` order, so an uncovered context raises the
+same ``EngineError`` (cell, time and context) as the full sweep: every cell
+outside the dirty set was covered on the previous step.
 
 ``run`` passes ``lookup`` the plain ``(current, neighbours)`` pair and builds
 no ``Context``: a ``Context`` equals and hashes as that pair, so both forms
@@ -35,7 +39,6 @@ row it returns.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -77,44 +80,60 @@ class EngineError(RuntimeError):
         super().__init__(f"cell {cell} at time {time}: {missing} (minimal form {self.minimal})")
 
 
+# A fixed port compiles to the negative index that reads its state from the
+# tail of the state list ``run`` keeps: cell states first, then one of each state.
+_FIXED_TAIL = tuple(CellState)
+
+
 class CellGraph:
-    """Immutable port wiring for a finite set of cells."""
+    """Immutable wiring of a finite set of cells, checked and compiled in one pass over the ports.
+
+    Each cell has 12 ports, each a ``LinkPort`` to another cell or a
+    ``FixedPort`` of a ``CellState``, and each link has exactly one link back.
+    The first fault in cell and face order raises a located ``GraphError``;
+    return links are counted last.  ``cell_ids`` keeps the insertion order.
+    """
 
     def __init__(self, ports_by_cell: Mapping[CellId, Iterable[Port]]):
-        self._ports: dict[CellId, tuple[Port, ...]] = {}
-        for cell, ports in ports_by_cell.items():
+        self._index = index = {cell: i for i, cell in enumerate(ports_by_cell)}
+        self.cell_ids: tuple[CellId, ...] = tuple(index)
+        self._getters: list[itemgetter] = []  # per cell, its 12 neighbour states from run's state list
+        self._reach: list[list[int]] = [[i] for i in range(len(index))]  # per cell, itself and its readers
+        links = []  # (cell index, face, target index) of every link
+        tail = len(_FIXED_TAIL)
+        for i, (cell, ports) in enumerate(ports_by_cell.items()):
             ports = tuple(ports)
             if len(ports) != 12:
                 raise GraphError(f"cell {cell}: expected 12 ports, got {len(ports)}")
-            self._ports[cell] = ports
-        self._validate_links()
-
-    def _validate_links(self) -> None:
-        links = [
-            (cell, face, port.cell)
-            for cell, ports in self._ports.items()
-            for face, port in enumerate(ports)
-            if isinstance(port, LinkPort)
-        ]
-        count = Counter((cell, target) for cell, _, target in links)  # links from each cell to each target
-        for cell, face, target in links:
-            if target == cell:  # no cell of {5,3,4} is its own face-neighbour
-                raise GraphError(f"cell {cell} face {face} links to itself")
-            if target not in self._ports:
-                raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
-            back = count[target, cell]
-            if back != 1:
+            slots = []
+            for face, port in enumerate(ports):
+                if isinstance(port, FixedPort) and isinstance(port.state, CellState):
+                    slots.append(port.state - tail)
+                elif isinstance(port, LinkPort):
+                    if port.cell == cell:  # no cell of {5,3,4} is its own face-neighbour
+                        raise GraphError(f"cell {cell} face {face} links to itself")
+                    j = index.get(port.cell)
+                    if j is None:
+                        raise GraphError(f"cell {cell} face {face} links to unknown cell {port.cell}")
+                    self._reach[j].append(i)
+                    slots.append(j)
+                    links.append((i, face, j))
+                else:  # FixedPort(5) would compile to B, FixedPort("B") to no index at all
+                    raise GraphError(f"cell {cell} face {face}: {port!r} is not a LinkPort or a CellState FixedPort")
+            self._getters.append(itemgetter(*slots))
+        for i, face, j in links:
+            # each link from cell j back to cell i put j in i's reach
+            if (back := self._reach[i].count(j)) != 1:
+                cell, target = self.cell_ids[i], self.cell_ids[j]
                 raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
-
-    @property
-    def cell_ids(self) -> tuple[CellId, ...]:
-        return tuple(self._ports)
+        self._slot_ports = [LinkPort(cell) for cell in self.cell_ids] + [FixedPort(s) for s in _FIXED_TAIL]
 
     def __len__(self) -> int:
-        return len(self._ports)
+        return len(self.cell_ids)
 
     def ports(self, cell: CellId) -> tuple[Port, ...]:
-        return self._ports[cell]
+        """The 12 ports of ``cell``, read back through its compiled getter."""
+        return self._getters[self._index[cell]](self._slot_ports)
 
 
 @dataclass(frozen=True)
@@ -217,31 +236,6 @@ class Trace:
         return dict(zip(self.cell_ids, states))
 
 
-# A fixed port compiles to the negative index that reads its state from the
-# tail of the state list ``run`` keeps: cell states first, then one of each state.
-_FIXED_TAIL = tuple(CellState)
-
-
-def _compile(graph: CellGraph) -> tuple[list[itemgetter], list[list[int]]]:
-    """Per cell, in ``graph.cell_ids`` order: a getter of its 12 neighbour states, and its reach.
-
-    A cell's reach is the cell itself followed by the cells that read it.
-    """
-    index = {cell: i for i, cell in enumerate(graph.cell_ids)}
-    getters: list[itemgetter] = []
-    reach: list[list[int]] = [[i] for i in range(len(index))]
-    for i, cell in enumerate(graph.cell_ids):
-        slots = []
-        for port in graph.ports(cell):
-            if isinstance(port, LinkPort):
-                slots.append(index[port.cell])
-                reach[index[port.cell]].append(i)
-            else:
-                slots.append(port.state - len(_FIXED_TAIL))
-        getters.append(itemgetter(*slots))
-    return getters, reach
-
-
 def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int) -> Trace:
     """``n_steps`` synchronous steps from ``config``; rows follow ``graph.cell_ids``.
 
@@ -249,7 +243,7 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     """
     order = graph.cell_ids
     n = len(order)
-    getters, reach = _compile(graph)
+    getters, reach = graph._getters, graph._reach
     lookup = table.lookup
     states = [config.states[c] for c in order] + list(_FIXED_TAIL)
     time = config.time

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dodecagrid import rules
+from dodecagrid import engine, rules, scenarios
 from dodecagrid.catalog import default_rules_dir
 from dodecagrid.engine import (
     CellGraph,
@@ -28,6 +28,7 @@ from dodecagrid.engine import (
 from dodecagrid.geometry import enumerate_motions
 from dodecagrid.rules import B, CellState, Context, R, RuleTable, W, context_from_letters, load_rule_dir
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
+from dodecagrid.verify import verify_all
 
 ALL_WHITE = tuple(FixedPort(W) for _ in range(12))
 
@@ -61,7 +62,7 @@ def test_context_reads_linked_cells():
 
 
 def test_graph_rejects_wrong_arity():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="^cell 1: expected 12 ports, got 11$"):
         CellGraph({1: [FixedPort(W)] * 11})
 
 
@@ -84,6 +85,49 @@ def test_graph_rejects_asymmetric_link():
 def test_graph_rejects_doubled_return_link():
     with pytest.raises(GraphError, match="^link 1/4 -> 2 has 2 return links, expected exactly 1$"):
         CellGraph({1: ports(f4=2), 2: ports(f1=1, f3=1)})
+
+
+@pytest.mark.parametrize(
+    "port, text",
+    [
+        # would compile to index 5 - 3, which run reads as B and context_of as 5
+        (FixedPort(5), "FixedPort(state=5)"),
+        (FixedPort("B"), "FixedPort(state='B')"),  # has no index to compile to
+        (FixedPort(1), "FixedPort(state=1)"),  # equals B, but context_of would read the int 1
+        (B, "<CellState.B: 1>"),
+        (None, "None"),
+    ],
+)
+def test_graph_rejects_a_port_it_cannot_compile(port, text):
+    faces = ports(f1=1)
+    faces[7] = port
+    with pytest.raises(GraphError) as err:
+        CellGraph({1: ports(f4=2), 2: faces})
+    assert str(err.value) == f"cell 2 face 7: {text} is not a LinkPort or a CellState FixedPort"
+
+
+@pytest.mark.parametrize(
+    "ports_by_cell, first",
+    [
+        # a link fault of a cell comes before the arity fault of a later cell
+        ({1: [LinkPort(1)] + [FixedPort(W)] * 11, 2: [FixedPort(W)] * 11}, "cell 1 face 0 links to itself"),
+        ({1: ports(f4=2), 2: [FixedPort(W)] * 13}, "cell 2: expected 12 ports, got 13"),
+        # return links are counted once every cell has been read, so every other fault comes first
+        ({1: ports(f4=2), 2: ports(), 3: ports(f0=3)}, "cell 3 face 0 links to itself"),
+        ({1: ports(f4=2), 2: ports(f3=9)}, "cell 2 face 3 links to unknown cell 9"),
+        ({1: ports(f4=2), 2: [None, *ALL_WHITE[1:]]}, "cell 2 face 0: None is not a LinkPort or a CellState FixedPort"),
+        # within a cell, faces in order; return links in the order of the links they answer
+        ({1: ports(f2=5, f4=1)}, "cell 1 face 2 links to unknown cell 5"),
+        (
+            {1: ports(f4=2, f6=3), 2: ports(), 3: ports(f1=1, f2=1)},
+            "link 1/4 -> 2 has 0 return links, expected exactly 1",
+        ),
+    ],
+)
+def test_graph_reports_its_first_fault(ports_by_cell, first):
+    with pytest.raises(GraphError) as err:
+        CellGraph(ports_by_cell)
+    assert str(err.value) == first
 
 
 def test_all_white_is_fixed_point(catalog):
@@ -312,7 +356,7 @@ def test_run_looks_up_plain_pairs(catalog):
     assert seen == {tuple}
 
 
-def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
+def twin_track_ports(reverse_order: bool) -> dict[int, list]:
     """Two disjoint copies of the 13-cell track above, cells 1..13 and 21..33, in either insertion order."""
     scenario = build_vertical_segment(3)
 
@@ -321,8 +365,12 @@ def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
 
     cells = scenario.graph.cell_ids
     ports = {c + by: [shifted(p, by) for p in scenario.graph.ports(c)] for by in (0, 20) for c in cells}
-    graph = CellGraph(dict(reversed(ports.items())) if reverse_order else ports)
-    states = {c + by: s for by in (0, 20) for c, s in scenario.initial.states.items()}
+    return dict(reversed(ports.items())) if reverse_order else ports
+
+
+def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
+    graph = CellGraph(twin_track_ports(reverse_order))
+    states = {c + by: s for by in (0, 20) for c, s in build_vertical_segment(3).initial.states.items()}
     return graph, Configuration(states)
 
 
@@ -334,3 +382,80 @@ def test_run_raises_at_first_uncovered_cell_in_order(catalog, reverse_order, cel
         run(graph, config, catalog, 10)
     assert (err.value.cell, err.value.time) == (cell, 7)
     assert outcome(sweep_run, graph, config, catalog, 10) == (cell, 7, err.value.context)
+
+
+def built_graphs(monkeypatch) -> list[tuple[dict, CellGraph]]:
+    """Every ``(ports_by_cell, graph)`` the scenario builders construct from here on, switch graphs included."""
+    built = []
+
+    def recording(ports_by_cell):
+        built.append((ports_by_cell, CellGraph(ports_by_cell)))
+        return built[-1][1]
+
+    monkeypatch.setattr(scenarios, "CellGraph", recording)
+    scenarios._switch_graph.cache_clear()  # built once per kind and process, so rebuilt under the recorder
+    return built
+
+
+def assert_reads_back(ports_by_cell, graph=None):
+    # ports() reads back through the getters run steps with, so this holds the reference engine to its input
+    graph = CellGraph(ports_by_cell) if graph is None else graph
+    assert graph.cell_ids == tuple(ports_by_cell)
+    assert len(graph) == len(ports_by_cell)
+    for cell, ports_of_cell in ports_by_cell.items():
+        assert graph.ports(cell) == tuple(ports_of_cell), f"cell {cell}"
+
+
+def test_every_scenario_graph_reads_back_its_ports(monkeypatch):
+    built = built_graphs(monkeypatch)
+    for entry in SCENARIOS.values():
+        entry.build()
+    assert len(built) == 11  # 4 segments, 4 bridges and the graphs of 3 switch kinds
+    for ports_by_cell, graph in built:
+        assert_reads_back(ports_by_cell, graph)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_graph_with_each_cell_rotated_reads_back_its_ports(name):
+    graph = SCENARIOS[name].build().graph
+    motions = enumerate_motions()
+    rotated = {cell: [graph.ports(cell)[p[f]] for f in range(12)] for cell, p in zip(graph.cell_ids, motions * 20)}
+    assert any(rotated[c] != list(graph.ports(c)) for c in graph.cell_ids)
+    assert_reads_back(rotated)
+
+
+@pytest.mark.parametrize("reverse_order", [False, True])
+def test_twin_tracks_read_back_their_ports_in_insertion_order(reverse_order):
+    ports_by_cell = twin_track_ports(reverse_order)
+    assert list(ports_by_cell)[0] == (33 if reverse_order else 1)
+    assert_reads_back(ports_by_cell)
+
+
+@pytest.mark.parametrize("name", ["vertical-fwd-n7", "memo-left-active"])
+def test_run_reads_only_the_compiled_wiring(catalog, monkeypatch, name):
+    scenario = SCENARIOS[name].build()
+    expected = outcome(sweep_run, scenario.graph, scenario.initial, catalog, scenario.default_steps)
+
+    def no_ports(graph, cell):
+        raise AssertionError(f"run read the ports of cell {cell}")
+
+    monkeypatch.setattr(CellGraph, "ports", no_ports)
+    assert outcome(run, scenario.graph, scenario.initial, catalog, scenario.default_steps) == expected
+
+
+def test_verify_all_compiles_each_graph_once(monkeypatch):
+    # one getter per cell, made when its graph is built and never again by run
+    built = built_graphs(monkeypatch)
+    getters = 0
+    real_itemgetter = engine.itemgetter
+
+    def counted(*slots):
+        nonlocal getters
+        getters += 1
+        return real_itemgetter(*slots)
+
+    monkeypatch.setattr(engine, "itemgetter", counted)
+    results = verify_all()
+    assert all(r.ok for r in results) and len(results) == 32
+    assert len(built) == 11  # for 19 runs: the crossings of one switch kind share its graph
+    assert getters == sum(len(graph) for _, graph in built)
