@@ -7,27 +7,37 @@ configuration, so update order is immaterial; the new configuration is a
 fresh value.
 
 A ``CellGraph`` reads its ports once, when it is built, and keeps only the
-compiled wiring: for each cell a getter of 12 list indices, a link as the
-linked cell's index and a fixed port as a negative index into the tail of
-one state of each kind, and the cell's reach, the cell itself plus the cells
-that read it.  ``ports`` reads a cell's ports back through the same getter.
+compiled wiring.  For each cell it keeps a getter of 12 list indices, a link
+as the linked cell's index and a fixed port as a negative index into the tail
+of one state of each kind; the cell's base, the code ``sum(state * 3**f)`` of
+its fixed faces; and its feeds: ``(cell, 3**12)`` and ``(reader, 3**f)`` for
+each cell that reads it through face ``f``.  ``ports`` reads a cell's ports
+back through the getter.
 
 ``step`` is the full-sweep reference: it reads all 12 ports of every cell
 and builds a ``Context`` for each.  ``run`` gives the same result while
 evaluating only the cells whose context can have changed, reading the
 graph's compiled wiring.  It evaluates every cell on the first step, and
-afterwards only the reach of the cells that changed on the previous step.
-This is exact because a cell whose own state and 12 neighbours are unchanged
-has the same context, so the deterministic ``RuleTable.lookup`` gives it the
-same new state as before, which is its current one.  Dirty cells are
-evaluated in ``graph.cell_ids`` order, so an uncovered context raises the
-same ``EngineError`` (cell, time and context) as the full sweep: every cell
-outside the dirty set was covered on the previous step.
+afterwards only the cells fed by the cells that changed on the previous
+step.  This is exact because a cell whose own state and 12 neighbours are
+unchanged has the same context, so the deterministic ``RuleTable.lookup``
+gives it the same new state as before, which is its current one.  Dirty
+cells are evaluated in ``graph.cell_ids`` order, so an uncovered context
+raises the same ``EngineError`` (cell, time and context) as the full sweep:
+every cell outside the dirty set was covered on the previous step.
 
-``run`` passes ``lookup`` the plain ``(current, neighbours)`` pair and builds
-no ``Context``: a ``Context`` equals and hashes as that pair, so both forms
-share the table's cache entries, and ``EngineError`` still carries a
-``Context``, built from the pair only when a rule is missing.
+``run`` keys each evaluation by the cell's context code, ``current * 3**12 +
+sum(neighbour_f * 3**f)``, which is one int per context.  It starts each code
+from the cell's base plus ``state * weight`` along the feeds of every
+non-white cell, and after each step adds ``(new - old) * weight`` along the
+feeds of the cells that changed.  A run-local memo maps each code met to its
+new state.  Only a code the run has not met yet builds the plain ``(current,
+neighbours)`` pair through the getter and calls ``lookup``, so a run makes
+one lookup per distinct context it meets.  The pair shares the table's cache
+entries with a ``Context``, which equals and hashes as it, and
+``EngineError`` still carries a ``Context``, built from the pair only when a
+rule is missing.  Both ``run`` and ``step`` refuse a configuration that does
+not give every graph cell a ``CellState`` with a ``ConfigurationError``.
 
 A ``Trace`` stores what ``run`` computes and no more: the initial row and,
 for each step, the ``(cell index, new state)`` pairs that changed.  A run's
@@ -65,6 +75,10 @@ class GraphError(ValueError):
     pass
 
 
+class ConfigurationError(ValueError):
+    """A configuration without a ``CellState`` for some graph cell, located by cell."""
+
+
 class TraceFormatError(ValueError):
     """A trace text not in the ``format_trace`` layout, located by line."""
 
@@ -84,21 +98,29 @@ class EngineError(RuntimeError):
 # tail of the state list ``run`` keeps: cell states first, then one of each state.
 _FIXED_TAIL = tuple(CellState)
 
+# A cell's context code is current * 3**12 + sum(neighbour_f * 3**f): one int per context.
+_FACE_WEIGHTS = tuple(3**face for face in range(12))
+_CURRENT_WEIGHT = 3**12
+
 
 class CellGraph:
     """Immutable wiring of a finite set of cells, checked and compiled in one pass over the ports.
 
-    Each cell has 12 ports, each a ``LinkPort`` to another cell or a
-    ``FixedPort`` of a ``CellState``, and each link has exactly one link back.
-    The first fault in cell and face order raises a located ``GraphError``;
-    return links are counted last.  ``cell_ids`` keeps the insertion order.
+    Each cell has 12 ports, each a ``LinkPort`` to another (hashable) cell or
+    a ``FixedPort`` of a ``CellState``, and each link has exactly one link
+    back.  The first fault in cell and face order raises a located
+    ``GraphError``; return links are counted last, from the feeds.
+    ``cell_ids`` keeps the insertion order.  The compiled wiring is each
+    cell's getter, fixed-port base and feeds (see the module docstring).
     """
 
     def __init__(self, ports_by_cell: Mapping[CellId, Iterable[Port]]):
         self._index = index = {cell: i for i, cell in enumerate(ports_by_cell)}
         self.cell_ids: tuple[CellId, ...] = tuple(index)
         self._getters: list[itemgetter] = []  # per cell, its 12 neighbour states from run's state list
-        self._reach: list[list[int]] = [[i] for i in range(len(index))]  # per cell, itself and its readers
+        # per cell j, (j, 3**12) and (i, 3**f) for each cell i that reads j through face f
+        self._feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in range(len(index))]
+        self._bases: list[int] = []  # per cell, the code of its fixed ports
         links = []  # (cell index, face, target index) of every link
         tail = len(_FIXED_TAIL)
         for i, (cell, ports) in enumerate(ports_by_cell.items()):
@@ -106,24 +128,30 @@ class CellGraph:
             if len(ports) != 12:
                 raise GraphError(f"cell {cell}: expected 12 ports, got {len(ports)}")
             slots = []
+            base = 0
             for face, port in enumerate(ports):
                 if isinstance(port, FixedPort) and isinstance(port.state, CellState):
                     slots.append(port.state - tail)
+                    base += port.state * _FACE_WEIGHTS[face]
                 elif isinstance(port, LinkPort):
                     if port.cell == cell:  # no cell of {5,3,4} is its own face-neighbour
                         raise GraphError(f"cell {cell} face {face} links to itself")
-                    j = index.get(port.cell)
+                    try:
+                        j = index.get(port.cell)
+                    except TypeError:  # no cell id is unhashable
+                        raise GraphError(f"cell {cell} face {face} links to unhashable target {port.cell!r}") from None
                     if j is None:
                         raise GraphError(f"cell {cell} face {face} links to unknown cell {port.cell}")
-                    self._reach[j].append(i)
+                    self._feeds[j].append((i, _FACE_WEIGHTS[face]))
                     slots.append(j)
                     links.append((i, face, j))
                 else:  # FixedPort(5) would compile to B, FixedPort("B") to no index at all
                     raise GraphError(f"cell {cell} face {face}: {port!r} is not a LinkPort or a CellState FixedPort")
             self._getters.append(itemgetter(*slots))
+            self._bases.append(base)
         for i, face, j in links:
-            # each link from cell j back to cell i put j in i's reach
-            if (back := self._reach[i].count(j)) != 1:
+            # each link from cell j back to cell i put j among the cells that i feeds
+            if (back := [k for k, _ in self._feeds[i]].count(j)) != 1:
                 cell, target = self.cell_ids[i], self.cell_ids[j]
                 raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
         self._slot_ports = [LinkPort(cell) for cell in self.cell_ids] + [FixedPort(s) for s in _FIXED_TAIL]
@@ -153,6 +181,19 @@ def with_states(config: Configuration, overrides: Mapping[CellId, CellState]) ->
     return Configuration(states, config.time)
 
 
+def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
+    """The state of each cell of ``graph`` in ``config``, in ``cell_ids`` order; each must be a ``CellState``."""
+    states = config.states
+    out = []
+    for cell in graph.cell_ids:
+        state = states.get(cell)
+        if not isinstance(state, CellState):
+            found = f"{state!r} is not a CellState" if cell in states else "is missing"
+            raise ConfigurationError(f"cell {cell}: configuration state {found}")
+        out.append(state)
+    return out
+
+
 def context_of(graph: CellGraph, config: Configuration, cell: CellId) -> Context:
     """Current state plus the 12 neighbour states seen through the ports."""
     neighbors = tuple(
@@ -163,6 +204,7 @@ def context_of(graph: CellGraph, config: Configuration, cell: CellId) -> Context
 
 
 def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configuration:
+    _cell_states(graph, config)
     new_states: dict[CellId, CellState] = {}
     for cell in graph.cell_ids:
         ctx = context_of(graph, config, cell)
@@ -243,9 +285,16 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     """
     order = graph.cell_ids
     n = len(order)
-    getters, reach = graph._getters, graph._reach
+    getters, feeds = graph._getters, graph._feeds
     lookup = table.lookup
-    states = [config.states[c] for c in order] + list(_FIXED_TAIL)
+    states = _cell_states(graph, config) + list(_FIXED_TAIL)
+    codes = list(graph._bases)
+    for j in range(n):
+        if state := states[j]:
+            for i, weight in feeds[j]:
+                codes[i] += state * weight
+    memo: dict[int, CellState] = {}  # context code -> new state, for the contexts this run has met
+    known = memo.get
     time = config.time
     initial = tuple(states[:n])
     changes: list[tuple[tuple[int, CellState], ...]] = []
@@ -254,17 +303,24 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
         changed: list[tuple[int, CellState]] = []
         for i in dirty:
             current = states[i]
-            try:
-                new = lookup((current, getters[i](states)))
-            except MissingRuleError as exc:
-                raise EngineError(order[i], time, exc) from None
+            new = known(codes[i])
+            if new is None:
+                try:
+                    new = memo[codes[i]] = lookup((current, getters[i](states)))
+                except MissingRuleError as exc:
+                    raise EngineError(order[i], time, exc) from None
             if new is not current:
                 changed.append((i, new))
+        touched = set()
         for i, new in changed:
+            delta = new - states[i]
             states[i] = new
+            for j, weight in feeds[i]:
+                codes[j] += delta * weight
+                touched.add(j)
         time += 1
         changes.append(tuple(changed))
-        dirty = sorted({j for i, _ in changed for j in reach[i]})
+        dirty = sorted(touched)
     return Trace(order, config.time, initial, tuple(changes))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from dodecagrid.catalog import default_rules_dir
 from dodecagrid.engine import (
     CellGraph,
     Configuration,
+    ConfigurationError,
     EngineError,
     FixedPort,
     GraphError,
@@ -26,7 +28,17 @@ from dodecagrid.engine import (
     with_states,
 )
 from dodecagrid.geometry import enumerate_motions
-from dodecagrid.rules import B, CellState, Context, R, RuleTable, W, context_from_letters, load_rule_dir
+from dodecagrid.rules import (
+    B,
+    CellState,
+    Context,
+    R,
+    RuleTable,
+    W,
+    context_from_letters,
+    load_rule_dir,
+    minimal_context,
+)
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
 from dodecagrid.verify import verify_all
 
@@ -75,6 +87,12 @@ def test_graph_rejects_self_link():
     # a single self-link would count as its own return link
     with pytest.raises(GraphError, match="^cell 1 face 0 links to itself$"):
         CellGraph({1: [LinkPort(1)] + [FixedPort(W)] * 11})
+
+
+def test_graph_rejects_unhashable_link_target():
+    with pytest.raises(GraphError) as err:
+        CellGraph({1: [LinkPort([2])] + [FixedPort(W)] * 11})
+    assert str(err.value) == "cell 1 face 0 links to unhashable target [2]"
 
 
 def test_graph_rejects_asymmetric_link():
@@ -170,6 +188,33 @@ def test_run_zero_steps(catalog):
     trace = scenario.run(catalog, 0)
     assert len(trace.rows) == 1
     assert trace.rows[0][0] == 0
+
+
+def run_one_step(graph, config, table):
+    return run(graph, config, table, 1)
+
+
+@pytest.mark.parametrize("engine_fn", [run_one_step, step], ids=["run", "step"])
+@pytest.mark.parametrize(
+    "state, text",
+    [
+        (None, "cell 4: configuration state is missing"),
+        (5, "cell 4: configuration state 5 is not a CellState"),
+        (1, "cell 4: configuration state 1 is not a CellState"),  # equals B, but would be read as an int
+        ("B", "cell 4: configuration state 'B' is not a CellState"),
+    ],
+)
+def test_run_and_step_refuse_a_configuration_without_a_cell_state(catalog, engine_fn, state, text):
+    scenario = build_vertical_segment(3)
+    states = dict(scenario.initial.states)
+    if state is None:
+        del states[4]
+    else:
+        states[4] = state
+    with pytest.raises(ConfigurationError) as err:
+        engine_fn(scenario.graph, Configuration(states), catalog)
+    assert str(err.value) == text
+    assert isinstance(err.value, ValueError)
 
 
 def test_run_past_modelled_region_raises(catalog):
@@ -325,6 +370,25 @@ def test_trace_stores_exactly_the_changes(catalog, vertical, size, forward):
     assert sum(len(changes) for changes in trace.changes) == differing
 
 
+def contexts_met(graph: CellGraph, trace: Trace) -> set[Context]:
+    """The contexts of every cell at every time a step reads, from the trace and ``ports`` alone.
+
+    After the first row only a cell that changed, or one linked to it, can have a new context.
+    """
+    readers = {c: {c} for c in graph.cell_ids}
+    for cell in graph.cell_ids:
+        for port in graph.ports(cell):
+            if isinstance(port, LinkPort):
+                readers[port.cell].add(cell)
+    times = range(trace.start, trace.end)
+    met = set()
+    for t, changes in zip(times, ((), *trace.changes)):
+        config = Configuration(trace.states_at(t), t)
+        cells = graph.cell_ids if t == trace.start else {r for i, _ in changes for r in readers[trace.cell_ids[i]]}
+        met.update(context_of(graph, config, c) for c in cells)
+    return met
+
+
 class CountingTable:
     def __init__(self, table: RuleTable):
         self.table = table
@@ -336,11 +400,88 @@ class CountingTable:
 
 
 def test_run_evaluates_only_active_cells(catalog):
-    # the full sweep makes len(graph) lookups per step, about 1 M here
+    # the full sweep makes len(graph) lookups per step, about 1 M here; run makes one per distinct context
     scenario = build_vertical_segment(1000)
     table = CountingTable(catalog)
-    scenario.run(table)
-    assert table.calls <= len(scenario.graph) + 10 * scenario.default_steps
+    trace = scenario.run(table)
+    assert table.calls == len(contexts_met(scenario.graph, trace)) == 5
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_run_looks_up_each_context_it_meets_once(catalog, name):
+    scenario = SCENARIOS[name].build()
+    seen = []
+
+    class RecordingTable:
+        def lookup(self, ctx):
+            seen.append(ctx)
+            return catalog.lookup(ctx)
+
+    trace = scenario.run(RecordingTable())
+    assert len(seen) == len(set(seen))
+    assert set(seen) == contexts_met(scenario.graph, trace)
+
+
+@pytest.mark.parametrize("n_steps", [20, None])
+@pytest.mark.parametrize("gap", [4, 20])
+def test_two_locomotives_on_one_segment_match_the_full_sweep(catalog, gap, n_steps):
+    # each step changes six cells, three per locomotive; at gap 4 the cell between them reads
+    # a change on both sides in the same step; the front one walks off the segment at time 24 + (20 - gap)
+    scenario = build_vertical_segment(40)
+    track = scenario.track_cells
+    config = with_states(scenario.initial, {track[SEGMENT_BUFFER + gap]: R, track[SEGMENT_BUFFER + 1 + gap]: B})
+    steps = scenario.default_steps if n_steps is None else n_steps
+    expected = outcome(sweep_run, scenario.graph, config, catalog, steps)
+    assert outcome(run, scenario.graph, config, catalog, steps) == expected
+    if n_steps is None:
+        assert expected[:2] == (track[-1], 44 - gap)
+    else:
+        assert {len(changes) for changes in run(scenario.graph, config, catalog, steps).changes} == {6}
+
+
+def test_each_run_keeps_its_own_memo(catalog):
+    # the same graph run with the catalogue, then with a table whose rule for the cell ahead of the front
+    # gives R instead of B: the second run must not reuse what the first learned
+    scenario = build_vertical_segment(7)
+    graph, config = scenario.graph, scenario.initial
+    ahead = scenario.track_cells[SEGMENT_BUFFER + 2]
+    fired = minimal_context(context_of(graph, config, ahead))
+    assert catalog._index[fired].new_state is B
+    mutated = RuleTable(r._replace(new_state=R) if minimal_context(r.context) == fired else r for r in catalog.rules)
+    for table in (catalog, mutated, catalog):
+        expected = outcome(sweep_run, graph, config, table, scenario.default_steps)
+        assert outcome(run, graph, config, table, scenario.default_steps) == expected
+    assert run(graph, config, mutated, 1).states_at(1)[ahead] is R
+
+
+# sha256 of format_trace_tsv(scenario.run(catalog)), recorded before run keyed evaluations by context code
+TSV_DIGESTS = {
+    "memo-left-active": "ede36671517bca7bee1b742e9b77b3126bff0f6dfa5922dd63148bfd680b9e1a",
+    "memo-left-sel": "fa388f903d88ae75cca3970e286bc4d4a479039db4374f547ec42490590c08b4",
+    "memo-left-nonsel": "56afc36498892cca3b0181db081cbc8f72bca4831ed25af5fdcda97484003f9f",
+    "memo-right-active": "73dd7d121afa15f105c9c15d4c1c67ff166ba8a48509c6a4a18de7618408d08d",
+    "memo-right-sel": "c22106666357f92f3df3710285fa938c6f0faeee56d22603190cf7a43c4ef78b",
+    "memo-right-nonsel": "1ecd9d9d1987dca391da03196002466f1ffa73a56ff240a05be81ff2f6701b1c",
+    "fixed-active": "7764d7d6eeec3fe01c4f224b9fbbc63caeb715e6e312915a5ecbaa7e9b29c375",
+    "fixed-sel": "d45914a8b6653b6b4876451e4b96fd70d28a4fdbf6f8465be70775eac5d05924",
+    "fixed-nonsel": "96d3cdf2a1c7e40f0d463c359f43a89c243c1308771cae1e1bf09e5ebaeedbe6",
+    "flipflop-left-active": "5e233fbdf29728e703a9a3c581f8c99ad81ac7fd68be1a00e6900933b476de4e",
+    "flipflop-right-active": "1446c6af0c0f2f9959fd0db7c16ef6aab7e283b6d90e34802abe51a9803171eb",
+    "vertical-fwd-n7": "47c074c926a6ef459ea3111d66b1bc40088de01d317bbbd03edbde5b1a38de69",
+    "vertical-rev-n7": "cf48984447ed81ec63323e7e88632109a19bd88963702cdbdce7a62feff0a961",
+    "horizontal-fwd-k5": "cfe82c07722eca45b330874f12f0e89e87a2816b7ba51592357b15aaa07e2059",
+    "horizontal-rev-k5": "661e265439d5f14eded4aa46bfb083ea9dcdf0404788f32b3fe70156b846a2d2",
+    "v1-fwd": "7a9efcb770edf83040f6afb5ec681b81f6f34c6d431b8d3657f64ce6f3bb5db7",
+    "v1-rev": "ed1c54836ef00021ba9ab0e9806ff1e400ab22a74afa0d9010c67e4235c5a061",
+    "v0-fwd": "cd531686d0586d64b7d67939b14db225263c34a0eb7f31cee7876716b653931c",
+    "v0-rev": "dd2cab875916bca8f9e8dbf4c4aab1540c93f37c8fcd65e89743758154e40388",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_scenario_trace_is_pinned(catalog, name):
+    text = format_trace_tsv(SCENARIOS[name].build().run(catalog))
+    assert hashlib.sha256(text.encode()).hexdigest() == TSV_DIGESTS[name]
 
 
 def test_run_looks_up_plain_pairs(catalog):
