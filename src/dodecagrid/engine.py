@@ -6,38 +6,32 @@ another cell of the graph.  A step reads every context from the old
 configuration, so update order is immaterial; the new configuration is a
 fresh value.
 
-A ``CellGraph`` reads its ports once, when it is built, and keeps only the
-compiled wiring.  For each cell it keeps a getter of 12 list indices, a link
-as the linked cell's index and a fixed port as a negative index into the tail
-of one state of each kind; the cell's base, the code ``sum(state * 3**f)`` of
-its fixed faces; and its feeds: ``(cell, 3**12)`` and ``(reader, 3**f)`` for
-each cell that reads it through face ``f``.  ``ports`` reads a cell's ports
-back through the getter.
+With 12 faces and 3 states, a context is exactly 13 base-3 digits, its code
+``current * 3**12 + sum(neighbour_f * 3**f)``.  A ``CellGraph`` checks its
+ports in one pass and keeps them, one tuple per cell.  The same pass derives
+what the codes need: each cell's base, the code of its fixed faces, and its
+feeds, ``(cell, 3**12)`` and ``(reader, 3**f)`` for each cell that reads it
+through face ``f``.
 
-``step`` is the full-sweep reference: it reads all 12 ports of every cell
-and builds a ``Context`` for each.  ``run`` gives the same result while
-evaluating only the cells whose context can have changed, reading the
-graph's compiled wiring.  It evaluates every cell on the first step, and
-afterwards only the cells fed by the cells that changed on the previous
-step.  This is exact because a cell whose own state and 12 neighbours are
+``step`` is the full-sweep reference: it reads every cell's ports through
+``context_of``.  ``run`` reads only the bases and feeds and gives the same
+result while evaluating only the cells whose context can have changed: every
+cell on the first step, afterwards only the cells fed by the cells that
+changed.  This is exact because a cell whose own state and 12 neighbours are
 unchanged has the same context, so the deterministic ``RuleTable.lookup``
 gives it the same new state as before, which is its current one.  Dirty
 cells are evaluated in ``graph.cell_ids`` order, so an uncovered context
-raises the same ``EngineError`` (cell, time and context) as the full sweep:
-every cell outside the dirty set was covered on the previous step.
+raises the same ``EngineError`` (cell, time and context) as the full sweep.
 
-``run`` keys each evaluation by the cell's context code, ``current * 3**12 +
-sum(neighbour_f * 3**f)``, which is one int per context.  It starts each code
-from the cell's base plus ``state * weight`` along the feeds of every
-non-white cell, and after each step adds ``(new - old) * weight`` along the
-feeds of the cells that changed.  A run-local memo maps each code met to its
-new state.  Only a code the run has not met yet builds the plain ``(current,
-neighbours)`` pair through the getter and calls ``lookup``, so a run makes
-one lookup per distinct context it meets.  The pair shares the table's cache
-entries with a ``Context``, which equals and hashes as it, and
-``EngineError`` still carries a ``Context``, built from the pair only when a
-rule is missing.  Both ``run`` and ``step`` refuse a configuration that does
-not give every graph cell a ``CellState`` with a ``ConfigurationError``.
+``run`` starts each code from the cell's base plus ``state * weight`` along
+the feeds of every non-white cell, and after each step adds ``(new - old) *
+weight`` along the feeds of the cells that changed.  A run-local memo maps
+each code met to its new state; only a code the run has not met yet is
+decoded into the plain ``(current, neighbours)`` pair that ``lookup`` takes.
+The pair shares the table's cache entries with a ``Context``, which equals
+and hashes as it, and ``EngineError`` still carries a ``Context``.  Both
+``run`` and ``step`` refuse, with a ``ConfigurationError``, a configuration
+that does not give exactly the graph's cells a ``CellState`` each.
 
 A ``Trace`` stores what ``run`` computes and no more: the initial row and,
 for each step, the ``(cell index, new state)`` pairs that changed.  A run's
@@ -50,7 +44,7 @@ row it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import product
 from typing import Iterable, Mapping
 
 from .rules import CellState, Context, MissingRuleError, RuleTable, W
@@ -76,7 +70,7 @@ class GraphError(ValueError):
 
 
 class ConfigurationError(ValueError):
-    """A configuration without a ``CellState`` for some graph cell, located by cell."""
+    """A configuration without a ``CellState`` for a graph cell, or with a state for another cell; located by cell."""
 
 
 class TraceFormatError(ValueError):
@@ -94,44 +88,47 @@ class EngineError(RuntimeError):
         super().__init__(f"cell {cell} at time {time}: {missing} (minimal form {self.minimal})")
 
 
-# A fixed port compiles to the negative index that reads its state from the
-# tail of the state list ``run`` keeps: cell states first, then one of each state.
-_FIXED_TAIL = tuple(CellState)
-
 # A cell's context code is current * 3**12 + sum(neighbour_f * 3**f): one int per context.
 _FACE_WEIGHTS = tuple(3**face for face in range(12))
 _CURRENT_WEIGHT = 3**12
+# The states of 6 faces in face order, indexed by their code sum(state_k * 3**k).
+_HALVES = tuple(half[::-1] for half in product(CellState, repeat=6))
+_HALF_WEIGHT = 3**6
+
+
+def _context_pair(code: int) -> tuple[CellState, tuple[CellState, ...]]:
+    """The ``(current, neighbours)`` pair whose context code is ``code``."""
+    current, neighbours = divmod(code, _CURRENT_WEIGHT)
+    high, low = divmod(neighbours, _HALF_WEIGHT)
+    return CellState(current), _HALVES[low] + _HALVES[high]
 
 
 class CellGraph:
-    """Immutable wiring of a finite set of cells, checked and compiled in one pass over the ports.
+    """Immutable wiring of a finite set of cells, checked in one pass over the ports and kept as given.
 
     Each cell has 12 ports, each a ``LinkPort`` to another (hashable) cell or
     a ``FixedPort`` of a ``CellState``, and each link has exactly one link
     back.  The first fault in cell and face order raises a located
     ``GraphError``; return links are counted last, from the feeds.
-    ``cell_ids`` keeps the insertion order.  The compiled wiring is each
-    cell's getter, fixed-port base and feeds (see the module docstring).
+    ``cell_ids`` keeps the insertion order.  The same pass derives each
+    cell's base and feeds, which ``run`` codes contexts with.
     """
 
     def __init__(self, ports_by_cell: Mapping[CellId, Iterable[Port]]):
-        self._index = index = {cell: i for i, cell in enumerate(ports_by_cell)}
+        index = {cell: i for i, cell in enumerate(ports_by_cell)}
         self.cell_ids: tuple[CellId, ...] = tuple(index)
-        self._getters: list[itemgetter] = []  # per cell, its 12 neighbour states from run's state list
+        self._ports: dict[CellId, tuple[Port, ...]] = {}
         # per cell j, (j, 3**12) and (i, 3**f) for each cell i that reads j through face f
         self._feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in range(len(index))]
         self._bases: list[int] = []  # per cell, the code of its fixed ports
         links = []  # (cell index, face, target index) of every link
-        tail = len(_FIXED_TAIL)
         for i, (cell, ports) in enumerate(ports_by_cell.items()):
             ports = tuple(ports)
             if len(ports) != 12:
                 raise GraphError(f"cell {cell}: expected 12 ports, got {len(ports)}")
-            slots = []
             base = 0
             for face, port in enumerate(ports):
                 if isinstance(port, FixedPort) and isinstance(port.state, CellState):
-                    slots.append(port.state - tail)
                     base += port.state * _FACE_WEIGHTS[face]
                 elif isinstance(port, LinkPort):
                     if port.cell == cell:  # no cell of {5,3,4} is its own face-neighbour
@@ -143,25 +140,23 @@ class CellGraph:
                     if j is None:
                         raise GraphError(f"cell {cell} face {face} links to unknown cell {port.cell}")
                     self._feeds[j].append((i, _FACE_WEIGHTS[face]))
-                    slots.append(j)
                     links.append((i, face, j))
-                else:  # FixedPort(5) would compile to B, FixedPort("B") to no index at all
+                else:  # FixedPort(5) would be coded as B, FixedPort("B") not at all
                     raise GraphError(f"cell {cell} face {face}: {port!r} is not a LinkPort or a CellState FixedPort")
-            self._getters.append(itemgetter(*slots))
+            self._ports[cell] = ports
             self._bases.append(base)
         for i, face, j in links:
             # each link from cell j back to cell i put j among the cells that i feeds
             if (back := [k for k, _ in self._feeds[i]].count(j)) != 1:
                 cell, target = self.cell_ids[i], self.cell_ids[j]
                 raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
-        self._slot_ports = [LinkPort(cell) for cell in self.cell_ids] + [FixedPort(s) for s in _FIXED_TAIL]
 
     def __len__(self) -> int:
         return len(self.cell_ids)
 
     def ports(self, cell: CellId) -> tuple[Port, ...]:
-        """The 12 ports of ``cell``, read back through its compiled getter."""
-        return self._getters[self._index[cell]](self._slot_ports)
+        """The 12 ports of ``cell``, as given."""
+        return self._ports[cell]
 
 
 @dataclass(frozen=True)
@@ -182,7 +177,7 @@ def with_states(config: Configuration, overrides: Mapping[CellId, CellState]) ->
 
 
 def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
-    """The state of each cell of ``graph`` in ``config``, in ``cell_ids`` order; each must be a ``CellState``."""
+    """The ``CellState`` of each cell of ``graph`` in ``config``, in ``cell_ids`` order, and of no other cell."""
     states = config.states
     out = []
     for cell in graph.cell_ids:
@@ -191,6 +186,9 @@ def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
             found = f"{state!r} is not a CellState" if cell in states else "is missing"
             raise ConfigurationError(f"cell {cell}: configuration state {found}")
         out.append(state)
+    if len(states) != len(out):  # every graph cell has a state, so the rest are strays
+        stray = next(cell for cell in states if cell not in graph._ports)
+        raise ConfigurationError(f"cell {stray}: configuration state for a cell the graph lacks")
     return out
 
 
@@ -221,19 +219,19 @@ class Trace:
 
     Row ``k`` is at time ``start + k``.  ``changes[k]`` lists the ``(index
     into cell_ids, new state)`` pairs that differ between rows ``k`` and
-    ``k + 1``, in ascending index order.  A header-only trace, with no rows
-    at all, has ``initial`` None.  Reading ``rows`` replays every step into
-    a dense row of ``len(cell_ids)`` states; ``states_at`` stops at its row.
+    ``k + 1``, in ascending index order.  There is always a first row.
+    Reading ``rows`` replays every step into a dense row of
+    ``len(cell_ids)`` states; ``states_at`` stops at its row.
     """
 
     cell_ids: tuple[CellId, ...]
     start: int
-    initial: tuple[CellState, ...] | None
+    initial: tuple[CellState, ...]
     changes: tuple[tuple[tuple[int, CellState], ...], ...]
 
     @classmethod
     def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:
-        """The trace of dense ``(time, states)`` rows, whose times must count up by one."""
+        """The trace of dense ``(time, states)`` rows, at least one, whose times must count up by one."""
         cell_ids = tuple(cell_ids)
         start = initial = previous = None
         changes = []
@@ -248,7 +246,9 @@ class Trace:
             else:
                 changes.append(tuple((i, s) for i, (old, s) in enumerate(zip(previous, states)) if s != old))
             previous = states
-        return cls(cell_ids, 0 if start is None else start, initial, tuple(changes))
+        if initial is None:
+            raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
+        return cls(cell_ids, start, initial, tuple(changes))
 
     @property
     def end(self) -> int:
@@ -258,8 +258,6 @@ class Trace:
     @property
     def rows(self) -> tuple[tuple[int, tuple[CellState, ...]], ...]:
         """Every ``(time, states)`` row, replayed from the changes."""
-        if self.initial is None:
-            return ()
         states = list(self.initial)
         rows = [(self.start, self.initial)]
         for t, changes in enumerate(self.changes, start=self.start + 1):
@@ -269,7 +267,7 @@ class Trace:
         return tuple(rows)
 
     def states_at(self, time: int) -> dict[CellId, CellState]:
-        if self.initial is None or not self.start <= time <= self.end:
+        if not self.start <= time <= self.end:
             raise KeyError(f"no row for time {time}")
         states = list(self.initial)
         for changes in self.changes[: time - self.start]:
@@ -285,9 +283,9 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     """
     order = graph.cell_ids
     n = len(order)
-    getters, feeds = graph._getters, graph._feeds
+    feeds = graph._feeds
     lookup = table.lookup
-    states = _cell_states(graph, config) + list(_FIXED_TAIL)
+    states = _cell_states(graph, config)
     codes = list(graph._bases)
     for j in range(n):
         if state := states[j]:
@@ -296,20 +294,20 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     memo: dict[int, CellState] = {}  # context code -> new state, for the contexts this run has met
     known = memo.get
     time = config.time
-    initial = tuple(states[:n])
+    initial = tuple(states)
     changes: list[tuple[tuple[int, CellState], ...]] = []
     dirty: Iterable[int] = range(n)
     for _ in range(n_steps):
         changed: list[tuple[int, CellState]] = []
         for i in dirty:
-            current = states[i]
-            new = known(codes[i])
+            code = codes[i]
+            new = known(code)
             if new is None:
                 try:
-                    new = memo[codes[i]] = lookup((current, getters[i](states)))
+                    new = memo[code] = lookup(_context_pair(code))
                 except MissingRuleError as exc:
                     raise EngineError(order[i], time, exc) from None
-            if new is not current:
+            if new is not states[i]:
                 changed.append((i, new))
         touched = set()
         for i, new in changed:
@@ -374,4 +372,6 @@ def parse_trace_text(text: str, source: str = "<string>") -> Trace:
             raise TraceFormatError(f"{source}:{line_no}: {exc}") from None
     if cell_ids is None:
         raise TraceFormatError(f"{source}: trace has no header")
+    if not rows:
+        raise TraceFormatError(f"{source}: trace has no rows")
     return Trace.from_rows(cell_ids, rows)

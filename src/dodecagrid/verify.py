@@ -81,11 +81,6 @@ def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[Check
     return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules"), table
 
 
-def _row_count(trace: Trace) -> int:
-    """``len(trace.rows)`` without replaying them: a header-only trace has none."""
-    return 0 if trace.initial is None else len(trace.changes) + 1
-
-
 def trace_divergence(got: Trace, want: Trace) -> str | None:
     """First mismatch as ``time T cell C: expected X, got Y``; None when equal."""
     if got.cell_ids != want.cell_ids:
@@ -96,16 +91,15 @@ def trace_divergence(got: Trace, want: Trace) -> str | None:
         for cell, s_got, s_want in zip(got.cell_ids, row_got, row_want):
             if s_got is not s_want:
                 return f"time {t_got} cell {cell}: expected {s_want.letter}, got {s_got.letter}"
-    n_got, n_want = _row_count(got), _row_count(want)
-    if n_got != n_want:
-        return f"row counts differ: {n_got} vs {n_want}"
+    if len(got.changes) != len(want.changes):
+        return f"row counts differ: {len(got.changes) + 1} vs {len(want.changes) + 1}"
     return None
 
 
 def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) -> CheckResult:
     want = load_golden_trace(name, golden_dir)  # missing file raises
     diff = trace_divergence(trace, want)
-    return CheckResult(f"golden:{name}", diff is None, diff or f"{_row_count(want)} rows match")
+    return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.changes) + 1} rows match")
 
 
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
@@ -180,8 +174,6 @@ def crossing_disturbance(scenario: Scenario, trace: Trace) -> str | None:
     Up to that row every crossing cell is white, so the cells a step changes
     among them are exactly the ones it leaves non-white.
     """
-    if trace.initial is None:
-        return None
     position = {c: i for i, c in enumerate(trace.cell_ids)}
     crossing = [(c, position[c]) for c in scenario.crossing_track]
     watched = {i for _, i in crossing}

@@ -271,6 +271,16 @@ def test_verify_malformed_golden_fails_closed(capsys, tmp_path):
     assert "malformed trace row: 'time'" in err
 
 
+def test_verify_all_refuses_a_header_only_golden_file(capsys, tmp_path):
+    golden_dir = tmp_path / "golden"
+    shutil.copytree(default_golden_dir(), golden_dir)
+    golden = golden_dir / "memo-left-active.trace"
+    golden.write_text("".join(line for line in golden.read_text().splitlines(True) if not line.startswith("time ")))
+    code, out, err = run_cli(capsys, "verify-all", "--golden", str(golden_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: {golden}: trace has no rows\n"
+
+
 def test_verify_golden_with_a_second_header_fails_closed(capsys, tmp_path):
     # a shorter first header over rows that omit cell 22 must not pass as the whole trace
     lines = golden_path("memo-left-sel").read_text().splitlines()

@@ -217,6 +217,14 @@ def test_run_and_step_refuse_a_configuration_without_a_cell_state(catalog, engin
     assert isinstance(err.value, ValueError)
 
 
+@pytest.mark.parametrize("engine_fn", [run_one_step, step], ids=["run", "step"])
+def test_run_and_step_refuse_a_state_for_a_cell_the_graph_lacks(catalog, engine_fn):
+    scenario = build_vertical_segment(3)
+    config = with_states(scenario.initial, {999: B})
+    with pytest.raises(ConfigurationError, match="^cell 999: configuration state for a cell the graph lacks$"):
+        engine_fn(scenario.graph, config, catalog)
+
+
 def test_run_past_modelled_region_raises(catalog):
     # the lone rear left behind once the front walks off the modelled region
     # has no covering rule; the error names the cell and the step
@@ -265,11 +273,12 @@ def test_format_trace_tokens(catalog):
     assert trace_tokens(text) == ["1", "2", "time", "0", ":", "B", "W", "time", "1", ":", "B", "W"]
 
 
-def test_format_empty_trace_header_only():
-    trace = Trace.from_rows((1, 2, 3), ())
-    assert trace_tokens(format_trace(trace)) == ["1", "2", "3"]
-    assert parse_trace_text("1 2 3\n") == trace
-    assert format_trace(parse_trace_text("1 2 3\n")) == "1 2 3\n\n"
+def test_a_trace_without_rows_is_refused():
+    # every trace has a first row, so a header alone is a format error, located like the others
+    with pytest.raises(TraceFormatError, match="^trace of 3 cells has no rows$"):
+        Trace.from_rows((1, 2, 3), ())
+    with pytest.raises(TraceFormatError, match="^t.trace: trace has no rows$"):
+        parse_trace_text("1 2 3\n\n# no rows\n", "t.trace")
 
 
 def test_trace_from_rows_rejects_skipped_time():
@@ -409,6 +418,7 @@ def test_run_evaluates_only_active_cells(catalog):
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_run_looks_up_each_context_it_meets_once(catalog, name):
+    # run hands lookup, in order, the context_of of each cell at each time where a full sweep meets it first
     scenario = SCENARIOS[name].build()
     seen = []
 
@@ -418,7 +428,12 @@ def test_run_looks_up_each_context_it_meets_once(catalog, name):
             return catalog.lookup(ctx)
 
     trace = scenario.run(RecordingTable())
-    assert len(seen) == len(set(seen))
+    first_met = {}  # context -> (time, cell) where the sweep meets it first
+    for t in range(trace.start, trace.end):
+        config = Configuration(trace.states_at(t), t)
+        for cell in scenario.graph.cell_ids:
+            first_met.setdefault(context_of(scenario.graph, config, cell), (t, cell))
+    assert seen == list(first_met)
     assert set(seen) == contexts_met(scenario.graph, trace)
 
 
@@ -484,6 +499,18 @@ def test_scenario_trace_is_pinned(catalog, name):
     assert hashlib.sha256(text.encode()).hexdigest() == TSV_DIGESTS[name]
 
 
+STATES = st.sampled_from(CellState)
+
+
+@given(current=STATES, neighbours=st.tuples(*[STATES] * 12))
+def test_context_code_round_trips_through_its_pair(current, neighbours):
+    # the code maps the 3**13 contexts onto range(3**13) one to one, so this is the whole round trip
+    code = current * 3**12 + sum(state * 3**face for face, state in enumerate(neighbours))
+    pair = engine._context_pair(code)
+    assert pair == (current, neighbours)
+    assert {type(pair[0]), *map(type, pair[1])} == {CellState}
+
+
 def test_run_looks_up_plain_pairs(catalog):
     # run hands lookup (current, neighbours) tuples, never a Context
     seen = set()
@@ -539,7 +566,7 @@ def built_graphs(monkeypatch) -> list[tuple[dict, CellGraph]]:
 
 
 def assert_reads_back(ports_by_cell, graph=None):
-    # ports() reads back through the getters run steps with, so this holds the reference engine to its input
+    # ports() is what the reference engine reads, so this holds it to its input
     graph = CellGraph(ports_by_cell) if graph is None else graph
     assert graph.cell_ids == tuple(ports_by_cell)
     assert len(graph) == len(ports_by_cell)
@@ -585,18 +612,17 @@ def test_run_reads_only_the_compiled_wiring(catalog, monkeypatch, name):
 
 
 def test_verify_all_compiles_each_graph_once(monkeypatch):
-    # one getter per cell, made when its graph is built and never again by run
+    # 11 graph builds for 19 runs: the crossings of one switch kind share its graph
     built = built_graphs(monkeypatch)
-    getters = 0
-    real_itemgetter = engine.itemgetter
+    runs = 0
+    real_run = engine.run
 
-    def counted(*slots):
-        nonlocal getters
-        getters += 1
-        return real_itemgetter(*slots)
+    def counted(*args):
+        nonlocal runs
+        runs += 1
+        return real_run(*args)
 
-    monkeypatch.setattr(engine, "itemgetter", counted)
+    monkeypatch.setattr(scenarios, "run", counted)
     results = verify_all()
     assert all(r.ok for r in results) and len(results) == 32
-    assert len(built) == 11  # for 19 runs: the crossings of one switch kind share its graph
-    assert getters == sum(len(graph) for _, graph in built)
+    assert (len(built), runs) == (11, 19)

@@ -1,3 +1,4 @@
+import re
 import shutil
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from dodecagrid import rules, scenarios, verify
 from dodecagrid.catalog import default_rules_dir, golden_path
-from dodecagrid.engine import Trace, format_trace
+from dodecagrid.engine import Trace, TraceFormatError, format_trace
 from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
 from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
@@ -138,12 +139,15 @@ def test_trace_divergence_reports_location():
     assert trace_divergence(a, b) == "time 1 cell 2: expected R, got W"
 
 
-def test_trace_divergence_counts_rows_of_header_only_traces():
-    a = Trace.from_rows((1, 2), ((0, (W, B)), (1, (B, W))))
-    empty = Trace.from_rows((1, 2), ())
-    assert trace_divergence(empty, empty) is None
-    assert trace_divergence(a, empty) == "row counts differ: 2 vs 0"
-    assert trace_divergence(empty, a) == "row counts differ: 0 vs 2"
+def test_golden_check_refuses_a_header_only_golden_file(catalog, tmp_path):
+    # a golden trace always has a first row; without one it is malformed, not a zero-row trace to compare
+    name = "memo-left-active"
+    header = [line for line in golden_path(name).read_text().splitlines(keepends=True) if not line.startswith("time ")]
+    path = golden_path(name, tmp_path)
+    path.write_text("".join(header))
+    trace = SCENARIOS[name].build().run(catalog)
+    with pytest.raises(TraceFormatError, match=f"^{re.escape(str(path))}: trace has no rows$"):
+        check_golden(name, trace, tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -172,12 +176,13 @@ def test_golden_check_fails_on_row_count(memo_left_active):
 
 
 def test_golden_check_replays_each_trace_once(memo_left_active, monkeypatch, tmp_path):
-    golden_path("empty", tmp_path).write_text(format_trace(Trace.from_rows(memo_left_active.cell_ids, ())))
+    short = Trace.from_rows(memo_left_active.cell_ids, memo_left_active.rows[:5])
+    golden_path("short", tmp_path).write_text(format_trace(short))
     replayed = []
     replay = Trace.rows.fget
     monkeypatch.setattr(Trace, "rows", property(lambda trace: replayed.append(trace) or replay(trace)))
     assert check_golden("memo-left-active", memo_left_active).detail == "8 rows match"
-    assert check_golden("empty", memo_left_active, tmp_path).detail == "row counts differ: 8 vs 0"
+    assert check_golden("short", memo_left_active, tmp_path).detail == "row counts differ: 8 vs 5"
     assert [trace is memo_left_active for trace in replayed] == [True, False, True, False]
 
 
@@ -278,8 +283,9 @@ def test_crossing_disturbance_agrees_with_dense_scan(catalog, disturbances):
     assert crossing_disturbance(scenario, trace) == dense_crossing_disturbance(scenario, trace)
 
 
-def test_crossing_disturbance_of_a_header_only_trace():
-    assert crossing_disturbance(build_bridge("v1"), Trace((), 0, None, ())) is None
+def test_crossing_disturbance_of_a_one_row_trace(catalog):
+    scenario = build_bridge("v1")
+    assert crossing_disturbance(scenario, scenario.run(catalog, 0)) is None
 
 
 def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active):
