@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from .engine import Trace, parse_trace_text
 from .rules import RuleTable, load_rule_dir
 
 
+# the shipped data files sit next to this module, in an installed package as in the source tree
+_DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
 def data_dir() -> Path:
-    return Path(str(resources.files(__package__) / "data"))
+    return _DATA_DIR
 
 
 def default_rules_dir() -> Path:

@@ -43,23 +43,29 @@ row it returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping
 
+from .record import Record
 from .rules import CellState, Context, MissingRuleError, RuleTable, W
 
 CellId = int
 
 
-@dataclass(frozen=True)
-class FixedPort:
+class FixedPort(Record):
+    __slots__ = _fields = ("state",)
     state: CellState
 
+    def __init__(self, state: CellState):
+        object.__setattr__(self, "state", state)
 
-@dataclass(frozen=True)
-class LinkPort:
+
+class LinkPort(Record):
+    __slots__ = _fields = ("cell",)
     cell: CellId
+
+    def __init__(self, cell: CellId):
+        object.__setattr__(self, "cell", cell)
 
 
 Port = FixedPort | LinkPort
@@ -159,10 +165,14 @@ class CellGraph:
         return self._ports[cell]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
+    __slots__ = _fields = ("states", "time")
     states: Mapping[CellId, CellState]
-    time: int = 0
+    time: int
+
+    def __init__(self, states: Mapping[CellId, CellState], time: int = 0):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "time", time)
 
 
 def uniform_configuration(graph: CellGraph) -> Configuration:
@@ -193,12 +203,14 @@ def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
 
 
 def context_of(graph: CellGraph, config: Configuration, cell: CellId) -> Context:
-    """Current state plus the 12 neighbour states seen through the ports."""
-    neighbors = tuple(
-        port.state if isinstance(port, FixedPort) else config.states[port.cell]
-        for port in graph.ports(cell)
-    )
-    return Context(config.states[cell], neighbors)
+    """Current state plus the 12 neighbour states seen through the ports; a missing state raises ``ConfigurationError``."""
+    ports = graph.ports(cell)
+    states = config.states
+    try:
+        neighbors = tuple(port.state if isinstance(port, FixedPort) else states[port.cell] for port in ports)
+        return Context(states[cell], neighbors)
+    except KeyError as exc:
+        raise ConfigurationError(f"cell {exc.args[0]}: configuration state is missing") from None
 
 
 def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configuration:
@@ -213,21 +225,30 @@ def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configura
     return Configuration(new_states, config.time + 1)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(Record):
     """Rows of states over a fixed cell ordering, stored as the first row and each step's changes.
 
     Row ``k`` is at time ``start + k``.  ``changes[k]`` lists the ``(index
     into cell_ids, new state)`` pairs that differ between rows ``k`` and
-    ``k + 1``, in ascending index order.  There is always a first row.
+    ``k + 1``, in ascending index order.  There is always a first row: an
+    ``initial`` of None raises ``TraceFormatError``.
     Reading ``rows`` replays every step into a dense row of
     ``len(cell_ids)`` states; ``states_at`` stops at its row.
     """
 
+    __slots__ = _fields = ("cell_ids", "start", "initial", "changes")
     cell_ids: tuple[CellId, ...]
     start: int
     initial: tuple[CellState, ...]
     changes: tuple[tuple[tuple[int, CellState], ...], ...]
+
+    def __init__(self, cell_ids: tuple[CellId, ...], start: int, initial: tuple[CellState, ...], changes: tuple):
+        if initial is None:
+            raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
+        object.__setattr__(self, "cell_ids", cell_ids)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "changes", changes)
 
     @classmethod
     def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:
@@ -246,8 +267,6 @@ class Trace:
             else:
                 changes.append(tuple((i, s) for i, (old, s) in enumerate(zip(previous, states)) if s != old))
             previous = states
-        if initial is None:
-            raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
         return cls(cell_ids, start, initial, tuple(changes))
 
     @property

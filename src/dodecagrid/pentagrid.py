@@ -12,9 +12,10 @@ preferred son.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+
+from .record import Record
 
 
 @lru_cache(maxsize=None)
@@ -87,14 +88,22 @@ def preferred_son(coord: str) -> str:
     return longest_repr(coord_value(coord + "00"))
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(Record):
+    __slots__ = _fields = ("number", "kind", "coord", "level", "parent", "sons")
     number: int
     kind: NodeKind
     coord: str
     level: int
     parent: int | None
     sons: tuple[int, ...]
+
+    def __init__(self, number: int, kind: NodeKind, coord: str, level: int, parent: int | None, sons: tuple[int, ...]):
+        object.__setattr__(self, "number", number)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "coord", coord)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "sons", sons)
 
 
 def enumerate_levels(depth: int) -> list[list[TreeNode]]:

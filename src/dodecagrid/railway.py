@@ -7,8 +7,9 @@ taken and the resulting switch state matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+
+from .record import Record
 
 
 class SwitchKind(Enum):
@@ -34,23 +35,29 @@ class Exit(Enum):
     U = "u"
 
 
-@dataclass(frozen=True)
-class Active:
-    pass
+class Active(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Passive:
+class Passive(Record):
+    __slots__ = _fields = ("arm",)
     arm: Side
+
+    def __init__(self, arm: Side):
+        object.__setattr__(self, "arm", arm)
 
 
 Crossing = Active | Passive
 
 
-@dataclass(frozen=True)
-class SwitchState:
+class SwitchState(Record):
+    __slots__ = _fields = ("kind", "selected")
     kind: SwitchKind
     selected: Side
+
+    def __init__(self, kind: SwitchKind, selected: Side):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "selected", selected)
 
 
 def cross(state: SwitchState, mode: Crossing) -> tuple[Exit, SwitchState]:
@@ -58,12 +65,12 @@ def cross(state: SwitchState, mode: Crossing) -> tuple[Exit, SwitchState]:
     if isinstance(mode, Active):
         exit_taken = Exit(state.selected.value)
         if state.kind is SwitchKind.FLIPFLOP:
-            return exit_taken, replace(state, selected=state.selected.other)
+            return exit_taken, SwitchState(state.kind, state.selected.other)
         return exit_taken, state
     if state.kind is SwitchKind.FLIPFLOP:
         raise ValueError("a flip-flop switch is never crossed passively")
     if state.kind is SwitchKind.MEMORY:
-        return Exit.U, replace(state, selected=mode.arm)
+        return Exit.U, SwitchState(state.kind, mode.arm)
     return Exit.U, state
 
 
@@ -78,18 +85,20 @@ class CircuitExit(Enum):
     U_RETURN = "U-return"
 
 
-@dataclass(frozen=True)
-class ElementaryCircuit:
+class ElementaryCircuit(Record):
     """One stored bit: a memory switch at the read gate, a flip-flop at the write gate."""
 
+    __slots__ = _fields = ("e_switch", "u_switch")
     e_switch: SwitchState
     u_switch: SwitchState
 
-    def __post_init__(self) -> None:
-        if self.e_switch.kind is not SwitchKind.MEMORY:
+    def __init__(self, e_switch: SwitchState, u_switch: SwitchState):
+        if e_switch.kind is not SwitchKind.MEMORY:
             raise ValueError("gate E needs a memory switch")
-        if self.u_switch.kind is not SwitchKind.FLIPFLOP:
+        if u_switch.kind is not SwitchKind.FLIPFLOP:
             raise ValueError("gate U needs a flip-flop switch")
+        object.__setattr__(self, "e_switch", e_switch)
+        object.__setattr__(self, "u_switch", u_switch)
 
 
 def new_circuit(bit: Side = Side.LEFT) -> ElementaryCircuit:
@@ -104,7 +113,7 @@ def circuit_enter(circuit: ElementaryCircuit, gate: Gate) -> tuple[CircuitExit, 
     if gate is Gate.E:
         exit_taken, e_after = cross(circuit.e_switch, Active())
         out = CircuitExit.O1 if exit_taken is Exit.LEFT else CircuitExit.O2
-        return out, replace(circuit, e_switch=e_after)
+        return out, ElementaryCircuit(e_after, circuit.u_switch)
     # Entering at U toggles the flip-flop, then the loop track routes the
     # locomotive through the memory switch's currently non-selected arm.
     _, u_after = cross(circuit.u_switch, Active())

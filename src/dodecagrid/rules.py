@@ -33,7 +33,6 @@ whichever form filled it, and a caller on a hot path can pass plain pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -41,6 +40,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .geometry import FACE_COUNT, FacePermutation, enumerate_motions
+from .record import Record
 
 DEFAULT_BLANK_THRESHOLD = 10
 
@@ -210,16 +210,24 @@ def census(ctx: Context) -> tuple[CellState, int, int]:
     return current, n.count(W), n.count(B)
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(Record):
+    __slots__ = _fields = ("a", "b", "minimal")
     a: Rule
     b: Rule
     minimal: Context
 
+    def __init__(self, a: Rule, b: Rule, minimal: Context):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "minimal", minimal)
 
-@dataclass(frozen=True)
-class InvarianceReport:
+
+class InvarianceReport(Record):
+    __slots__ = _fields = ("conflicts",)
     conflicts: tuple[Conflict, ...]
+
+    def __init__(self, conflicts: tuple[Conflict, ...]):
+        object.__setattr__(self, "conflicts", conflicts)
 
     @property
     def ok(self) -> bool:

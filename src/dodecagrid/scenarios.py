@@ -21,9 +21,8 @@ cover.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 
 from .catalog import load_switch_wiring
@@ -41,6 +40,7 @@ from .engine import (
 )
 from .pentagrid import fibonacci_word
 from .railway import Active, Crossing, Passive, Side, SwitchKind
+from .record import Record
 from .rules import B, CellState, R, RuleTable, W
 
 STRAIGHT_EXIT_PAIRS = ((1, 3), (1, 4), (1, 8), (1, 10))
@@ -65,19 +65,26 @@ def oracle_mode(mode: CrossingMode, laterality: Side) -> Crossing:
     return Passive(laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other)
 
 
-@dataclass(frozen=True)
-class CellTemplate:
-    """Milestone pattern plus the faces a builder may link to other cells."""
+class CellTemplate(Record):
+    """Milestone pattern plus the faces a builder may link to other cells.
 
+    ``_fixed`` holds the 12 ports before links are patched in: milestones,
+    white elsewhere; they are shared by every cell of this shape.  It is
+    derived from the fields, so it takes no part in equality or the repr.
+    """
+
+    _fields = ("blue", "red", "open_faces")
+    __slots__ = _fields + ("_fixed",)
     blue: tuple[int, ...]
     red: tuple[int, ...]
     open_faces: tuple[int, ...]
 
-    @cached_property
-    def _fixed(self) -> tuple[Port, ...]:
-        """The 12 ports before links are patched in: milestones, white elsewhere; shared by every cell of this shape."""
-        colour = {**{face: R for face in self.red}, **{face: B for face in self.blue}}
-        return tuple(FixedPort(colour.get(face, W)) for face in range(12))
+    def __init__(self, blue: tuple[int, ...], red: tuple[int, ...], open_faces: tuple[int, ...]):
+        object.__setattr__(self, "blue", blue)
+        object.__setattr__(self, "red", red)
+        object.__setattr__(self, "open_faces", open_faces)
+        colour = {**{face: R for face in red}, **{face: B for face in blue}}
+        object.__setattr__(self, "_fixed", tuple(FixedPort(colour.get(face, W)) for face in range(12)))
 
     def ports(self, links: dict[int, CellId]) -> list[Port]:
         bad = set(links) - set(self.open_faces)
@@ -100,20 +107,40 @@ def build_corner() -> CellTemplate:
     return CellTemplate(CORNER_MILESTONES, (), CORNER_EXITS)
 
 
-@dataclass
-class Scenario:
-    name: str
-    graph: CellGraph
-    initial: Configuration
-    # cells along the locomotive's path, in travel order (empty for switches)
-    track_cells: tuple[CellId, ...] = ()
-    # the sub-span whose return to all-white is asserted after a traversal
-    segment_cells: tuple[CellId, ...] = ()
-    default_steps: int = 7
-    layout: dict[CellId, tuple[float, float]] = field(default_factory=dict)
-    # a bridge's other track, which the locomotive must never disturb
-    crossing_track: tuple[CellId, ...] = ()
-    crossing: tuple[SwitchKind, Side, CrossingMode] | None = None  # what ``build_switch`` was called with
+class Scenario(Record):
+    """A built graph, its initial configuration and what its checks read; the one mutable record, so unhashable."""
+
+    __slots__ = _fields = (
+        "name", "graph", "initial", "track_cells", "segment_cells", "default_steps", "layout", "crossing_track", "crossing"
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        name: str,
+        graph: CellGraph,
+        initial: Configuration,
+        # cells along the locomotive's path, in travel order (empty for switches)
+        track_cells: tuple[CellId, ...] = (),
+        # the sub-span whose return to all-white is asserted after a traversal
+        segment_cells: tuple[CellId, ...] = (),
+        default_steps: int = 7,
+        layout: dict[CellId, tuple[float, float]] | None = None,  # a fresh {} for each scenario by default
+        # a bridge's other track, which the locomotive must never disturb
+        crossing_track: tuple[CellId, ...] = (),
+        crossing: tuple[SwitchKind, Side, CrossingMode] | None = None,  # what ``build_switch`` was called with
+    ):
+        self.name = name
+        self.graph = graph
+        self.initial = initial
+        self.track_cells = track_cells
+        self.segment_cells = segment_cells
+        self.default_steps = default_steps
+        self.layout = {} if layout is None else layout
+        self.crossing_track = crossing_track
+        self.crossing = crossing
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
@@ -293,12 +320,16 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
     )
 
 
-@dataclass(frozen=True)
-class NamedScenario:
+class NamedScenario(Record):
     """A registry entry: a builder and its arguments, built only when asked for."""
 
+    __slots__ = _fields = ("builder", "args")
     builder: Callable[..., Scenario]
-    args: tuple = ()
+    args: tuple
+
+    def __init__(self, builder: Callable[..., Scenario], args: tuple = ()):
+        object.__setattr__(self, "builder", builder)
+        object.__setattr__(self, "args", args)
 
     def build(self) -> Scenario:
         return self.builder(*self.args)

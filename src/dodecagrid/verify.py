@@ -8,7 +8,6 @@ its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 
@@ -17,6 +16,7 @@ from .catalog import load_catalog, load_golden_trace
 from .engine import EngineError, Trace
 from .geometry import IDENTITY, enumerate_motions, inverse, preserves_adjacency
 from .railway import Exit, Side, SwitchKind
+from .record import Record
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import (
     APPROACH,
@@ -29,11 +29,16 @@ from .scenarios import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = _fields = ("name", "ok", "detail")
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

@@ -225,6 +225,17 @@ def test_run_and_step_refuse_a_state_for_a_cell_the_graph_lacks(catalog, engine_
         engine_fn(scenario.graph, config, catalog)
 
 
+def test_context_of_refuses_a_configuration_without_a_linked_cell_state():
+    scenario = build_vertical_segment(3)
+    states = dict(scenario.initial.states)
+    del states[4]
+    linked = [cell for cell in scenario.graph.cell_ids if LinkPort(4) in scenario.graph.ports(cell)]
+    assert linked
+    for cell in linked + [4]:
+        with pytest.raises(ConfigurationError, match="^cell 4: configuration state is missing$"):
+            context_of(scenario.graph, Configuration(states), cell)
+
+
 def test_run_past_modelled_region_raises(catalog):
     # the lone rear left behind once the front walks off the modelled region
     # has no covering rule; the error names the cell and the step
@@ -279,6 +290,8 @@ def test_a_trace_without_rows_is_refused():
         Trace.from_rows((1, 2, 3), ())
     with pytest.raises(TraceFormatError, match="^t.trace: trace has no rows$"):
         parse_trace_text("1 2 3\n\n# no rows\n", "t.trace")
+    with pytest.raises(TraceFormatError, match="^trace of 1 cells has no rows$"):
+        Trace((1,), 0, None, ())
 
 
 def test_trace_from_rows_rejects_skipped_time():

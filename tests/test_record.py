@@ -1,0 +1,148 @@
+import copy
+import pickle
+
+import pytest
+
+from dodecagrid.engine import CellGraph, Configuration, FixedPort, GraphError, LinkPort, Trace
+from dodecagrid.pentagrid import NodeKind, TreeNode
+from dodecagrid.railway import Active, ElementaryCircuit, Passive, Side, SwitchKind, SwitchState
+from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
+from dodecagrid.scenarios import CellTemplate, NamedScenario, Scenario, build_bridge, build_vertical_segment
+from dodecagrid.verify import CheckResult
+
+_CTX = context_from_letters("W B W W W W W W W W W W W".split())
+_RULE_A = Rule(_CTX, W, "a.rules:1")
+_RULE_B = Rule(_CTX, B, "b.rules:2")
+_MEMORY = SwitchState(SwitchKind.MEMORY, Side.LEFT)
+_FLIPFLOP = SwitchState(SwitchKind.FLIPFLOP, Side.RIGHT)
+
+# (class, keyword arguments in field order, pinned repr); the value is built afresh for each use
+FROZEN = [
+    (FixedPort, {"state": B}, "FixedPort(state=<CellState.B: 1>)"),
+    (LinkPort, {"cell": 2}, "LinkPort(cell=2)"),
+    (Configuration, {"states": {1: W}, "time": 3}, "Configuration(states={1: <CellState.W: 0>}, time=3)"),
+    (
+        Trace,
+        {"cell_ids": (1, 2), "start": 0, "initial": (W, B), "changes": (((1, R),),)},
+        "Trace(cell_ids=(1, 2), start=0, initial=(<CellState.W: 0>, <CellState.B: 1>),"
+        " changes=(((1, <CellState.R: 2>),),))",
+    ),
+    (
+        Conflict,
+        {"a": _RULE_A, "b": _RULE_B, "minimal": minimal_context(_CTX)},
+        f"Conflict(a={_RULE_A!r}, b={_RULE_B!r}, minimal={minimal_context(_CTX)!r})",
+    ),
+    (InvarianceReport, {"conflicts": ()}, "InvarianceReport(conflicts=())"),
+    (
+        CellTemplate,
+        {"blue": (2, 5, 6, 7), "red": (), "open_faces": (1, 3)},
+        "CellTemplate(blue=(2, 5, 6, 7), red=(), open_faces=(1, 3))",
+    ),
+    (NamedScenario, {"builder": build_bridge, "args": ("v1",)}, f"NamedScenario(builder={build_bridge!r}, args=('v1',))"),
+    (CheckResult, {"name": "golden: v1-fwd", "ok": True}, "CheckResult(name='golden: v1-fwd', ok=True, detail='')"),
+    (Active, {}, "Active()"),
+    (Passive, {"arm": Side.LEFT}, "Passive(arm=<Side.LEFT: 'left'>)"),
+    (
+        SwitchState,
+        {"kind": SwitchKind.MEMORY, "selected": Side.LEFT},
+        "SwitchState(kind=<SwitchKind.MEMORY: 'memory'>, selected=<Side.LEFT: 'left'>)",
+    ),
+    (
+        ElementaryCircuit,
+        {"e_switch": _MEMORY, "u_switch": _FLIPFLOP},
+        f"ElementaryCircuit(e_switch={_MEMORY!r}, u_switch={_FLIPFLOP!r})",
+    ),
+    (
+        TreeNode,
+        {"number": 3, "kind": NodeKind.WHITE, "coord": "11", "level": 1, "parent": 1, "sons": (7, 8, 9)},
+        "TreeNode(number=3, kind=<NodeKind.WHITE: 'white'>, coord='11', level=1, parent=1, sons=(7, 8, 9))",
+    ),
+]
+IDS = [cls.__name__ for cls, _, _ in FROZEN]
+
+
+@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+def test_record_equality_hash_and_repr(cls, kwargs, text):
+    value = cls(**kwargs)
+    assert value == cls(*kwargs.values())
+    assert repr(value) == text
+    # another class with equal fields, and the plain tuple of the fields, are not equal to it
+    twin = type(cls.__name__, (cls,), {"__slots__": ()})(**kwargs)
+    assert value != twin and twin != value
+    assert value != tuple(kwargs.values())
+    if cls is Configuration:  # its states are a dict, so it is no more hashable than that
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(cls(**kwargs))
+
+
+@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+def test_record_is_frozen(cls, kwargs, text):
+    value = cls(**kwargs)
+    for name in (*kwargs, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value == cls(**kwargs)
+
+
+@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+def test_record_pickles_and_copies(cls, kwargs, text):
+    value = cls(**kwargs)
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(again) is cls
+        assert again == value
+        assert repr(again) == text
+
+
+def test_ports_of_different_kinds_differ_with_equal_fields():
+    assert FixedPort(R) != LinkPort(2)
+    assert R == 2
+    assert Passive(Side.LEFT) != (Side.LEFT,)
+    assert Active() == Active() and Active() != ()
+
+
+def test_cell_template_shares_its_fixed_ports_after_a_copy():
+    template = CellTemplate((2, 5, 6, 7), (), (1, 3))
+    ports = template.ports({1: 9})
+    assert ports[1] == LinkPort(9)
+    assert [ports[face] for face in (2, 5, 6, 7)] == [FixedPort(B)] * 4
+    assert copy.deepcopy(template).ports({1: 9}) == ports
+
+
+def test_elementary_circuit_validates_its_switches():
+    with pytest.raises(ValueError, match="^gate E needs a memory switch$"):
+        ElementaryCircuit(_FLIPFLOP, _FLIPFLOP)
+    with pytest.raises(ValueError, match="^gate U needs a flip-flop switch$"):
+        ElementaryCircuit(_MEMORY, _MEMORY)
+
+
+def test_a_bad_port_is_named_by_its_repr():
+    ports = [FixedPort(W)] * 12
+    ports[3] = FixedPort(5)
+    with pytest.raises(GraphError, match=r"^cell 1 face 3: FixedPort\(state=5\) is not a LinkPort or a CellState FixedPort$"):
+        CellGraph({1: ports})
+
+
+def test_scenario_is_a_mutable_unhashable_record():
+    built = build_vertical_segment(3)
+    fields = {name: getattr(built, name) for name in Scenario._fields}
+    same = Scenario(**fields)
+    assert same == built and same is not built
+    with pytest.raises(TypeError):
+        hash(built)
+    same.default_steps = 9
+    assert same != built
+    # every scenario built without a layout gets its own
+    a, b = Scenario("a", built.graph, built.initial), Scenario("b", built.graph, built.initial)
+    assert a.layout == {} and a.layout is not b.layout
+    assert repr(a).startswith("Scenario(name='a', graph=<dodecagrid.engine.CellGraph object at ")
+    again = pickle.loads(pickle.dumps(built))
+    assert type(again) is Scenario
+    assert again.graph.cell_ids == built.graph.cell_ids
+    assert [again.graph.ports(cell) for cell in again.graph.cell_ids] == [built.graph.ports(cell) for cell in built.graph.cell_ids]
+    assert {name: getattr(again, name) for name in Scenario._fields if name != "graph"} == {
+        name: value for name, value in fields.items() if name != "graph"
+    }

@@ -314,6 +314,17 @@ def test_lookup_blank_default(catalog):
     assert catalog.lookup(ctx("B R W W W W W W W W W W W")) is B
 
 
+def test_lookup_fallback_starts_at_ten_blanks(catalog):
+    # neither context has a rule, so the blank count alone decides: ten keep the state, nine do not
+    ten = ctx("W R R W W W W W W W W W W")
+    nine = ctx("W R R R W W W W W W W W W")
+    assert (blank_count(ten), blank_count(nine)) == (10, 9)
+    assert not catalog.has_explicit(ten) and not catalog.has_explicit(nine)
+    assert catalog.lookup(ten) is W
+    with pytest.raises(MissingRuleError):
+        catalog.lookup(nine)
+
+
 def test_lookup_straight_front_arrival(catalog):
     assert catalog.lookup(ctx("W W B B W W B B B W W W W")) is B
 
