@@ -1,19 +1,19 @@
 """Synchronous execution of the automaton over an explicit cell graph.
 
-Cells carry 12 ports, one per face: a port either holds a permanently fixed
-state (milestones, quiescent surroundings, region boundary) or links to
-another cell of the graph.  A step reads every context from the old
-configuration, so update order is immaterial; the new configuration is a
-fresh value.
+Each cell is wired as 12 fixed states, one per face (milestones, quiescent
+surroundings, region boundary), plus links from some of its white faces to
+other cells of the graph; a linked face shows the linked cell's state.  A
+step reads every context from the old configuration, so update order is
+immaterial; the new configuration is a fresh value.
 
 With 12 faces and 3 states, a context is exactly 13 base-3 digits, its code
-``current * 3**12 + sum(neighbour_f * 3**f)``.  A ``CellGraph`` checks its
-ports in one pass and keeps them, one tuple per cell.  The same pass derives
-what the codes need: each cell's base, the code of its fixed faces, and its
-feeds, ``(cell, 3**12)`` and ``(reader, 3**f)`` for each cell that reads it
-through face ``f``.
+``current * 3**12 + sum(neighbour_f * 3**f)``.  A ``CellGraph`` checks each
+cell's fixed states and links in one pass and keeps them, two tuples per cell.
+The same pass derives what the codes need: each cell's base, the code of its
+fixed states, and its feeds, ``(cell, 3**12)`` and ``(reader, 3**f)`` for
+each cell that reads it through face ``f``.
 
-``step`` is the full-sweep reference: it reads every cell's ports through
+``step`` is the full-sweep reference: it reads every cell's wiring through
 ``context_of``.  ``run`` reads only the bases and feeds and gives the same
 result while evaluating only the cells whose context can have changed: every
 cell on the first step, afterwards only the cells fed by the cells that
@@ -50,25 +50,6 @@ from .record import Record
 from .rules import CellState, Context, MissingRuleError, RuleTable, W
 
 CellId = int
-
-
-class FixedPort(Record):
-    __slots__ = _fields = ("state",)
-    state: CellState
-
-    def __init__(self, state: CellState):
-        object.__setattr__(self, "state", state)
-
-
-class LinkPort(Record):
-    __slots__ = _fields = ("cell",)
-    cell: CellId
-
-    def __init__(self, cell: CellId):
-        object.__setattr__(self, "cell", cell)
-
-
-Port = FixedPort | LinkPort
 
 
 class GraphError(ValueError):
@@ -110,48 +91,61 @@ def _context_pair(code: int) -> tuple[CellState, tuple[CellState, ...]]:
 
 
 class CellGraph:
-    """Immutable wiring of a finite set of cells, checked in one pass over the ports and kept as given.
+    """Immutable wiring of a finite set of cells: 12 fixed states plus links per cell, checked in one pass.
 
-    Each cell has 12 ports, each a ``LinkPort`` to another (hashable) cell or
-    a ``FixedPort`` of a ``CellState``, and each link has exactly one link
-    back.  The first fault in cell and face order raises a located
-    ``GraphError``; return links are counted last, from the feeds.
-    ``cell_ids`` keeps the insertion order.  The same pass derives each
-    cell's base and feeds, which ``run`` codes contexts with.
+    Each cell is given as ``(fixed, links)``: ``fixed`` holds the 12 ``CellState``s
+    its faces show where nothing is linked, and ``links`` maps faces to other
+    (hashable) cells.  A link sits on a face in 0..11 whose fixed state is
+    ``W``, never names its own cell, and has exactly one link back.  The first
+    fault in cell order (a cell's fixed states, then its links in face order)
+    raises a located ``GraphError``; return links are counted last, from the
+    feeds.  ``cell_ids`` keeps the insertion order, and ``wiring(cell)`` a copy
+    of what was given, the links as face-ordered pairs, which ``CellGraph``
+    takes back.  The same pass derives each cell's base and feeds, which
+    ``run`` codes contexts with.
     """
 
-    def __init__(self, ports_by_cell: Mapping[CellId, Iterable[Port]]):
-        index = {cell: i for i, cell in enumerate(ports_by_cell)}
+    def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
+        index = {cell: i for i, cell in enumerate(wiring_by_cell)}
         self.cell_ids: tuple[CellId, ...] = tuple(index)
-        self._ports: dict[CellId, tuple[Port, ...]] = {}
+        self._wiring: dict[CellId, tuple[tuple[CellState, ...], tuple[tuple[int, CellId], ...]]] = {}
         # per cell j, (j, 3**12) and (i, 3**f) for each cell i that reads j through face f
         self._feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in range(len(index))]
-        self._bases: list[int] = []  # per cell, the code of its fixed ports
-        links = []  # (cell index, face, target index) of every link
-        for i, (cell, ports) in enumerate(ports_by_cell.items()):
-            ports = tuple(ports)
-            if len(ports) != 12:
-                raise GraphError(f"cell {cell}: expected 12 ports, got {len(ports)}")
+        self._bases: list[int] = []  # per cell, the code of its fixed states
+        all_links = []  # (cell index, face, target index) of every link
+        for i, (cell, wiring) in enumerate(wiring_by_cell.items()):
+            try:
+                fixed, links = wiring
+                fixed, links = tuple(fixed), dict(links)
+            except (TypeError, ValueError):
+                raise GraphError(f"cell {cell}: {wiring!r} is not a (fixed states, links) pair") from None
+            if len(fixed) != 12:
+                raise GraphError(f"cell {cell}: expected 12 fixed states, got {len(fixed)}")
             base = 0
-            for face, port in enumerate(ports):
-                if isinstance(port, FixedPort) and isinstance(port.state, CellState):
-                    base += port.state * _FACE_WEIGHTS[face]
-                elif isinstance(port, LinkPort):
-                    if port.cell == cell:  # no cell of {5,3,4} is its own face-neighbour
-                        raise GraphError(f"cell {cell} face {face} links to itself")
-                    try:
-                        j = index.get(port.cell)
-                    except TypeError:  # no cell id is unhashable
-                        raise GraphError(f"cell {cell} face {face} links to unhashable target {port.cell!r}") from None
-                    if j is None:
-                        raise GraphError(f"cell {cell} face {face} links to unknown cell {port.cell}")
-                    self._feeds[j].append((i, _FACE_WEIGHTS[face]))
-                    links.append((i, face, j))
-                else:  # FixedPort(5) would be coded as B, FixedPort("B") not at all
-                    raise GraphError(f"cell {cell} face {face}: {port!r} is not a LinkPort or a CellState FixedPort")
-            self._ports[cell] = ports
+            for face, state in enumerate(fixed):
+                if not isinstance(state, CellState):  # 5 would be coded as B, "B" not at all
+                    raise GraphError(f"cell {cell} face {face}: fixed state {state!r} is not a CellState")
+                base += state * _FACE_WEIGHTS[face]
+            for face in links:
+                if type(face) is not int or not 0 <= face < 12:
+                    raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
+            links = tuple(sorted(links.items()))
+            for face, target in links:
+                if fixed[face] is not W:  # a link would hide the milestone fixed there
+                    raise GraphError(f"cell {cell} face {face} links over fixed state {fixed[face].letter}")
+                if target == cell:  # no cell of {5,3,4} is its own face-neighbour
+                    raise GraphError(f"cell {cell} face {face} links to itself")
+                try:
+                    j = index.get(target)
+                except TypeError:  # no cell id is unhashable
+                    raise GraphError(f"cell {cell} face {face} links to unhashable target {target!r}") from None
+                if j is None:
+                    raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
+                self._feeds[j].append((i, _FACE_WEIGHTS[face]))
+                all_links.append((i, face, j))
+            self._wiring[cell] = fixed, links
             self._bases.append(base)
-        for i, face, j in links:
+        for i, face, j in all_links:
             # each link from cell j back to cell i put j among the cells that i feeds
             if (back := [k for k, _ in self._feeds[i]].count(j)) != 1:
                 cell, target = self.cell_ids[i], self.cell_ids[j]
@@ -160,9 +154,9 @@ class CellGraph:
     def __len__(self) -> int:
         return len(self.cell_ids)
 
-    def ports(self, cell: CellId) -> tuple[Port, ...]:
-        """The 12 ports of ``cell``, as given."""
-        return self._ports[cell]
+    def wiring(self, cell: CellId) -> tuple[tuple[CellState, ...], tuple[tuple[int, CellId], ...]]:
+        """The 12 fixed states of ``cell`` and its ``(face, cell)`` links in face order."""
+        return self._wiring[cell]
 
 
 class Configuration(Record):
@@ -197,18 +191,20 @@ def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
             raise ConfigurationError(f"cell {cell}: configuration state {found}")
         out.append(state)
     if len(states) != len(out):  # every graph cell has a state, so the rest are strays
-        stray = next(cell for cell in states if cell not in graph._ports)
+        stray = next(cell for cell in states if cell not in graph._wiring)
         raise ConfigurationError(f"cell {stray}: configuration state for a cell the graph lacks")
     return out
 
 
 def context_of(graph: CellGraph, config: Configuration, cell: CellId) -> Context:
-    """Current state plus the 12 neighbour states seen through the ports; a missing state raises ``ConfigurationError``."""
-    ports = graph.ports(cell)
+    """Current state plus the 12 neighbour states: fixed, or the linked cell's; a missing state raises ``ConfigurationError``."""
+    fixed, links = graph.wiring(cell)
     states = config.states
+    neighbors = list(fixed)
     try:
-        neighbors = tuple(port.state if isinstance(port, FixedPort) else states[port.cell] for port in ports)
-        return Context(states[cell], neighbors)
+        for face, linked in links:
+            neighbors[face] = states[linked]
+        return Context(states[cell], tuple(neighbors))
     except KeyError as exc:
         raise ConfigurationError(f"cell {exc.args[0]}: configuration state is missing") from None
 

@@ -30,9 +30,6 @@ from .engine import (
     CellGraph,
     CellId,
     Configuration,
-    FixedPort,
-    LinkPort,
-    Port,
     Trace,
     run,
     uniform_configuration,
@@ -68,9 +65,9 @@ def oracle_mode(mode: CrossingMode, laterality: Side) -> Crossing:
 class CellTemplate(Record):
     """Milestone pattern plus the faces a builder may link to other cells.
 
-    ``_fixed`` holds the 12 ports before links are patched in: milestones,
-    white elsewhere; they are shared by every cell of this shape.  It is
-    derived from the fields, so it takes no part in equality or the repr.
+    ``_fixed`` holds the 12 fixed states: milestones, white elsewhere; every
+    cell of this shape shares it.  It is derived from the fields, so it takes
+    no part in equality or the repr.
     """
 
     _fields = ("blue", "red", "open_faces")
@@ -84,16 +81,7 @@ class CellTemplate(Record):
         object.__setattr__(self, "red", red)
         object.__setattr__(self, "open_faces", open_faces)
         colour = {**{face: R for face in red}, **{face: B for face in blue}}
-        object.__setattr__(self, "_fixed", tuple(FixedPort(colour.get(face, W)) for face in range(12)))
-
-    def ports(self, links: dict[int, CellId]) -> list[Port]:
-        bad = set(links) - set(self.open_faces)
-        if bad:
-            raise ValueError(f"faces {sorted(bad)} are not linkable on this element")
-        ports = list(self._fixed)
-        for face, cell in links.items():
-            ports[face] = LinkPort(cell)
-        return ports
+        object.__setattr__(self, "_fixed", tuple(colour.get(face, W) for face in range(12)))
 
 
 def build_straight_element(exit_pair: tuple[int, int]) -> CellTemplate:
@@ -147,24 +135,34 @@ class Scenario(Record):
         return run(self.graph, self.initial, table, steps)
 
 
-def _chain_ports(templates: list[CellTemplate], first: int = 1) -> dict[CellId, list[Port]]:
-    """Chain each template's second open face to the next one's first; ids count from ``first``, ends stay open."""
-    last = first + len(templates) - 1
-    ports: dict[CellId, list[Port]] = {}
-    for cell, template in enumerate(templates, start=first):
-        entry, exit_ = template.open_faces
-        links: dict[int, CellId] = {}
-        if cell > first:
-            links[entry] = cell - 1
-        if cell < last:
-            links[exit_] = cell + 1
-        ports[cell] = template.ports(links)
-    return ports
+# per cell, its fixed states and its {face: cell} links: what a CellGraph is built from
+Wiring = dict[CellId, tuple[tuple[CellState, ...], dict[int, CellId]]]
+
+
+def _chains(*chains: list[CellTemplate]) -> tuple[Wiring, list[tuple[CellId, ...]]]:
+    """Each list's templates chained second open face to the next one's first, ends left open.
+
+    Ids count from 1 through the lists one after another; returns the wiring and each chain's ids.
+    """
+    wiring: Wiring = {}
+    ids = []
+    for templates in chains:
+        cells = range(len(wiring) + 1, len(wiring) + len(templates) + 1)
+        for cell, template in zip(cells, templates):
+            entry, exit_ = template.open_faces
+            links: dict[int, CellId] = {}
+            if cell > cells[0]:
+                links[entry] = cell - 1
+            if cell < cells[-1]:
+                links[exit_] = cell + 1
+            wiring[cell] = template._fixed, links
+        ids.append(tuple(cells))
+    return wiring, ids
 
 
 def _track_scenario(
     name: str,
-    ports: dict[CellId, list[Port]],
+    wiring: Wiring,
     chain: tuple[CellId, ...],
     forward: bool,
     **fields,
@@ -176,7 +174,7 @@ def _track_scenario(
     the chain; the buffer cells at each end lie outside the segment under
     test.  The layout defaults to the chain drawn as a straight line.
     """
-    graph = CellGraph(ports)
+    graph = CellGraph(wiring)
     track = chain if forward else chain[::-1]
     fields.setdefault("layout", {c: (float(i), 0.0) for i, c in enumerate(chain)})
     return Scenario(
@@ -195,8 +193,8 @@ def build_vertical_segment(n: int, forward: bool = True) -> Scenario:
     if n < 3:
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
     straight = build_straight_element((1, 4))
-    ports = _chain_ports([straight] * (n + 2 * SEGMENT_BUFFER))
-    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", ports, tuple(ports), forward)
+    wiring, (chain,) = _chains([straight] * (n + 2 * SEGMENT_BUFFER))
+    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", wiring, chain, forward)
 
 
 def horizontal_exit_faces(k: int) -> tuple[int, ...]:
@@ -215,8 +213,8 @@ def build_horizontal_segment(k: int, forward: bool = True) -> Scenario:
     for exit_face in horizontal_exit_faces(k):
         elements += [build_straight_element((1, exit_face)), corner]
     elements += [plain] * SEGMENT_BUFFER
-    ports = _chain_ports(elements)
-    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", ports, tuple(ports), forward)
+    wiring, (chain,) = _chains(elements)
+    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", wiring, chain, forward)
 
 
 def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
@@ -233,9 +231,9 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     corner = build_corner()
 
     approach = [plain] * (SEGMENT_BUFFER + 2)
-    v0 = _chain_ports([plain] * (7 + 2 * SEGMENT_BUFFER))
-    v1 = _chain_ports([*approach, ramp, corner, plain, corner, ramp, *approach], first=len(v0) + 1)
-    v0_chain, v1_chain = tuple(v0), tuple(v1)
+    wiring, (v0_chain, v1_chain) = _chains(
+        [plain] * (7 + 2 * SEGMENT_BUFFER), [*approach, ramp, corner, plain, corner, ramp, *approach]
+    )
     chain, other = (v0_chain, v1_chain) if active_track == "v0" else (v1_chain, v0_chain)
 
     deck = v1_chain[SEGMENT_BUFFER + 2 : SEGMENT_BUFFER + 7]
@@ -243,7 +241,7 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
     name = f"{active_track}-{_HEADING[forward]}"
-    return _track_scenario(name, {**v0, **v1}, chain, forward, layout=layout, crossing_track=other)
+    return _track_scenario(name, wiring, chain, forward, layout=layout, crossing_track=other)
 
 
 LEFT_BRANCH = (7, 8, 9, 10, 11)
@@ -267,13 +265,13 @@ _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
 @lru_cache(maxsize=None)
 def _switch_graph(kind: SwitchKind) -> CellGraph:
     """The 22-cell graph of a ``kind`` switch, built once: a ``CellGraph`` is immutable, so every crossing shares it."""
-    wiring = load_switch_wiring()["kinds"][kind.value]
-    ports: dict[CellId, list[Port]] = {}
-    for cell_str, entry in wiring.items():
+    table = load_switch_wiring()["kinds"][kind.value]
+    wiring: Wiring = {}
+    for cell_str, entry in table.items():
         links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
         template = CellTemplate(tuple(entry.get("blue", ())), tuple(entry.get("red", ())), tuple(links))
-        ports[int(cell_str)] = template.ports(links)
-    return CellGraph(ports)
+        wiring[int(cell_str)] = template._fixed, links
+    return CellGraph(wiring)
 
 
 def idle_states(kind: SwitchKind) -> dict[Side, dict[CellId, CellState]]:

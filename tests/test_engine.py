@@ -12,9 +12,7 @@ from dodecagrid.engine import (
     Configuration,
     ConfigurationError,
     EngineError,
-    FixedPort,
     GraphError,
-    LinkPort,
     Trace,
     TraceFormatError,
     context_of,
@@ -42,104 +40,141 @@ from dodecagrid.rules import (
 from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
 from dodecagrid.verify import verify_all
 
-ALL_WHITE = tuple(FixedPort(W) for _ in range(12))
+ALL_WHITE = (W,) * 12
 
 
-def ports(**faces):
-    from dodecagrid.rules import CellState
-
-    row = list(ALL_WHITE)
+def wired(**faces):
+    """A cell's ``(fixed, links)``: ``f2=B`` fixes face 2 at B, ``f4=2`` links face 4 to cell 2."""
+    fixed, links = list(ALL_WHITE), {}
     for key, value in faces.items():
         face = int(key.removeprefix("f"))
-        row[face] = FixedPort(value) if isinstance(value, CellState) else LinkPort(value)
-    return row
+        if isinstance(value, CellState):
+            fixed[face] = value
+        else:
+            links[face] = value
+    return fixed, links
+
+
+def wiring_of(graph):
+    return {cell: graph.wiring(cell) for cell in graph.cell_ids}
+
+
+def rotated_wiring(wiring, p):
+    """A cell's wiring with each face ``f`` showing what face ``p[f]`` showed."""
+    fixed, links = wiring
+    return tuple(fixed[p[f]] for f in range(12)), {p.index(face): target for face, target in links}
 
 
 def test_isolated_cell_context():
-    graph = CellGraph({1: ALL_WHITE})
+    graph = CellGraph({1: (ALL_WHITE, {})})
     config = uniform_configuration(graph)
     assert context_of(graph, config, 1) == context_from_letters("W W W W W W W W W W W W W".split())
 
 
 def test_straight_element_context_matches_conservative_row():
-    graph = CellGraph({1: ports(f2=B, f5=B, f6=B, f7=B)})
+    graph = CellGraph({1: wired(f2=B, f5=B, f6=B, f7=B)})
     config = uniform_configuration(graph)
     assert context_of(graph, config, 1) == context_from_letters("W W W B W W B B B W W W W".split())
 
 
 def test_context_reads_linked_cells():
-    graph = CellGraph({1: ports(f4=2), 2: ports(f1=1)})
+    graph = CellGraph({1: wired(f4=2), 2: wired(f1=1)})
     config = with_states(uniform_configuration(graph), {2: B})
     assert context_of(graph, config, 1).neighbors[4] is B
 
 
 def test_graph_rejects_wrong_arity():
-    with pytest.raises(GraphError, match="^cell 1: expected 12 ports, got 11$"):
-        CellGraph({1: [FixedPort(W)] * 11})
+    with pytest.raises(GraphError, match="^cell 1: expected 12 fixed states, got 11$"):
+        CellGraph({1: ((W,) * 11, {})})
 
 
 def test_graph_rejects_dangling_link():
     with pytest.raises(GraphError, match="^cell 1 face 4 links to unknown cell 2$"):
-        CellGraph({1: ports(f4=2)})
+        CellGraph({1: wired(f4=2)})
 
 
 def test_graph_rejects_self_link():
     # a single self-link would count as its own return link
     with pytest.raises(GraphError, match="^cell 1 face 0 links to itself$"):
-        CellGraph({1: [LinkPort(1)] + [FixedPort(W)] * 11})
+        CellGraph({1: wired(f0=1)})
 
 
 def test_graph_rejects_unhashable_link_target():
     with pytest.raises(GraphError) as err:
-        CellGraph({1: [LinkPort([2])] + [FixedPort(W)] * 11})
+        CellGraph({1: (ALL_WHITE, {0: [2]})})
     assert str(err.value) == "cell 1 face 0 links to unhashable target [2]"
 
 
 def test_graph_rejects_asymmetric_link():
     with pytest.raises(GraphError, match="^link 1/4 -> 2 has 0 return links, expected exactly 1$"):
-        CellGraph({1: ports(f4=2), 2: ports(f2=3), 3: ports(f2=2)})
+        CellGraph({1: wired(f4=2), 2: wired(f2=3), 3: wired(f2=2)})
 
 
 def test_graph_rejects_doubled_return_link():
     with pytest.raises(GraphError, match="^link 1/4 -> 2 has 2 return links, expected exactly 1$"):
-        CellGraph({1: ports(f4=2), 2: ports(f1=1, f3=1)})
+        CellGraph({1: wired(f4=2), 2: wired(f1=1, f3=1)})
 
 
 @pytest.mark.parametrize(
-    "port, text",
+    "state, text",
     [
-        # would compile to index 5 - 3, which run reads as B and context_of as 5
-        (FixedPort(5), "FixedPort(state=5)"),
-        (FixedPort("B"), "FixedPort(state='B')"),  # has no index to compile to
-        (FixedPort(1), "FixedPort(state=1)"),  # equals B, but context_of would read the int 1
-        (B, "<CellState.B: 1>"),
+        (5, "5"),  # would compile to index 5 - 3, which run reads as B and context_of as 5
+        ("B", "'B'"),  # has no index to compile to
+        (1, "1"),  # equals B, but context_of would read the int 1
         (None, "None"),
     ],
 )
-def test_graph_rejects_a_port_it_cannot_compile(port, text):
-    faces = ports(f1=1)
-    faces[7] = port
+def test_graph_rejects_a_port_it_cannot_compile(state, text):
+    fixed, links = wired(f1=1)
+    fixed[7] = state
     with pytest.raises(GraphError) as err:
-        CellGraph({1: ports(f4=2), 2: faces})
-    assert str(err.value) == f"cell 2 face 7: {text} is not a LinkPort or a CellState FixedPort"
+        CellGraph({1: wired(f4=2), 2: (fixed, links)})
+    assert str(err.value) == f"cell 2 face 7: fixed state {text} is not a CellState"
+
+
+def test_a_graph_keeps_its_wiring_when_the_callers_input_changes(catalog):
+    # the graph copies what it is given: emptying the caller's links and recolouring
+    # its fixed states afterwards changes neither wiring(cell) nor a run
+    scenario = build_vertical_segment(3)
+    given = {cell: (list(fixed), dict(links)) for cell, (fixed, links) in wiring_of(scenario.graph).items()}
+    graph = CellGraph(given)
+    for fixed, links in given.values():
+        fixed[0] = R
+        links.clear()
+    assert wiring_of(graph) == wiring_of(scenario.graph)
+    assert run(graph, scenario.initial, catalog, scenario.default_steps) == scenario.run(catalog)
 
 
 @pytest.mark.parametrize(
     "ports_by_cell, first",
     [
         # a link fault of a cell comes before the arity fault of a later cell
-        ({1: [LinkPort(1)] + [FixedPort(W)] * 11, 2: [FixedPort(W)] * 11}, "cell 1 face 0 links to itself"),
-        ({1: ports(f4=2), 2: [FixedPort(W)] * 13}, "cell 2: expected 12 ports, got 13"),
+        ({1: wired(f0=1), 2: ((W,) * 11, {})}, "cell 1 face 0 links to itself"),
+        ({1: wired(f4=2), 2: ((W,) * 13, {})}, "cell 2: expected 12 fixed states, got 13"),
         # return links are counted once every cell has been read, so every other fault comes first
-        ({1: ports(f4=2), 2: ports(), 3: ports(f0=3)}, "cell 3 face 0 links to itself"),
-        ({1: ports(f4=2), 2: ports(f3=9)}, "cell 2 face 3 links to unknown cell 9"),
-        ({1: ports(f4=2), 2: [None, *ALL_WHITE[1:]]}, "cell 2 face 0: None is not a LinkPort or a CellState FixedPort"),
+        ({1: wired(f4=2), 2: wired(), 3: wired(f0=3)}, "cell 3 face 0 links to itself"),
+        ({1: wired(f4=2), 2: wired(f3=9)}, "cell 2 face 3 links to unknown cell 9"),
+        ({1: wired(f4=2), 2: ((None, *ALL_WHITE[1:]), {})}, "cell 2 face 0: fixed state None is not a CellState"),
         # within a cell, faces in order; return links in the order of the links they answer
-        ({1: ports(f2=5, f4=1)}, "cell 1 face 2 links to unknown cell 5"),
+        ({1: wired(f2=5, f4=1)}, "cell 1 face 2 links to unknown cell 5"),
         (
-            {1: ports(f4=2, f6=3), 2: ports(), 3: ports(f1=1, f2=1)},
+            {1: wired(f4=2, f6=3), 2: wired(), 3: wired(f1=1, f2=1)},
             "link 1/4 -> 2 has 0 return links, expected exactly 1",
         ),
+        # a cell's fixed states before its links, a face outside 0..11 before the other links,
+        # and links in face order whatever the order of the caller's dict
+        ({1: ((W,) * 11 + ("B",), {0: 1})}, "cell 1 face 11: fixed state 'B' is not a CellState"),
+        ({1: (ALL_WHITE, {0: 1, 12: 2})}, "cell 1: link on 12, not a face in 0..11"),
+        ({1: (ALL_WHITE, {-1: 2})}, "cell 1: link on -1, not a face in 0..11"),
+        ({1: (ALL_WHITE, {"4": 2})}, "cell 1: link on '4', not a face in 0..11"),
+        ({1: (ALL_WHITE, {4.0: 2})}, "cell 1: link on 4.0, not a face in 0..11"),
+        ({1: (ALL_WHITE, {4: 1, 2: 5})}, "cell 1 face 2 links to unknown cell 5"),
+        # a link would hide the milestone under it: a builder links only the faces it leaves white
+        ({1: ((B,) + ALL_WHITE[1:], {0: 1})}, "cell 1 face 0 links over fixed state B"),
+        ({1: (ALL_WHITE[:4] + (R,) + ALL_WHITE[5:], {4: 2}), 2: wired(f1=1)}, "cell 1 face 4 links over fixed state R"),
+        # an entry that is not a pair of fixed states and links comes before anything in it
+        ({1: wired(), 2: None}, "cell 2: None is not a (fixed states, links) pair"),
+        ({1: (("B",), [0])}, "cell 1: (('B',), [0]) is not a (fixed states, links) pair"),
     ],
 )
 def test_graph_reports_its_first_fault(ports_by_cell, first):
@@ -149,7 +184,7 @@ def test_graph_reports_its_first_fault(ports_by_cell, first):
 
 
 def test_all_white_is_fixed_point(catalog):
-    graph = CellGraph({1: ports(f4=2), 2: ports(f1=1)})
+    graph = CellGraph({1: wired(f4=2), 2: wired(f1=1)})
     config = uniform_configuration(graph)
     after = step(graph, config, catalog)
     assert after.time == 1
@@ -160,7 +195,7 @@ def test_step_is_synchronous(catalog):
     scenario = build_vertical_segment(5)
     forward = run(scenario.graph, scenario.initial, catalog, 6)
     # rebuild the same graph with reversed cell insertion order
-    reordered = CellGraph({c: scenario.graph.ports(c) for c in reversed(scenario.graph.cell_ids)})
+    reordered = CellGraph(dict(reversed(wiring_of(scenario.graph).items())))
     backward = run(reordered, scenario.initial, catalog, 6)
     assert backward.cell_ids == tuple(reversed(forward.cell_ids))
     assert all(forward.states_at(t) == backward.states_at(t) for t in range(7))
@@ -229,7 +264,7 @@ def test_context_of_refuses_a_configuration_without_a_linked_cell_state():
     scenario = build_vertical_segment(3)
     states = dict(scenario.initial.states)
     del states[4]
-    linked = [cell for cell in scenario.graph.cell_ids if LinkPort(4) in scenario.graph.ports(cell)]
+    linked = [cell for cell, (_, links) in wiring_of(scenario.graph).items() if 4 in dict(links).values()]
     assert linked
     for cell in linked + [4]:
         with pytest.raises(ConfigurationError, match="^cell 4: configuration state is missing$"):
@@ -277,7 +312,7 @@ def test_engine_error_reads_the_lookups_minimal_form(monkeypatch):
 
 
 def test_format_trace_tokens(catalog):
-    graph = CellGraph({1: ALL_WHITE, 2: ALL_WHITE})
+    graph = CellGraph({1: (ALL_WHITE, {}), 2: (ALL_WHITE, {})})
     config = with_states(uniform_configuration(graph), {1: B})
     trace = run(graph, config, RuleTable([]), 1)
     text = format_trace(trace)
@@ -369,12 +404,12 @@ def test_run_matches_full_sweep(catalog, data, name, n_steps):
 @given(data=st.data(), name=st.sampled_from(list(SCENARIOS)))
 def test_run_is_unchanged_when_each_cell_is_rotated(catalog, data, name):
     # each cell's faces relabelled by its own rotation: engine, wiring and lookups together are invariant;
-    # a LinkPort names only its target cell, so no neighbour's link needs rewriting
+    # a link names only its target cell, so no neighbour's link needs rewriting
     scenario = SCENARIOS[name].build()
     graph = scenario.graph
     motions = st.lists(st.sampled_from(enumerate_motions()), min_size=len(graph), max_size=len(graph))
     rotated = {
-        cell: [graph.ports(cell)[p[i]] for i in range(12)]
+        cell: rotated_wiring(graph.wiring(cell), p)
         for cell, p in zip(graph.cell_ids, data.draw(motions, label="rotations"))
     }
     trace = run(CellGraph(rotated), scenario.initial, catalog, scenario.default_steps)
@@ -393,15 +428,14 @@ def test_trace_stores_exactly_the_changes(catalog, vertical, size, forward):
 
 
 def contexts_met(graph: CellGraph, trace: Trace) -> set[Context]:
-    """The contexts of every cell at every time a step reads, from the trace and ``ports`` alone.
+    """The contexts of every cell at every time a step reads, from the trace and ``wiring`` alone.
 
     After the first row only a cell that changed, or one linked to it, can have a new context.
     """
     readers = {c: {c} for c in graph.cell_ids}
-    for cell in graph.cell_ids:
-        for port in graph.ports(cell):
-            if isinstance(port, LinkPort):
-                readers[port.cell].add(cell)
+    for cell, (_, links) in wiring_of(graph).items():
+        for _, target in links:
+            readers[target].add(cell)
     times = range(trace.start, trace.end)
     met = set()
     for t, changes in zip(times, ((), *trace.changes)):
@@ -537,20 +571,19 @@ def test_run_looks_up_plain_pairs(catalog):
     assert seen == {tuple}
 
 
-def twin_track_ports(reverse_order: bool) -> dict[int, list]:
+def twin_track_wiring(reverse_order: bool) -> dict[int, tuple]:
     """Two disjoint copies of the 13-cell track above, cells 1..13 and 21..33, in either insertion order."""
-    scenario = build_vertical_segment(3)
-
-    def shifted(port, by):
-        return LinkPort(port.cell + by) if isinstance(port, LinkPort) else port
-
-    cells = scenario.graph.cell_ids
-    ports = {c + by: [shifted(p, by) for p in scenario.graph.ports(c)] for by in (0, 20) for c in cells}
-    return dict(reversed(ports.items())) if reverse_order else ports
+    wiring = wiring_of(build_vertical_segment(3).graph)
+    twins = {
+        c + by: (fixed, {face: target + by for face, target in links})
+        for by in (0, 20)
+        for c, (fixed, links) in wiring.items()
+    }
+    return dict(reversed(twins.items())) if reverse_order else twins
 
 
 def twin_tracks(reverse_order: bool) -> tuple[CellGraph, Configuration]:
-    graph = CellGraph(twin_track_ports(reverse_order))
+    graph = CellGraph(twin_track_wiring(reverse_order))
     states = {c + by: s for by in (0, 20) for c, s in build_vertical_segment(3).initial.states.items()}
     return graph, Configuration(states)
 
@@ -566,11 +599,11 @@ def test_run_raises_at_first_uncovered_cell_in_order(catalog, reverse_order, cel
 
 
 def built_graphs(monkeypatch) -> list[tuple[dict, CellGraph]]:
-    """Every ``(ports_by_cell, graph)`` the scenario builders construct from here on, switch graphs included."""
+    """Every ``(wiring_by_cell, graph)`` the scenario builders construct from here on, switch graphs included."""
     built = []
 
-    def recording(ports_by_cell):
-        built.append((ports_by_cell, CellGraph(ports_by_cell)))
+    def recording(wiring_by_cell):
+        built.append((wiring_by_cell, CellGraph(wiring_by_cell)))
         return built[-1][1]
 
     monkeypatch.setattr(scenarios, "CellGraph", recording)
@@ -578,13 +611,18 @@ def built_graphs(monkeypatch) -> list[tuple[dict, CellGraph]]:
     return built
 
 
-def assert_reads_back(ports_by_cell, graph=None):
-    # ports() is what the reference engine reads, so this holds it to its input
-    graph = CellGraph(ports_by_cell) if graph is None else graph
-    assert graph.cell_ids == tuple(ports_by_cell)
-    assert len(graph) == len(ports_by_cell)
-    for cell, ports_of_cell in ports_by_cell.items():
-        assert graph.ports(cell) == tuple(ports_of_cell), f"cell {cell}"
+def assert_reads_back(wiring_by_cell, graph=None):
+    # wiring() is what the reference engine reads, so this holds it to its input: the fixed
+    # states as given, the links in face order, and a graph rebuilt from them the same
+    graph = CellGraph(wiring_by_cell) if graph is None else graph
+    assert graph.cell_ids == tuple(wiring_by_cell)
+    assert len(graph) == len(wiring_by_cell)
+    for cell, (fixed, links) in wiring_by_cell.items():
+        assert graph.wiring(cell) == (tuple(fixed), tuple(sorted(links.items()))), f"cell {cell}"
+    again = CellGraph(wiring_of(graph))
+    assert (again.cell_ids, wiring_of(again), again._bases, again._feeds) == (
+        graph.cell_ids, wiring_of(graph), graph._bases, graph._feeds
+    )
 
 
 def test_every_scenario_graph_reads_back_its_ports(monkeypatch):
@@ -592,24 +630,24 @@ def test_every_scenario_graph_reads_back_its_ports(monkeypatch):
     for entry in SCENARIOS.values():
         entry.build()
     assert len(built) == 11  # 4 segments, 4 bridges and the graphs of 3 switch kinds
-    for ports_by_cell, graph in built:
-        assert_reads_back(ports_by_cell, graph)
+    for wiring_by_cell, graph in built:
+        assert_reads_back(wiring_by_cell, graph)
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
 def test_a_graph_with_each_cell_rotated_reads_back_its_ports(name):
     graph = SCENARIOS[name].build().graph
     motions = enumerate_motions()
-    rotated = {cell: [graph.ports(cell)[p[f]] for f in range(12)] for cell, p in zip(graph.cell_ids, motions * 20)}
-    assert any(rotated[c] != list(graph.ports(c)) for c in graph.cell_ids)
+    rotated = {cell: rotated_wiring(graph.wiring(cell), p) for cell, p in zip(graph.cell_ids, motions * 20)}
+    assert any(rotated[c][0] != graph.wiring(c)[0] for c in graph.cell_ids)
     assert_reads_back(rotated)
 
 
 @pytest.mark.parametrize("reverse_order", [False, True])
 def test_twin_tracks_read_back_their_ports_in_insertion_order(reverse_order):
-    ports_by_cell = twin_track_ports(reverse_order)
-    assert list(ports_by_cell)[0] == (33 if reverse_order else 1)
-    assert_reads_back(ports_by_cell)
+    wiring_by_cell = twin_track_wiring(reverse_order)
+    assert list(wiring_by_cell)[0] == (33 if reverse_order else 1)
+    assert_reads_back(wiring_by_cell)
 
 
 @pytest.mark.parametrize("name", ["vertical-fwd-n7", "memo-left-active"])
@@ -617,10 +655,10 @@ def test_run_reads_only_the_compiled_wiring(catalog, monkeypatch, name):
     scenario = SCENARIOS[name].build()
     expected = outcome(sweep_run, scenario.graph, scenario.initial, catalog, scenario.default_steps)
 
-    def no_ports(graph, cell):
-        raise AssertionError(f"run read the ports of cell {cell}")
+    def no_wiring(graph, cell):
+        raise AssertionError(f"run read the wiring of cell {cell}")
 
-    monkeypatch.setattr(CellGraph, "ports", no_ports)
+    monkeypatch.setattr(CellGraph, "wiring", no_wiring)
     assert outcome(run, scenario.graph, scenario.initial, catalog, scenario.default_steps) == expected
 
 

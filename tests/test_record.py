@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from dodecagrid.engine import CellGraph, Configuration, FixedPort, GraphError, LinkPort, Trace
+from dodecagrid.engine import CellGraph, Configuration, GraphError, Trace
 from dodecagrid.pentagrid import NodeKind, TreeNode
 from dodecagrid.railway import Active, ElementaryCircuit, Passive, Side, SwitchKind, SwitchState
 from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
@@ -18,8 +18,6 @@ _FLIPFLOP = SwitchState(SwitchKind.FLIPFLOP, Side.RIGHT)
 
 # (class, keyword arguments in field order, pinned repr); the value is built afresh for each use
 FROZEN = [
-    (FixedPort, {"state": B}, "FixedPort(state=<CellState.B: 1>)"),
-    (LinkPort, {"cell": 2}, "LinkPort(cell=2)"),
     (Configuration, {"states": {1: W}, "time": 3}, "Configuration(states={1: <CellState.W: 0>}, time=3)"),
     (
         Trace,
@@ -97,19 +95,13 @@ def test_record_pickles_and_copies(cls, kwargs, text):
         assert repr(again) == text
 
 
-def test_ports_of_different_kinds_differ_with_equal_fields():
-    assert FixedPort(R) != LinkPort(2)
-    assert R == 2
-    assert Passive(Side.LEFT) != (Side.LEFT,)
-    assert Active() == Active() and Active() != ()
-
-
 def test_cell_template_shares_its_fixed_ports_after_a_copy():
-    template = CellTemplate((2, 5, 6, 7), (), (1, 3))
-    ports = template.ports({1: 9})
-    assert ports[1] == LinkPort(9)
-    assert [ports[face] for face in (2, 5, 6, 7)] == [FixedPort(B)] * 4
-    assert copy.deepcopy(template).ports({1: 9}) == ports
+    template = CellTemplate((2, 5, 6, 7), (3,), (1, 4))
+    assert template._fixed == (W, W, B, R, W, B, B, B, W, W, W, W)
+    assert copy.deepcopy(template)._fixed == template._fixed
+    # every cell of this shape shares the one tuple, and a graph keeps it as given
+    graph = CellGraph({1: (template._fixed, {4: 2}), 2: (template._fixed, {1: 1})})
+    assert graph.wiring(1)[0] is graph.wiring(2)[0] is template._fixed
 
 
 def test_elementary_circuit_validates_its_switches():
@@ -120,10 +112,10 @@ def test_elementary_circuit_validates_its_switches():
 
 
 def test_a_bad_port_is_named_by_its_repr():
-    ports = [FixedPort(W)] * 12
-    ports[3] = FixedPort(5)
-    with pytest.raises(GraphError, match=r"^cell 1 face 3: FixedPort\(state=5\) is not a LinkPort or a CellState FixedPort$"):
-        CellGraph({1: ports})
+    fixed = [W] * 12
+    fixed[3] = Passive(Side.LEFT)
+    with pytest.raises(GraphError, match=r"^cell 1 face 3: fixed state Passive\(arm=<Side.LEFT: 'left'>\) is not a CellState$"):
+        CellGraph({1: (fixed, {})})
 
 
 def test_scenario_is_a_mutable_unhashable_record():
@@ -142,7 +134,7 @@ def test_scenario_is_a_mutable_unhashable_record():
     again = pickle.loads(pickle.dumps(built))
     assert type(again) is Scenario
     assert again.graph.cell_ids == built.graph.cell_ids
-    assert [again.graph.ports(cell) for cell in again.graph.cell_ids] == [built.graph.ports(cell) for cell in built.graph.cell_ids]
+    assert [again.graph.wiring(cell) for cell in again.graph.cell_ids] == [built.graph.wiring(cell) for cell in built.graph.cell_ids]
     assert {name: getattr(again, name) for name in Scenario._fields if name != "graph"} == {
         name: value for name, value in fields.items() if name != "graph"
     }

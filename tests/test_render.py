@@ -2,18 +2,19 @@ import re
 
 import pytest
 
-from dodecagrid.engine import CellGraph, Configuration, FixedPort, uniform_configuration, with_states
+from dodecagrid.engine import CellGraph, Configuration, uniform_configuration, with_states
 from dodecagrid.render import FILL, PALE, LayoutError, ViewSide, render_scenario
 from dodecagrid.rules import B, R, W
 from dodecagrid.scenarios import CrossingMode, Scenario, build_switch, build_vertical_segment
 from dodecagrid.railway import Side, SwitchKind
 
 # one isolated cell with a distinct state on every readable face
-PORT_STATES = [W, B, R, W, B, R, W, B, R, W, B, R]
+FACE_STATES = (W, B, R, W, B, R, W, B, R, W, B, R)
+BLANK = ((W,) * 12, {})
 
 
 def one_cell_scenario():
-    graph = CellGraph({1: [FixedPort(s) for s in PORT_STATES]})
+    graph = CellGraph({1: (FACE_STATES, {})})
     return Scenario(
         name="probe",
         graph=graph,
@@ -34,7 +35,7 @@ def test_render_is_deterministic(catalog):
 
 
 def test_all_white_configuration_renders_empty_body():
-    graph = CellGraph({1: [FixedPort(W)] * 12})
+    graph = CellGraph({1: BLANK})
     scenario = Scenario("blank", graph, uniform_configuration(graph), layout={1: (0.0, 0.0)})
     svg = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     lines = [line for line in svg.splitlines() if line]
@@ -44,7 +45,7 @@ def test_all_white_configuration_renders_empty_body():
 
 
 def test_missing_layout_rejected():
-    graph = CellGraph({1: [FixedPort(W)] * 12})
+    graph = CellGraph({1: BLANK})
     scenario = Scenario("nolayout", graph, uniform_configuration(graph), (1,))
     with pytest.raises(LayoutError):
         render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
@@ -55,7 +56,7 @@ def test_face_colours_come_from_neighbours_above():
     svg = render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
     got = fills(svg)
     # drawn order: outer ring faces 1..5, inner ring faces 6..10, centre face 11
-    expected = [FILL[PORT_STATES[f]] for f in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
+    expected = [FILL[FACE_STATES[f]] for f in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)]
     assert got == expected
 
 
@@ -63,7 +64,7 @@ def test_face_colours_come_from_neighbours_below():
     scenario = one_cell_scenario()
     svg = render_scenario(scenario, scenario.initial, ViewSide.BELOW)
     got = fills(svg)
-    expected = [FILL[PORT_STATES[f]] for f in (6, 7, 8, 9, 10, 1, 2, 3, 4, 5, 0)]
+    expected = [FILL[FACE_STATES[f]] for f in (6, 7, 8, 9, 10, 1, 2, 3, 4, 5, 0)]
     assert got == expected
 
 
@@ -94,6 +95,6 @@ def test_quiet_cells_omitted(catalog):
     # every track cell has blue milestones, so none is omitted here
     assert drawn == set(scenario.graph.cell_ids)
     # but a cell with an all-white neighbourhood disappears
-    graph_cells = CellGraph({1: [FixedPort(W)] * 12})
+    graph_cells = CellGraph({1: BLANK})
     quiet = Scenario("q", graph_cells, uniform_configuration(graph_cells), layout={1: (0.0, 0.0)})
     assert 'data-cell' not in render_scenario(quiet, quiet.initial, ViewSide.ABOVE)

@@ -1,7 +1,7 @@
 import pytest
 
 from dodecagrid.catalog import golden_path, load_golden_trace
-from dodecagrid.engine import LinkPort, context_of, format_trace, run, trace_tokens, uniform_configuration, with_states
+from dodecagrid.engine import CellGraph, GraphError, context_of, format_trace, run, trace_tokens, uniform_configuration, with_states
 from dodecagrid.pentagrid import fibonacci_word
 from dodecagrid.railway import Side, SwitchKind
 from dodecagrid.rules import B, R, W, context_from_letters, minimal_context
@@ -53,9 +53,7 @@ def test_straight_variants_share_conservative_orbit():
     # whichever exit pair is used, the idle context canonicalizes identically
     base = minimal_context(ctx("W W W B W W B B B W W W W"))
     for pair in ((1, 3), (1, 4), (1, 8), (1, 10)):
-        template = build_straight_element(pair)
-        ports = template.ports({})
-        neighbors = tuple(p.state for p in ports)
+        neighbors = build_straight_element(pair)._fixed
         assert minimal_context(ctx("W " + " ".join(s.letter for s in neighbors))) == base
 
 
@@ -68,20 +66,21 @@ def test_corner_template():
     template = build_corner()
     assert template.blue == (3, 5, 6, 7, 8, 10, 11)
     assert set(template.open_faces) == {1, 2}
-    ports = template.ports({})
-    assert ports[0].state is W  # the corner's back stays white
+    assert template._fixed[0] is W  # the corner's back stays white
 
 
 def test_corner_front_arrival_rule(catalog):
     template = build_corner()
-    neighbors = [p.state for p in template.ports({})]
+    neighbors = list(template._fixed)
     neighbors[1] = B
     assert catalog.lookup(ctx("W " + " ".join(s.letter for s in neighbors))) is B
 
 
 def test_template_rejects_link_on_closed_face():
-    with pytest.raises(ValueError):
-        build_corner().ports({5: 1})
+    # face 5 of a corner holds a blue milestone, which a link there would hide
+    corner = build_corner()._fixed
+    with pytest.raises(GraphError, match="^cell 1 face 5 links over fixed state B$"):
+        CellGraph({1: (corner, {5: 2}), 2: (corner, {1: 1})})
 
 
 # --- segments ----------------------------------------------------------------
@@ -155,10 +154,10 @@ def test_bridge_link_walk_from_the_track_never_reaches_the_crossing_track(name):
     scenario = SCENARIOS[name].build()
     reached, frontier = set(scenario.track_cells), list(scenario.track_cells)
     while frontier:
-        for port in scenario.graph.ports(frontier.pop()):
-            if isinstance(port, LinkPort) and port.cell not in reached:
-                reached.add(port.cell)
-                frontier.append(port.cell)
+        for _, cell in scenario.graph.wiring(frontier.pop())[1]:
+            if cell not in reached:
+                reached.add(cell)
+                frontier.append(cell)
     assert reached == set(scenario.track_cells)
     assert reached.isdisjoint(scenario.crossing_track)
     assert reached.union(scenario.crossing_track) == set(scenario.graph.cell_ids)
@@ -188,7 +187,7 @@ def test_track_scenario_invariants(shape, heading, catalog):
     other = scenario.crossing_track
     chain = tuple(c for c in scenario.graph.cell_ids if c not in other)
     for a, b in zip(chain, chain[1:]):
-        assert LinkPort(b) in scenario.graph.ports(a), f"{a} is not linked to {b}"
+        assert b in dict(scenario.graph.wiring(a)[1]).values(), f"{a} is not linked to {b}"
     track = chain if forward else chain[::-1]
     assert scenario.track_cells == track
     assert scenario.segment_cells == chain[SEGMENT_BUFFER : len(chain) - SEGMENT_BUFFER]
