@@ -27,13 +27,8 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """Every leaf subcommand sets ``handler``, the function ``main`` calls with the parsed arguments."""
-    parser = argparse.ArgumentParser(prog="dodecagrid", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rules = sub.add_parser("rules", help="rule table utilities")
-    rules_sub = rules.add_subparsers(dest="rules_command", required=True)
+def _add_rules(parser: argparse.ArgumentParser) -> None:
+    rules_sub = parser.add_subparsers(dest="rules_command", required=True)
     check = rules_sub.add_parser("check", help="check rotation invariance of rule files")
     source = check.add_mutually_exclusive_group()
     source.add_argument("files", nargs="*", type=Path, default=[], help="rule files (default: shipped catalog)")
@@ -43,56 +38,98 @@ def _build_parser() -> argparse.ArgumentParser:
     minform.add_argument("rule", help="rule literal, e.g. 'W W W B W W B B B W W W W -> W'")
     minform.set_defaults(handler=_cmd_rules_minform)
 
-    rotations = sub.add_parser("rotations", help="rotation group utilities")
-    rotations_sub = rotations.add_subparsers(dest="rotations_command", required=True)
+
+def _add_rotations(parser: argparse.ArgumentParser) -> None:
+    rotations_sub = parser.add_subparsers(dest="rotations_command", required=True)
     dump = rotations_sub.add_parser("dump", help="print all 60 rotations as face permutations")
     dump.set_defaults(handler=_cmd_rotations_dump)
 
-    scenario = sub.add_parser("scenario", help="scenario catalog")
-    scenario_sub = scenario.add_subparsers(dest="scenario_command", required=True)
+
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    scenario_sub = parser.add_subparsers(dest="scenario_command", required=True)
     listing = scenario_sub.add_parser("list", help="print all scenario names")
     listing.set_defaults(handler=_cmd_scenario_list)
 
-    run_p = sub.add_parser("run", help="run a scenario and print its trace")
-    run_p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    run_p.add_argument("--steps", type=_non_negative_int, default=None)
-    run_p.add_argument("--emit", choices=("paper", "tsv"), default="paper")
-    run_p.add_argument("--rules", type=Path, default=None)
-    run_p.set_defaults(handler=_cmd_run)
 
-    verify_p = sub.add_parser("verify", help="run every check of one scenario")
-    verify_p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    verify_p.add_argument("--rules", type=Path, default=None)
-    verify_p.add_argument("--golden", type=Path, default=None)
-    verify_p.set_defaults(handler=_cmd_verify)
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True, choices=SCENARIOS)
+    parser.add_argument("--steps", type=_non_negative_int, default=None)
+    parser.add_argument("--emit", choices=("paper", "tsv"), default="paper")
+    parser.add_argument("--rules", type=Path, default=None)
+    parser.set_defaults(handler=_cmd_run)
 
-    verify_all_p = sub.add_parser("verify-all", help="run the whole verification matrix")
-    verify_all_p.add_argument("--rules", type=Path, default=None)
-    verify_all_p.add_argument("--golden", type=Path, default=None)
-    verify_all_p.set_defaults(handler=_cmd_verify_all)
 
-    oracle = sub.add_parser("oracle", help="abstract railway-model oracle")
-    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
+def _add_verify(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True, choices=SCENARIOS)
+    parser.add_argument("--rules", type=Path, default=None)
+    parser.add_argument("--golden", type=Path, default=None)
+    parser.set_defaults(handler=_cmd_verify)
+
+
+def _add_verify_all(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--rules", type=Path, default=None)
+    parser.add_argument("--golden", type=Path, default=None)
+    parser.set_defaults(handler=_cmd_verify_all)
+
+
+def _add_oracle(parser: argparse.ArgumentParser) -> None:
+    oracle_sub = parser.add_subparsers(dest="oracle_command", required=True)
     crossings = oracle_sub.add_parser("crossings", help="print (exit, new state) for a crossing")
     crossings.add_argument("--kind", required=True, choices=[k.value for k in SwitchKind])
     crossings.add_argument("--mode", required=True, choices=[m.value for m in CrossingMode])
     crossings.add_argument("--lat", default=Side.LEFT.value, choices=[s.value for s in Side])
     crossings.set_defaults(handler=_cmd_oracle_crossings)
 
-    pentagrid = sub.add_parser("pentagrid", help="Fibonacci tree of the pentagrid")
-    pentagrid_sub = pentagrid.add_subparsers(dest="pentagrid_command", required=True)
+
+def _add_pentagrid(parser: argparse.ArgumentParser) -> None:
+    pentagrid_sub = parser.add_subparsers(dest="pentagrid_command", required=True)
     levels = pentagrid_sub.add_parser("levels", help="print number/kind/coordinate per node")
     levels.add_argument("--depth", type=_non_negative_int, required=True)
     levels.set_defaults(handler=_cmd_pentagrid_levels)
 
-    render_p = sub.add_parser("render", help="render a scenario frame as SVG")
-    render_p.add_argument("--scenario", required=True, choices=SCENARIOS)
-    render_p.add_argument("--time", type=_non_negative_int, default=0)
-    render_p.add_argument("--side", choices=[v.value for v in ViewSide], default="above")
-    render_p.add_argument("--out", type=Path, required=True)
-    render_p.add_argument("--rules", type=Path, default=None)
-    render_p.set_defaults(handler=_cmd_render)
 
+def _add_render(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--scenario", required=True, choices=SCENARIOS)
+    parser.add_argument("--time", type=_non_negative_int, default=0)
+    parser.add_argument("--side", choices=[v.value for v in ViewSide], default="above")
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--rules", type=Path, default=None)
+    parser.set_defaults(handler=_cmd_render)
+
+
+# each top-level command, in help order: its one-line help and the function that adds its arguments
+_COMMANDS = {
+    "rules": ("rule table utilities", _add_rules),
+    "rotations": ("rotation group utilities", _add_rotations),
+    "scenario": ("scenario catalog", _add_scenario),
+    "run": ("run a scenario and print its trace", _add_run),
+    "verify": ("run every check of one scenario", _add_verify),
+    "verify-all": ("run the whole verification matrix", _add_verify_all),
+    "oracle": ("abstract railway-model oracle", _add_oracle),
+    "pentagrid": ("Fibonacci tree of the pentagrid", _add_pentagrid),
+    "render": ("render a scenario frame as SVG", _add_render),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser for a command line whose first word is ``command``; every leaf subcommand sets ``handler``.
+
+    When ``command`` names a top-level command, only that command's subparser
+    is built, since ``parse_args`` would never enter another; otherwise (no
+    arguments, ``-h``, an unknown word) all are.  The one-subparser parser
+    gets the metavar the full one would derive from its choices, so its usage
+    line is the same; the full one keeps ``metavar=None``, whose error texts
+    name the argument ``command``.
+    """
+    parser = argparse.ArgumentParser(prog="dodecagrid", description=__doc__)
+    if command in _COMMANDS:
+        names, metavar = [command], "{" + ",".join(_COMMANDS) + "}"
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -190,7 +227,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except (FileNotFoundError, RuleParseError, TraceFormatError) as exc:

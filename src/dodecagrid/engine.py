@@ -47,7 +47,7 @@ from itertools import product
 from typing import Iterable, Mapping
 
 from .record import Record
-from .rules import CellState, Context, MissingRuleError, RuleTable, W
+from .rules import CellState, Context, MissingRuleError, RuleTable, W, states_from_letters
 
 CellId = int
 
@@ -102,7 +102,9 @@ class CellGraph:
     feeds.  ``cell_ids`` keeps the insertion order, and ``wiring(cell)`` a copy
     of what was given, the links as face-ordered pairs, which ``CellGraph``
     takes back.  The same pass derives each cell's base and feeds, which
-    ``run`` codes contexts with.
+    ``run`` codes contexts with.  A fixed tuple that several cells share, as
+    every cell of one builder template does, is checked and coded once, at
+    the first cell that uses it.
     """
 
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
@@ -113,19 +115,27 @@ class CellGraph:
         self._feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in range(len(index))]
         self._bases: list[int] = []  # per cell, the code of its fixed states
         all_links = []  # (cell index, face, target index) of every link
+        # id(fixed) -> (fixed, base) of each fixed tuple already checked: builders give every cell of
+        # one shape the same tuple; holding the tuple keeps its id from being reused by another
+        coded_fixed: dict[int, tuple[tuple[CellState, ...], int]] = {}
         for i, (cell, wiring) in enumerate(wiring_by_cell.items()):
             try:
                 fixed, links = wiring
                 fixed, links = tuple(fixed), dict(links)
             except (TypeError, ValueError):
                 raise GraphError(f"cell {cell}: {wiring!r} is not a (fixed states, links) pair") from None
-            if len(fixed) != 12:
-                raise GraphError(f"cell {cell}: expected 12 fixed states, got {len(fixed)}")
-            base = 0
-            for face, state in enumerate(fixed):
-                if not isinstance(state, CellState):  # 5 would be coded as B, "B" not at all
-                    raise GraphError(f"cell {cell} face {face}: fixed state {state!r} is not a CellState")
-                base += state * _FACE_WEIGHTS[face]
+            coded = coded_fixed.get(id(fixed))
+            if coded is None:
+                if len(fixed) != 12:
+                    raise GraphError(f"cell {cell}: expected 12 fixed states, got {len(fixed)}")
+                base = 0
+                for face, state in enumerate(fixed):
+                    if not isinstance(state, CellState):  # 5 would be coded as B, "B" not at all
+                        raise GraphError(f"cell {cell} face {face}: fixed state {state!r} is not a CellState")
+                    base += state * _FACE_WEIGHTS[face]
+                coded_fixed[id(fixed)] = fixed, base
+            else:
+                base = coded[1]
             for face in links:
                 if type(face) is not int or not 0 <= face < 12:
                     raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
@@ -382,7 +392,7 @@ def parse_trace_text(text: str, source: str = "<string>") -> Trace:
             elif rows and int(tokens[1]) != rows[-1][0] + 1:
                 raise ValueError(f"time {int(tokens[1])} after time {rows[-1][0]}")
             else:
-                rows.append((int(tokens[1]), tuple(CellState.from_letter(s) for s in tokens[3:])))
+                rows.append((int(tokens[1]), states_from_letters(tokens[3:])))
         except ValueError as exc:
             raise TraceFormatError(f"{source}:{line_no}: {exc}") from None
     if cell_ids is None:

@@ -54,10 +54,7 @@ class CellState(IntEnum):
 
     @classmethod
     def from_letter(cls, letter: str) -> "CellState":
-        try:
-            return _BY_LETTER[letter]
-        except KeyError:
-            raise ValueError(f"not a cell state: {letter!r}") from None
+        return states_from_letters((letter,))[0]
 
     @property
     def letter(self) -> str:
@@ -66,6 +63,15 @@ class CellState(IntEnum):
 
 W, B, R = CellState.W, CellState.B, CellState.R
 _BY_LETTER = {"W": W, "B": B, "R": R}  # a dict read, not the Enum's slower ``__getitem__``
+
+
+def states_from_letters(letters: Iterable[str]) -> tuple[CellState, ...]:
+    """The state of each letter in order; the first that is not ``W``, ``B`` or ``R`` raises ``ValueError``."""
+    try:
+        return tuple(map(_BY_LETTER.__getitem__, letters))
+    except KeyError as exc:
+        raise ValueError(f"not a cell state: {exc.args[0]!r}") from None
+
 
 Neighborhood = tuple[CellState, ...]
 
@@ -124,10 +130,10 @@ class MissingRuleError(LookupError):
 
 
 def context_from_letters(letters: Iterable[str]) -> Context:
-    states = [CellState.from_letter(tok) for tok in letters]
+    states = states_from_letters(letters)
     if len(states) != FACE_COUNT + 1:
         raise ValueError(f"a context needs 13 states, got {len(states)}")
-    return Context(states[0], tuple(states[1:]))
+    return Context(states[0], states[1:])
 
 
 def rotated_context(ctx: Context, perm: FacePermutation) -> Context:
@@ -314,11 +320,10 @@ def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
         if len(tokens) != 15 or tokens[13] != "->":
             raise RuleParseError(f"{source}:{line_no}: expected 'CURRENT N0 .. N11 -> NEW', got {len(tokens)} tokens")
         try:
-            ctx = context_from_letters(tokens[:13])
-            new_state = CellState.from_letter(tokens[14])
+            states = states_from_letters(tokens[:13] + tokens[14:])  # the context, then the new state
         except ValueError as exc:
             raise RuleParseError(f"{source}:{line_no}: {exc}") from None
-        rules.append(Rule(ctx, new_state, f"{source}:{line_no}"))
+        rules.append(Rule(Context(states[0], states[1:13]), states[13], f"{source}:{line_no}"))
     return rules
 
 

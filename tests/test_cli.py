@@ -1,8 +1,10 @@
+import argparse
 import shutil
+import sys
 
 import pytest
 
-from dodecagrid import catalog
+from dodecagrid import catalog, cli
 from dodecagrid.catalog import default_golden_dir, default_rules_dir, golden_path
 from dodecagrid.cli import main
 from dodecagrid.engine import trace_tokens
@@ -408,3 +410,70 @@ def test_render_writes_svg(capsys, tmp_path):
 def test_unknown_scenario_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--scenario", "nope"])
+
+
+COMMANDS = ["rules", "rotations", "scenario", "run", "verify", "verify-all", "oracle", "pentagrid", "render"]
+
+
+def subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def parse_outcome(capsys, parser, argv):
+    """What parsing ``argv`` gives: the namespace or the ``SystemExit`` code, then stdout and stderr."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["--bogus", "verify-all"],
+        ["-h", "verify-all"],
+        ["verify-all"],
+        ["verify-all", "-h"],
+        ["verify-all", "extra"],  # the root parser reports it, with its usage line
+        ["verify-all", "--rules"],
+        ["run", "--scenario", "nope"],
+        ["run", "--scenario", "v1-fwd", "--steps", "-1"],
+        ["rules"],
+        ["rules", "check", "-h"],
+        ["oracle"],
+        ["oracle", "crossings", "--kind", "memory", "--mode", "active"],
+        ["pentagrid", "levels", "--depth", "2"],
+        *([name, "--bogus"] for name in COMMANDS),  # verify-all --bogus among them
+    ],
+    ids=" ".join,
+)
+def test_the_one_command_parser_parses_as_the_full_one(capsys, argv):
+    full = cli._build_parser()
+    assert subcommands(full) == COMMANDS
+    one = cli._build_parser(argv[0] if argv else None)
+    assert subcommands(one) == ([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
+    assert parse_outcome(capsys, one, argv) == parse_outcome(capsys, full, argv)
+
+
+@pytest.mark.parametrize("argv", [["scenario", "list"], ["-h"]])
+def test_main_reads_sys_argv_and_builds_the_parser_of_its_first_word(capsys, monkeypatch, argv):
+    built = []
+    real = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or real(command))
+    monkeypatch.setattr(sys, "argv", ["dodecagrid", *argv])
+    if argv == ["-h"]:
+        with pytest.raises(SystemExit) as raised:
+            main()
+        assert raised.value.code == 0
+        usage = ["usage:", "dodecagrid", "[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
+        assert capsys.readouterr().out.split()[:5] == usage
+    else:
+        assert main() == 0
+        assert capsys.readouterr().out.split() == list(SCENARIOS)
+    assert built == [argv[0]]

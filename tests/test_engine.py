@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dodecagrid import engine, rules, scenarios
-from dodecagrid.catalog import default_rules_dir
+from dodecagrid.catalog import default_golden_dir, default_rules_dir
 from dodecagrid.engine import (
     CellGraph,
     Configuration,
@@ -183,6 +183,32 @@ def test_graph_reports_its_first_fault(ports_by_cell, first):
     assert str(err.value) == first
 
 
+def test_a_bad_state_in_a_shared_fixed_tuple_is_reported_at_its_first_cell():
+    # the graph checks a fixed tuple once, at the first cell that uses it
+    shared = ALL_WHITE[:7] + ("B",) + ALL_WHITE[8:]
+    with pytest.raises(GraphError) as err:
+        CellGraph({1: (ALL_WHITE, {}), 2: (shared, {}), 3: (shared, {}), 4: (shared, {})})
+    assert str(err.value) == "cell 2 face 7: fixed state 'B' is not a CellState"
+    short = ALL_WHITE[:11]
+    with pytest.raises(GraphError, match="^cell 1: expected 12 fixed states, got 11$"):
+        CellGraph({1: (short, {}), 2: (short, {})})
+
+
+def test_a_later_cell_with_another_bad_fixed_tuple_still_raises():
+    # cells 1 and 2 share a checked tuple; cell 3's differs, so it is checked on its own
+    with pytest.raises(GraphError) as err:
+        CellGraph({1: (ALL_WHITE, {4: 2}), 2: (ALL_WHITE, {1: 1}), 3: (ALL_WHITE[:11] + (None,), {})})
+    assert str(err.value) == "cell 3 face 11: fixed state None is not a CellState"
+
+
+@pytest.mark.parametrize("name", ["vertical-fwd-n7", "horizontal-fwd-k5", "v1-fwd"])
+def test_cells_sharing_a_fixed_tuple_get_the_bases_of_unshared_copies(name):
+    graph = SCENARIOS[name].build().graph
+    assert len({id(graph.wiring(cell)[0]) for cell in graph.cell_ids}) < len(graph)  # the builders share
+    copies = {cell: (list(fixed), links) for cell, (fixed, links) in wiring_of(graph).items()}
+    assert CellGraph(copies)._bases == graph._bases
+
+
 def test_all_white_is_fixed_point(catalog):
     graph = CellGraph({1: wired(f4=2), 2: wired(f1=1)})
     config = uniform_configuration(graph)
@@ -344,6 +370,36 @@ def test_parse_trace_names_the_line_of_a_bad_letter():
     text = "1 2\n\ntime 0 :  B  W\ntime 1 :  R  w\n"
     with pytest.raises(TraceFormatError, match="^t.trace:4: not a cell state: 'w'$"):
         parse_trace_text(text, "t.trace")
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1 2\n\ntime 0 :  B  W\ntime 1 :  x  y\n", "t.trace:4: not a cell state: 'x'"),  # first bad letter of a row
+        ("1 2\n\ntime 0 :  B  Q\ntime 1 :  x  B\n", "t.trace:3: not a cell state: 'Q'"),  # first row with one
+    ],
+)
+def test_parse_trace_names_the_first_bad_letter(text, error):
+    with pytest.raises(TraceFormatError) as err:
+        parse_trace_text(text, "t.trace")
+    assert str(err.value) == error
+
+
+def per_token_trace(text):
+    """The trace ``parse_trace_text`` reads, each letter decoded on its own through the enum's name lookup."""
+    lines = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    lines = [tokens for tokens in lines if tokens]
+    cell_ids = tuple(int(t) for t in lines[0])
+    rows = [(int(tokens[1]), tuple(CellState[s] for s in tokens[3:])) for tokens in lines[1:]]
+    return Trace.from_rows(cell_ids, rows)
+
+
+def test_every_golden_file_parses_to_its_per_token_trace():
+    paths = sorted(default_golden_dir().glob("*.trace"))
+    assert len(paths) == 11
+    for path in paths:
+        text = path.read_text()
+        assert parse_trace_text(text, str(path)) == per_token_trace(text), path.name
 
 
 def test_trace_from_rows_rejects_a_short_row():

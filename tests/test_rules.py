@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodecagrid import rules
-from dodecagrid.catalog import load_catalog
+from dodecagrid.catalog import default_rules_dir, load_catalog
 from dodecagrid.geometry import IDENTITY, RINGS, Motion, enumerate_motions, permutation_from_motion
 from dodecagrid.rules import (
     B,
@@ -96,6 +96,36 @@ def test_parse_arity_error():
 def test_parse_bad_letter():
     with pytest.raises(RuleParseError, match=r"^<string>:1: not a cell state: 'X'$"):
         parse_rules("W W W B W W B B B W W W X -> W")
+
+
+@pytest.mark.parametrize(
+    "line, letter",
+    [
+        ("x W W B W W B B B W W W W -> W", "x"),  # context position 0, the current state
+        ("W W W B W W B B B W W W y -> W", "y"),  # context position 12, neighbour 11
+        ("W W W B W W B B B W W W W -> z", "z"),  # the new state
+        ("q W W B W W B B B W W W y -> z", "q"),  # the context is read before the new state, in order
+        ("W W W B W W B B B W W W y -> z", "y"),
+    ],
+)
+def test_parse_reports_the_first_bad_letter(line, letter):
+    with pytest.raises(RuleParseError) as err:
+        parse_rules("W W W W W W W W W W W W W -> W\n" + line, "a.rules")
+    assert str(err.value) == f"a.rules:2: not a cell state: {letter!r}"
+
+
+def test_every_catalogue_rule_reads_as_its_letters_name():
+    # the reference decodes each letter through the enum's own name lookup
+    for path in sorted(default_rules_dir().glob("*.rules")):
+        text = path.read_text()
+        expected = []
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                current, *neighbours = (CellState[t] for t in tokens[:13])
+                context = Context(current, tuple(neighbours))
+                expected.append(Rule(context, CellState[tokens[14]], f"{path.name}:{line_no}"))
+        assert parse_rules(text, path.name) == expected, path.name
 
 
 def test_parse_bad_letter_names_file_and_line():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dodecagrid import rules, scenarios, verify
 from dodecagrid.catalog import default_rules_dir, golden_path
 from dodecagrid.engine import Trace, TraceFormatError, format_trace
-from dodecagrid.geometry import IDENTITY, Motion, permutation_from_motion
+from dodecagrid.geometry import IDENTITY, Motion, compose, enumerate_motions, permutation_from_motion
 from dodecagrid.railway import SwitchKind
 from dodecagrid.rules import B, R, W
 from dodecagrid.scenarios import (
@@ -28,6 +28,7 @@ from dodecagrid.verify import (
     check_oracle_agreement,
     check_rotation_group,
     check_segment,
+    closed_under_composition,
     crossing_disturbance,
     locomotive_progress,
     one_d_violations,
@@ -61,6 +62,74 @@ FACE_SWAP = (1, 0, *range(2, 12))  # faces 0 and 1 exchanged, no rotation
 def test_rotation_group_check_fails(monkeypatch, perms, detail):
     monkeypatch.setattr(verify, "enumerate_motions", lambda: perms)
     assert check_rotation_group().line() == f"FAIL  rotation-group  ({detail})"
+
+
+MOTIONS = enumerate_motions()
+
+
+def brute_force_closed(perms):
+    """The reference closure check: all len(perms)**2 compositions are members."""
+    members = set(perms)
+    return all(compose(a, b) in members for a in members for b in members)
+
+
+def generated_group(generators):
+    """The subgroup the given rotations generate, in the order its elements are first reached."""
+    group = [IDENTITY]
+    for a in group:  # grows as it is walked
+        for g in generators:
+            if (b := compose(a, g)) not in group:
+                group.append(b)
+    return group
+
+
+def product_set(a, b):
+    """``compose(x, y)`` for x in the powers of ``a`` and y in those of ``b``, listed so that ``a`` is met before ``b``.
+
+    Walking it with ``a``, then with ``b`` alone, reaches exactly the set, so a
+    check that skipped composing with earlier generators would call it closed.
+    """
+    return list(dict.fromkeys(compose(x, y) for y in generated_group([b]) for x in generated_group([a])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_orbit_closure_check_agrees_with_brute_force(data):
+    base = data.draw(st.sampled_from(["subgroup", "subset", "product"]))
+    if base == "subgroup":
+        perms = generated_group(data.draw(st.lists(st.sampled_from(MOTIONS), max_size=3)))
+    elif base == "subset":
+        perms = data.draw(st.lists(st.sampled_from(MOTIONS), max_size=60, unique=True))
+    else:
+        perms = product_set(data.draw(st.sampled_from(MOTIONS)), data.draw(st.sampled_from(MOTIONS)))
+    edit = data.draw(st.sampled_from(["none", "drop", "add"]))
+    if edit == "drop" and perms:
+        perms.pop(data.draw(st.integers(0, len(perms) - 1)))
+    elif edit == "add":  # a permutation of the faces that is, almost surely, no rotation
+        perms.append(data.draw(st.permutations(range(12)).map(tuple)))
+    if data.draw(st.booleans(), label="shuffle"):  # the generators are picked greedily in list order
+        perms = data.draw(st.permutations(perms))
+    assert closed_under_composition(perms) == brute_force_closed(perms)
+
+
+def order(p):
+    return len(generated_group([p]))
+
+
+def test_the_rotations_are_closed_and_no_set_of_59_of_them_is():
+    assert closed_under_composition(MOTIONS)
+    assert not any(closed_under_composition(MOTIONS[:i] + MOTIONS[i + 1 :]) for i in range(60))
+    assert closed_under_composition(generated_group([MOTIONS[7]]))
+
+
+def test_a_product_of_two_cyclic_subgroups_is_not_closed():
+    # orders 5 and 3 give 15 rotations, and the rotation group has no subgroup of order 15
+    fifth = next(p for p in MOTIONS if order(p) == 5)
+    third = next(p for p in MOTIONS if order(p) == 3)
+    perms = product_set(fifth, third)
+    assert len(perms) == 15
+    assert not brute_force_closed(perms)
+    assert not closed_under_composition(perms)
 
 
 def test_catalog_invariance_check():
