@@ -19,7 +19,11 @@ rotations reaching the least of these 6-slot prefixes build 12-tuples.
 A rotation only permutes faces, so it keeps a context's census: its current
 state and its numbers of white and black neighbours.  A lookup canonicalises
 only a context whose census some indexed minimal form has; any other context
-is certain to miss the index, and the lookup does not canonicalise it.
+is certain to miss the index, and the lookup does not canonicalise it.  Nor
+does it canonicalise a context written in a rule: a table's lookup cache
+starts out holding each rule's context and new state, which is exact because
+a table, once built, has no conflict, so that new state is the one the
+context's minimal form indexes.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
@@ -255,7 +259,8 @@ class RuleTable:
 
     ``_censuses`` holds the census of every indexed minimal form; a context
     whose census is not among them cannot match a rule under any rotation.
-    A rule set that is not rotation invariant is refused with ``RuleConflictError``.
+    ``_cache`` starts with every rule's context as written.  A rule set that
+    is not rotation invariant is refused with ``RuleConflictError``.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -264,7 +269,7 @@ class RuleTable:
         if not report.ok:
             raise RuleConflictError(report)
         self._censuses = {census(mctx) for mctx in self._index}
-        self._cache: dict[Context, CellState] = {}
+        self._cache: dict[Context, CellState] = {rule.context: rule.new_state for rule in self.rules}
 
     def __len__(self) -> int:
         return len(self.rules)

@@ -20,10 +20,11 @@ cover.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .catalog import load_switch_wiring
 from .engine import (
@@ -38,7 +39,7 @@ from .engine import (
 from .pentagrid import fibonacci_word
 from .railway import Active, Crossing, Passive, Side, SwitchKind
 from .record import Record
-from .rules import B, CellState, R, RuleTable, W
+from .rules import B, CellState, R, RuleTable, W, states_from_letters
 
 STRAIGHT_EXIT_PAIRS = ((1, 3), (1, 4), (1, 8), (1, 10))
 STRAIGHT_MILESTONES = (2, 5, 6, 7)
@@ -274,13 +275,14 @@ def _switch_graph(kind: SwitchKind) -> CellGraph:
     return CellGraph(wiring)
 
 
-def idle_states(kind: SwitchKind) -> dict[Side, dict[CellId, CellState]]:
-    """Switch cells 17..22 of an idle switch, for each side it can select."""
+@lru_cache(maxsize=None)
+def idle_states(kind: SwitchKind) -> Mapping[Side, Mapping[CellId, CellState]]:
+    """Switch cells 17..22 of an idle switch, for each side it can select; decoded once per kind, read-only."""
     by_side = load_switch_wiring()["idle_states"][kind.value]
-    return {
-        Side(side): {int(cell): CellState.from_letter(letter) for cell, letter in cells.items()}
+    return MappingProxyType({
+        Side(side): MappingProxyType(dict(zip(map(int, cells), states_from_letters(cells.values()))))
         for side, cells in by_side.items()
-    }
+    })
 
 
 def switch_name(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> str:

@@ -4,13 +4,21 @@ Every check returns a ``CheckResult``; the matrix printed by ``verify-all`` is
 just the ordered list of them.  A check judges the trace it is given and never
 builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
+
+The checks read a trace as ``engine.run`` stores it, a first row and each
+step's changes, so they cost what the run changed, not the size of its graph.
+The track checks walk the track once (``walk_track``): they scan its first row,
+then judge again at each step only the cells near a change.  A golden trace
+is compared as a record; only one that differs is replayed row by row, to name
+the first divergence.  ``chain_rows``, ``one_d_violations`` and
+``locomotive_progress`` take dense rows, for callers that hold rows.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Iterable
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
@@ -116,7 +124,14 @@ def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[Check
 
 
 def trace_divergence(got: Trace, want: Trace) -> str | None:
-    """First mismatch as ``time T cell C: expected X, got Y``; None when equal."""
+    """First mismatch as ``time T cell C: expected X, got Y``; None when equal.
+
+    Equal traces are equal records: both list each step's changes in
+    ascending index order and only cells that do change, so equal rows have
+    equal changes.  Only unequal ones are replayed, to word the divergence.
+    """
+    if got == want:
+        return None
     if got.cell_ids != want.cell_ids:
         return f"cell ordering differs: {got.cell_ids} vs {want.cell_ids}"
     for (t_got, row_got), (t_want, row_want) in zip(got.rows, want.rows):
@@ -142,58 +157,122 @@ def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ..
     return [tuple(states[i] for i in index) for _, states in trace.rows]
 
 
-def one_d_violations(rows: list[tuple[CellState, ...]]) -> list[str]:
-    """Check every track-cell transition against the 1D rules (W beyond the ends)."""
-    out = []
-    for t in range(len(rows) - 1):
-        old, new = rows[t], rows[t + 1]
-        for i in range(len(old)):
-            behind = old[i - 1] if i > 0 else W
-            ahead = old[i + 1] if i + 1 < len(old) else W
-            triple = (behind, old[i], ahead)
-            expected = ONE_D_RULES.get(triple, W if triple == (W, W, W) else None)
-            if new[i] is expected:
-                continue
-            letters = "".join(s.letter for s in triple)
-            if expected is None:
-                out.append(f"t{t} cell#{i}: unexpected track triple {letters}")
+# per step, the (position, new state) pairs it changes along a track
+Steps = Iterable[Iterable[tuple[int, CellState]]]
+
+
+def chain_steps(trace: Trace, chain: tuple[int, ...]) -> tuple[tuple[CellState, ...], Steps]:
+    """The first row of ``chain``'s cells, and each step's changes among them by position in ``chain``.
+
+    The steps are generated as they are read, so each is freed once walked.
+    """
+    position = {c: i for i, c in enumerate(trace.cell_ids)}
+    on_chain = {position[c]: k for k, c in enumerate(chain)}
+    initial = tuple(trace.initial[i] for i in on_chain)
+    return initial, ([(on_chain[i], s) for i, s in changes if i in on_chain] for changes in trace.changes)
+
+
+# the 1D rules plus the idle track, which stays white: the new state each judged triple must give
+_EXPECTED = {**ONE_D_RULES, (W, W, W): W}
+
+
+def _transition_problem(triple: tuple[CellState, CellState, CellState], new: CellState) -> str:
+    """The detail for a track cell with (behind, cell, ahead) ``triple`` that became ``new``, against the 1D rules."""
+    letters = "".join(s.letter for s in triple)
+    expected = _EXPECTED.get(triple)
+    if expected is None:
+        return f"unexpected track triple {letters}"
+    return f"{letters} -> {new.letter}, 1D rules say {expected.letter}"
+
+
+def walk_track(initial: tuple[CellState, ...], steps: Steps) -> tuple[list[str], list[str], list[CellState]]:
+    """Locomotive progress and 1D-rule violations along a track, and its last row.
+
+    The track is given as its first row and each step's changes.
+    Row ``t`` must hold exactly one B and one R, adjacent, and the front must
+    advance one cell per step (a jump is labelled by row times).  Every
+    transition must follow the 1D rules.  The first step judges every
+    position; after it, a position's verdict can change only with its
+    (behind, cell, ahead) triple or its new state, so each step judges again
+    only the positions within one cell of the previous step's changes and
+    those its own changes name.  The positions still violating are carried
+    with their details, so a broken transition is reported at every step it
+    repeats, as a walk over dense rows reports it.  The B and R positions are
+    kept as sets.  So the walk costs the first row plus what the steps change.
+    """
+    row = list(initial)
+    n = len(row)
+    blue = {i for i, s in enumerate(row) if s is B}
+    red = {i for i, s in enumerate(row) if s is R}
+    progress: list[str] = []
+    violations: list[str] = []
+    fronts = []  # (time, front position) of each well-formed row
+    violating: dict[int, str] = {}  # position -> what its latest transition broke
+
+    def check_locomotive(t: int) -> None:
+        if len(blue) != 1 or len(red) != 1:
+            progress.append(f"t{t}: {len(blue)} front cells, {len(red)} rear cells")
+            return
+        (front,), (rear,) = blue, red
+        if abs(front - rear) != 1:
+            progress.append(f"t{t}: front and rear not adjacent ({front}, {rear})")
+        fronts.append((t, front))
+
+    check_locomotive(0)
+    judge = set(range(n))
+    for t, changes in enumerate(steps):
+        new = dict(changes)
+        judge.update(new)
+        for i in judge:  # W beyond the ends
+            triple = (row[i - 1] if i > 0 else W, row[i], row[i + 1] if i + 1 < n else W)
+            state = new.get(i, row[i])
+            if state is _EXPECTED.get(triple):
+                violating.pop(i, None)
             else:
-                out.append(f"t{t} cell#{i}: {letters} -> {new[i].letter}, 1D rules say {expected.letter}")
-    return out
+                violating[i] = _transition_problem(triple, state)
+        violations += [f"t{t} cell#{i}: {violating[i]}" for i in sorted(violating)]
+        for i, s in new.items():
+            row[i] = s
+            blue.discard(i)
+            red.discard(i)
+            if s is B:
+                blue.add(i)
+            elif s is R:
+                red.add(i)
+        check_locomotive(t + 1)
+        judge = {j for i in new for j in (i - 1, i, i + 1) if 0 <= j < n}
+    for (t0, a), (t1, b_) in zip(fronts, fronts[1:]):
+        if (t1 - t0, b_ - a) != (1, 1):
+            progress.append(f"t{t0}->{t1}: front moved {b_ - a} cells")
+    return progress, violations, row
+
+
+def _row_steps(rows: list[tuple[CellState, ...]]) -> tuple[tuple[CellState, ...], Steps]:
+    """Dense rows, at least one, as the first row and each step's changes."""
+    return rows[0], ([(i, s) for i, (a, s) in enumerate(zip(old, new)) if s != a] for old, new in zip(rows, rows[1:]))
+
+
+def one_d_violations(rows: list[tuple[CellState, ...]]) -> list[str]:
+    """Check every track-cell transition against the 1D rules (W beyond the ends), via ``walk_track``."""
+    return walk_track(*_row_steps(rows))[1] if rows else []
 
 
 def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
-    """Exactly one B and one R, adjacent, with the front advancing one cell per step (jumps labelled by row time)."""
-    out = []
-    fronts = []  # (time, front index) of each well-formed row
-    for t, row in enumerate(rows):
-        bs = [i for i, s in enumerate(row) if s is B]
-        rs = [i for i, s in enumerate(row) if s is R]
-        if len(bs) != 1 or len(rs) != 1:
-            out.append(f"t{t}: {len(bs)} front cells, {len(rs)} rear cells")
-            continue
-        if abs(bs[0] - rs[0]) != 1:
-            out.append(f"t{t}: front and rear not adjacent ({bs[0]}, {rs[0]})")
-        fronts.append((t, bs[0]))
-    for (t0, a), (t1, b_) in zip(fronts, fronts[1:]):
-        if (t1 - t0, b_ - a) != (1, 1):
-            out.append(f"t{t0}->{t1}: front moved {b_ - a} cells")
-    return out
+    """Exactly one B and one R, adjacent, with the front advancing one cell per step, via ``walk_track``."""
+    return walk_track(*_row_steps(rows))[0] if rows else []
 
 
 def traversal_problems(scenario: Scenario, trace: Trace, stuck_label: str) -> list[str]:
     """Locomotive progress and 1D rules along the track, and ``segment_cells`` all white at the end.
 
+    One ``walk_track`` over the track's changes gives all three:
     ``segment_cells`` is a sub-span of ``track_cells``, so the final states
-    are read from the last track row, not from a second replay.
+    are read from the walk's last track row.
     """
-    rows = chain_rows(trace, scenario.track_cells)  # track_cells is in travel order
-    problems = locomotive_progress(rows) + one_d_violations(rows)
-    final = dict(zip(scenario.track_cells, rows[-1]))
+    progress, violations, last = walk_track(*chain_steps(trace, scenario.track_cells))  # track_cells is in travel order
+    final = dict(zip(scenario.track_cells, last))
     stuck = [c for c in scenario.segment_cells if final[c] is not W]
-    if stuck:
-        problems.append(f"{stuck_label}: {stuck}")
-    return problems
+    return progress + violations + ([f"{stuck_label}: {stuck}"] if stuck else [])
 
 
 def check_segment(scenario: Scenario, trace: Trace) -> CheckResult:

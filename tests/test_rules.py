@@ -434,7 +434,7 @@ def reference_lookup(c):
 @given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts, shuffled_catalogue_contexts))
 @settings(max_examples=200)
 def test_census_gated_lookup_matches_always_canonicalising_reference(c):
-    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so every example goes through the gate
+    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so every example not written in a rule goes through the gate
     want = reference_lookup(c)
     try:
         got = table.lookup(c)
@@ -458,7 +458,7 @@ def outcome(table, c):
 @given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts))
 @settings(max_examples=200)
 def test_pair_lookup_matches_context_lookup(c):
-    # fresh tables, so each form goes through the census gate and the index itself
+    # fresh tables, so each form not written in a rule goes through the census gate and the index itself
     pair = (c.current, c.neighbors)
     got = outcome(RuleTable(CATALOGUE_RULES), pair)
     assert got == outcome(RuleTable(CATALOGUE_RULES), c)
@@ -494,6 +494,46 @@ def test_pair_and_context_share_one_cache_entry(monkeypatch):
     assert calls == 1
     assert table.lookup(c) is W  # a cache hit: no second census
     assert calls == 1
+
+
+def _counting_minimal_context(monkeypatch) -> list:
+    """Patch ``rules.minimal_context`` to record each context it is called with; return that record."""
+    seen = []
+    original = rules.minimal_context
+
+    def counted(c):
+        seen.append(c)
+        return original(c)
+
+    monkeypatch.setattr(rules, "minimal_context", counted)
+    return seen
+
+
+def test_a_table_answers_its_written_contexts_without_canonicalising(monkeypatch):
+    table = RuleTable(CATALOGUE_RULES)
+    seen = _counting_minimal_context(monkeypatch)
+    assert [table.lookup(rule.context) for rule in CATALOGUE_RULES] == [rule.new_state for rule in CATALOGUE_RULES]
+    assert seen == []
+
+
+def test_every_rotation_of_a_written_context_gets_its_rules_answer(monkeypatch):
+    # the rotations that are not themselves written go through the index and agree with the seeded cache
+    table = RuleTable(CATALOGUE_RULES)
+    written = {rule.context for rule in CATALOGUE_RULES}
+    seen = _counting_minimal_context(monkeypatch)
+    for rule in CATALOGUE_RULES:
+        for perm in MOTIONS:
+            assert table.lookup(rotated_context(rule.context, perm)) is rule.new_state
+    assert seen and not written.intersection(seen)
+
+
+@pytest.mark.parametrize("as_written", [True, False], ids=["same-context", "rotated-context"])
+def test_a_conflicting_table_is_still_refused(as_written):
+    rule = CATALOGUE_RULES[0]
+    context = rule.context if as_written else rotated_context(rule.context, MOTIONS[7])
+    other = next(s for s in CellState if s is not rule.new_state)
+    with pytest.raises(RuleConflictError):
+        RuleTable([*CATALOGUE_RULES, Rule(context, other, "clash")])
 
 
 def test_census_is_rotation_invariant():

@@ -267,6 +267,21 @@ def test_crossing_start_positions():
     assert locomotive_start(memory, Side.RIGHT, CrossingMode.PASSIVE_SELECTED) == {14: B, 15: R}
 
 
+@pytest.mark.parametrize("kind", list(SwitchKind))
+def test_idle_states_cannot_be_altered_through_a_returned_mapping(kind):
+    first = idle_states(kind)
+    want = {side: dict(cells) for side, cells in first.items()}
+    side, cells = next(iter(first.items()))
+    with pytest.raises(TypeError):
+        cells[17] = R
+    with pytest.raises(TypeError):
+        first[side] = {}
+    with pytest.raises(TypeError):
+        del first[side]
+    assert idle_states(kind) == want
+    assert build_switch(kind, Side.LEFT, CrossingMode.ACTIVE).initial.states[17] is want[Side.LEFT][17]
+
+
 # --- golden runs -------------------------------------------------------------
 
 

@@ -6,22 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dodecagrid import rules, scenarios, verify
-from dodecagrid.catalog import default_rules_dir, golden_path
-from dodecagrid.engine import Trace, TraceFormatError, format_trace
+from dodecagrid.catalog import default_rules_dir, golden_path, load_catalog, load_golden_trace
+from dodecagrid.engine import EngineError, Trace, TraceFormatError, format_trace
 from dodecagrid.geometry import IDENTITY, Motion, compose, enumerate_motions, permutation_from_motion
 from dodecagrid.railway import SwitchKind
-from dodecagrid.rules import B, R, W
+from dodecagrid.rules import B, R, RuleConflictError, RuleTable, W, load_rule_files
 from dodecagrid.scenarios import (
     APPROACH,
     LEFT_BRANCH,
     RIGHT_BRANCH,
     SCENARIOS,
+    Scenario,
     build_bridge,
     build_vertical_segment,
 )
 from dodecagrid.verify import (
+    ONE_D_RULES,
     CheckResult,
     ca_outcome,
+    chain_rows,
     check_bridge,
     check_catalog_invariance,
     check_golden,
@@ -250,9 +253,11 @@ def test_golden_check_replays_each_trace_once(memo_left_active, monkeypatch, tmp
     replayed = []
     replay = Trace.rows.fget
     monkeypatch.setattr(Trace, "rows", property(lambda trace: replayed.append(trace) or replay(trace)))
+    # an equal golden trace is compared as a record, with no replay; an unequal one replays each side once
     assert check_golden("memo-left-active", memo_left_active).detail == "8 rows match"
+    assert replayed == []
     assert check_golden("short", memo_left_active, tmp_path).detail == "row counts differ: 8 vs 5"
-    assert [trace is memo_left_active for trace in replayed] == [True, False, True, False]
+    assert [trace is memo_left_active for trace in replayed] == [True, False]
 
 
 def test_one_d_violations_flag_unexpected_triple():
@@ -481,9 +486,200 @@ def test_catalog_invariance_reads_the_table_pass(monkeypatch):
 
 
 def test_verify_all_canonicalises_each_rule_once(monkeypatch):
-    # 134 catalogue rules, then the 118 distinct contexts the matrix looks up
-    # whose census some rule shares; the other 5 never reach the canonicaliser
-    assert _minimal_context_calls(monkeypatch, verify_all) == 252
+    # 134 catalogue rules, then 6 of the 123 distinct contexts the matrix looks up:
+    # 112 are written in rules and answered from the table's seeded cache, and
+    # 5 have a census no rule shares, so they never reach the canonicaliser
+    assert _minimal_context_calls(monkeypatch, verify_all) == 140
+
+
+# --- the dense references the change-reading checks must agree with ---------
+
+
+def dense_trace_divergence(got, want):
+    """The reference golden compare: walk the replayed rows, with no shortcut for equal records."""
+    if got.cell_ids != want.cell_ids:
+        return f"cell ordering differs: {got.cell_ids} vs {want.cell_ids}"
+    for (t_got, row_got), (t_want, row_want) in zip(got.rows, want.rows):
+        if t_got != t_want:
+            return f"time labels differ: {t_got} vs {t_want}"
+        for cell, s_got, s_want in zip(got.cell_ids, row_got, row_want):
+            if s_got is not s_want:
+                return f"time {t_got} cell {cell}: expected {s_want.letter}, got {s_got.letter}"
+    if len(got.changes) != len(want.changes):
+        return f"row counts differ: {len(got.changes) + 1} vs {len(want.changes) + 1}"
+    return None
+
+
+def dense_one_d_violations(rows):
+    """The reference 1D check: every position of every dense row, against the 1D rules (W beyond the ends)."""
+    out = []
+    for t in range(len(rows) - 1):
+        old, new = rows[t], rows[t + 1]
+        for i in range(len(old)):
+            behind = old[i - 1] if i > 0 else W
+            ahead = old[i + 1] if i + 1 < len(old) else W
+            triple = (behind, old[i], ahead)
+            expected = ONE_D_RULES.get(triple, W if triple == (W, W, W) else None)
+            if new[i] is expected:
+                continue
+            letters = "".join(s.letter for s in triple)
+            if expected is None:
+                out.append(f"t{t} cell#{i}: unexpected track triple {letters}")
+            else:
+                out.append(f"t{t} cell#{i}: {letters} -> {new[i].letter}, 1D rules say {expected.letter}")
+    return out
+
+
+def dense_locomotive_progress(rows):
+    """The reference progress check: every dense row searched for its B and R cells."""
+    out = []
+    fronts = []
+    for t, row in enumerate(rows):
+        bs = [i for i, s in enumerate(row) if s is B]
+        rs = [i for i, s in enumerate(row) if s is R]
+        if len(bs) != 1 or len(rs) != 1:
+            out.append(f"t{t}: {len(bs)} front cells, {len(rs)} rear cells")
+            continue
+        if abs(bs[0] - rs[0]) != 1:
+            out.append(f"t{t}: front and rear not adjacent ({bs[0]}, {rs[0]})")
+        fronts.append((t, bs[0]))
+    for (t0, a), (t1, b_) in zip(fronts, fronts[1:]):
+        if (t1 - t0, b_ - a) != (1, 1):
+            out.append(f"t{t0}->{t1}: front moved {b_ - a} cells")
+    return out
+
+
+def dense_traversal_problems(scenario, trace, stuck_label):
+    rows = chain_rows(trace, scenario.track_cells)
+    problems = dense_locomotive_progress(rows) + dense_one_d_violations(rows)
+    final = dict(zip(scenario.track_cells, rows[-1]))
+    stuck = [c for c in scenario.segment_cells if final[c] is not W]
+    if stuck:
+        problems.append(f"{stuck_label}: {stuck}")
+    return problems
+
+
+def one_d_step(row):
+    """The next track row under the 1D rules; a cell whose triple has no rule keeps its state."""
+    triples = zip((W, *row), row, (*row[1:], W))
+    return tuple(ONE_D_RULES.get(triple, W if triple == (W, W, W) else triple[1]) for triple in triples)
+
+
+@st.composite
+def track_traces(draw):
+    """A scenario of 1-12 track cells among up to 3 others, and a trace of 0-8 steps over them.
+
+    Each step moves the track by the 1D rules, then redraws each cell with a
+    drawn chance (none, some or about 30 %), so most traces break the rules
+    somewhere, repeat a broken transition, or split the locomotive.
+    """
+    n_track = draw(st.integers(1, 12))
+    cell_ids = tuple(draw(st.permutations(range(1, n_track + draw(st.integers(0, 3)) + 1))))
+    track = tuple(draw(st.permutations(cell_ids)))[:n_track]
+    lo = draw(st.integers(0, n_track))
+    segment = track[lo : draw(st.integers(lo, n_track))]
+    if draw(st.booleans(), label="segment against travel order"):
+        segment = segment[::-1]
+    state = st.sampled_from([W, W, B, R])
+    row = dict(zip(cell_ids, draw(st.lists(state, min_size=len(cell_ids), max_size=len(cell_ids)))))
+    redraw = draw(st.sampled_from([0, 1, 3]))  # in tenths
+    start = draw(st.integers(0, 3))
+    rows = [(start, tuple(row[c] for c in cell_ids))]
+    for t in range(start + 1, start + 1 + draw(st.integers(0, 8))):
+        row.update(zip(track, one_d_step(tuple(row[c] for c in track))))
+        for c in cell_ids:
+            if draw(st.integers(0, 9)) < redraw:
+                row[c] = draw(state)
+        rows.append((t, tuple(row[c] for c in cell_ids)))
+    scenario = Scenario("random", None, None, track_cells=track, segment_cells=segment)
+    return scenario, Trace.from_rows(cell_ids, rows)
+
+
+@given(track_traces())
+@settings(max_examples=400, deadline=None)
+def test_traversal_problems_agree_with_the_dense_reference(scenario_and_trace):
+    scenario, trace = scenario_and_trace
+    assert traversal_problems(scenario, trace, "stuck") == dense_traversal_problems(scenario, trace, "stuck")
+    rows = chain_rows(trace, scenario.track_cells)
+    assert one_d_violations(rows) == dense_one_d_violations(rows)
+    assert locomotive_progress(rows) == dense_locomotive_progress(rows)
+
+
+def test_a_repeated_broken_transition_is_reported_at_every_step():
+    # the lone rear keeps its unexpected triple with nothing near it changing, so its
+    # verdict is carried; the last cell misfires once, and its next verdict is judged anew
+    rows = [(R, W, W, W, W), (R, W, W, W, W), (R, W, W, W, R), (R, W, W, W, W)]
+    assert one_d_violations(rows) == dense_one_d_violations(rows) == [
+        "t0 cell#0: unexpected track triple WRW",
+        "t1 cell#0: unexpected track triple WRW",
+        "t1 cell#4: WWW -> R, 1D rules say W",
+        "t2 cell#0: unexpected track triple WRW",
+        "t2 cell#4: unexpected track triple WRW",
+    ]
+
+
+def test_track_checks_of_no_rows_find_nothing():
+    assert one_d_violations([]) == locomotive_progress([]) == []
+
+
+TRACK_RULE_FILES = ("corner_motion.rules", "straight_motion.rules", "track_conservative.rules")
+TRACK_SCENARIOS = [entry.build() for entry in SCENARIOS.values() if entry.build().track_cells]
+
+
+def single_rule_flips(files):
+    """The whole catalogue with one rule of ``files`` given another new state, for each such rule and state."""
+    catalogue = load_catalog().rules
+    for k, rule in enumerate(catalogue):
+        if rule.source.split(":")[0] in files:
+            for new_state in (s for s in rules.CellState if s is not rule.new_state):
+                yield (*catalogue[:k], rule._replace(new_state=new_state), *catalogue[k + 1 :])
+
+
+def test_track_checks_agree_with_the_dense_reference_under_track_rule_flips():
+    compared = 0
+    for mutated in single_rule_flips(TRACK_RULE_FILES):
+        try:
+            table = RuleTable(mutated)
+        except RuleConflictError:
+            continue
+        for scenario in TRACK_SCENARIOS:
+            try:
+                trace = scenario.run(table)
+            except EngineError:
+                continue
+            want = dense_traversal_problems(scenario, trace, "stuck")
+            assert traversal_problems(scenario, trace, "stuck") == want, scenario.name
+            compared += 1
+    assert compared > 0
+
+
+@pytest.mark.parametrize("name", [name for name, entry in SCENARIOS.items() if entry.build().crossing])
+def test_golden_divergence_agrees_with_the_dense_walk_at_every_altered_cell(catalog, name):
+    want = load_golden_trace(name)
+    got = SCENARIOS[name].build().run(catalog)
+    assert trace_divergence(got, want) is dense_trace_divergence(got, want) is None
+    rows = got.rows
+    for k, (t, states) in enumerate(rows):
+        for i, state in enumerate(states):
+            for other in (s for s in rules.CellState if s is not state):
+                altered_row = (t, (*states[:i], other, *states[i + 1 :]))
+                altered = Trace.from_rows(got.cell_ids, (*rows[:k], altered_row, *rows[k + 1 :]))
+                diff = trace_divergence(altered, want)
+                assert diff is not None
+                assert diff == dense_trace_divergence(altered, want)
+
+
+def test_golden_divergence_of_equal_rows_in_non_canonical_changes_is_none(memo_left_active):
+    # a first step that lists its changes out of index order, then a cell that keeps its state:
+    # a different record with the same rows
+    trace = memo_left_active
+    first = trace.changes[0]
+    kept = next(i for i in range(len(trace.cell_ids)) if i not in dict(first))
+    shuffled = (*first[::-1], (kept, trace.initial[kept]))
+    other = Trace(trace.cell_ids, trace.start, trace.initial, (shuffled, *trace.changes[1:]))
+    assert other != trace
+    assert other.rows == trace.rows
+    assert trace_divergence(other, trace) is None
 
 
 def test_check_result_line():
