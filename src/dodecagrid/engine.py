@@ -103,8 +103,9 @@ class CellGraph:
     of what was given, the links as face-ordered pairs, which ``CellGraph``
     takes back.  The same pass derives each cell's base and feeds, which
     ``run`` codes contexts with.  A fixed tuple that several cells share, as
-    every cell of one builder template does, is checked and coded once, at
-    the first cell that uses it.
+    every cell of one track-element shape does (an element is ``(fixed,
+    exits)``, one shared value per shape), is checked and coded once, at the
+    first cell that uses it.
     """
 
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):

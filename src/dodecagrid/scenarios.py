@@ -1,26 +1,30 @@
 """Builders for the runnable cell graphs: track segments, bridges and switches.
 
-Track elements come in two shapes.  A straight element has blue milestones on
-faces 2, 5, 6, 7 and passes the locomotive between face 1 and one of faces 3,
-4, 8, 10; a corner has seven milestones (faces 3, 5, 6, 7, 8, 10, 11), a white
-back on face 0 and exits on faces 1 and 2.  Segment scenarios chain elements
-and keep a few extra plain cells past each end so the locomotive is still on
-modelled track for every step a test runs; the cells outside the chain are a
-permanently white boundary.
+A track element is plain data, ``(fixed, (entry, exit))``: its 12 fixed
+states, blue milestones and white elsewhere, and the faces the locomotive
+enters and leaves by.  A straight element has blue milestones on faces 2, 5,
+6, 7 and passes the locomotive between face 1 and one of faces 3, 4, 8, 10; a
+corner has seven milestones (faces 3, 5, 6, 7, 8, 10, 11), a white back on
+face 0 and exits on faces 1 and 2.  Each shape is one shared element, so
+``CellGraph`` checks and codes its fixed tuple once.  Segment scenarios chain
+elements and keep a few extra plain cells past each end so the locomotive is
+still on modelled track for every step a test runs; the cells outside the
+chain are a permanently white boundary.
 
 Switch graphs (22 cells, printed as columns 1..22) are built from the frozen
-wiring in ``data/switch_wiring.json``, which also gives the switch cells 17..22
-of an idle switch for each selected side.  Each kind's graph is built once and
-shared by all of its crossings, which differ only in their initial
-configurations.  ``build_switch`` sets those idle states, puts the locomotive
-on the approach (active crossing) or on the arm the crossing enters by
-(passive crossing) and runs 7 steps, which is the window the golden runs
-cover.
+wiring in ``data/switch_wiring.json``: each cell's blue and red milestone
+faces, decoded by ``milestones``, and its links.  The file also gives the
+switch cells 17..22 of an idle switch for each selected side.  Each kind's
+graph is built once and shared by all of its crossings, which differ only in
+their initial configurations.  ``build_switch`` sets those idle states, puts
+the locomotive on the approach (active crossing) or on the arm the crossing
+enters by (passive crossing) and runs 7 steps, which is the window the golden
+runs cover.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -63,37 +67,29 @@ def oracle_mode(mode: CrossingMode, laterality: Side) -> Crossing:
     return Passive(laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other)
 
 
-class CellTemplate(Record):
-    """Milestone pattern plus the faces a builder may link to other cells.
-
-    ``_fixed`` holds the 12 fixed states: milestones, white elsewhere; every
-    cell of this shape shares it.  It is derived from the fields, so it takes
-    no part in equality or the repr.
-    """
-
-    _fields = ("blue", "red", "open_faces")
-    __slots__ = _fields + ("_fixed",)
-    blue: tuple[int, ...]
-    red: tuple[int, ...]
-    open_faces: tuple[int, ...]
-
-    def __init__(self, blue: tuple[int, ...], red: tuple[int, ...], open_faces: tuple[int, ...]):
-        object.__setattr__(self, "blue", blue)
-        object.__setattr__(self, "red", red)
-        object.__setattr__(self, "open_faces", open_faces)
-        colour = {**{face: R for face in red}, **{face: B for face in blue}}
-        object.__setattr__(self, "_fixed", tuple(colour.get(face, W) for face in range(12)))
+def milestones(blue: Iterable[int], red: Iterable[int] = ()) -> tuple[CellState, ...]:
+    """The 12 fixed states of a cell with milestones on these faces, white elsewhere."""
+    colour = {**{face: R for face in red}, **{face: B for face in blue}}
+    return tuple(colour.get(face, W) for face in range(12))
 
 
-def build_straight_element(exit_pair: tuple[int, int]) -> CellTemplate:
+# a track element: its fixed states and its (entry, exit) faces
+Element = tuple[tuple[CellState, ...], tuple[int, int]]
+
+# one value per shape, so every cell of one shape shares its fixed tuple
+_STRAIGHTS: dict[tuple[int, int], Element] = {pair: (milestones(STRAIGHT_MILESTONES), pair) for pair in STRAIGHT_EXIT_PAIRS}
+_CORNER: Element = milestones(CORNER_MILESTONES), CORNER_EXITS
+
+
+def build_straight_element(exit_pair: tuple[int, int]) -> Element:
     """A straight track element whose usable exits are the given face pair."""
     if tuple(exit_pair) not in STRAIGHT_EXIT_PAIRS:
         raise ValueError(f"not a straight exit pair: {exit_pair}")
-    return CellTemplate(STRAIGHT_MILESTONES, (), tuple(exit_pair))
+    return _STRAIGHTS[tuple(exit_pair)]
 
 
-def build_corner() -> CellTemplate:
-    return CellTemplate(CORNER_MILESTONES, (), CORNER_EXITS)
+def build_corner() -> Element:
+    return _CORNER
 
 
 class Scenario(Record):
@@ -140,23 +136,22 @@ class Scenario(Record):
 Wiring = dict[CellId, tuple[tuple[CellState, ...], dict[int, CellId]]]
 
 
-def _chains(*chains: list[CellTemplate]) -> tuple[Wiring, list[tuple[CellId, ...]]]:
-    """Each list's templates chained second open face to the next one's first, ends left open.
+def _chains(*chains: list[Element]) -> tuple[Wiring, list[tuple[CellId, ...]]]:
+    """Each list's elements chained exit face to the next one's entry face, ends left open.
 
     Ids count from 1 through the lists one after another; returns the wiring and each chain's ids.
     """
     wiring: Wiring = {}
     ids = []
-    for templates in chains:
-        cells = range(len(wiring) + 1, len(wiring) + len(templates) + 1)
-        for cell, template in zip(cells, templates):
-            entry, exit_ = template.open_faces
+    for elements in chains:
+        cells = range(len(wiring) + 1, len(wiring) + len(elements) + 1)
+        for cell, (fixed, (entry, exit_)) in zip(cells, elements):
             links: dict[int, CellId] = {}
             if cell > cells[0]:
                 links[entry] = cell - 1
             if cell < cells[-1]:
                 links[exit_] = cell + 1
-            wiring[cell] = template._fixed, links
+            wiring[cell] = fixed, links
         ids.append(tuple(cells))
     return wiring, ids
 
@@ -270,8 +265,7 @@ def _switch_graph(kind: SwitchKind) -> CellGraph:
     wiring: Wiring = {}
     for cell_str, entry in table.items():
         links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
-        template = CellTemplate(tuple(entry.get("blue", ())), tuple(entry.get("red", ())), tuple(links))
-        wiring[int(cell_str)] = template._fixed, links
+        wiring[int(cell_str)] = milestones(entry.get("blue", ()), entry.get("red", ())), links
     return CellGraph(wiring)
 
 

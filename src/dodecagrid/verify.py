@@ -282,23 +282,21 @@ def check_segment(scenario: Scenario, trace: Trace) -> CheckResult:
 
 
 def crossing_disturbance(scenario: Scenario, trace: Trace) -> str | None:
-    """The first row with a non-white crossing-track cell, and those cells, read from the trace's changes.
+    """The first row with a non-white crossing-track cell, and those cells, read from the track's ``chain_steps``.
 
     Up to that row every crossing cell is white, so the cells a step changes
     among them are exactly the ones it leaves non-white.
     """
-    position = {c: i for i, c in enumerate(trace.cell_ids)}
-    crossing = [(c, position[c]) for c in scenario.crossing_track]
-    watched = {i for _, i in crossing}
+    initial, steps = chain_steps(trace, scenario.crossing_track)
     t = trace.start
-    touched = [c for c, i in crossing if trace.initial[i] is not W]
-    for changes in trace.changes:
+    touched = {k for k, s in enumerate(initial) if s is not W}
+    for changes in steps:
         if touched:
             break
         t += 1
-        hit = watched.intersection([i for i, _ in changes])
-        touched = [c for c, i in crossing if i in hit]
-    return f"t{t}: crossing track disturbed at {touched}" if touched else None
+        touched = {k for k, _ in changes}
+    cells = [scenario.crossing_track[k] for k in sorted(touched)]
+    return f"t{t}: crossing track disturbed at {cells}" if touched else None
 
 
 def check_bridge(scenario: Scenario, trace: Trace) -> CheckResult:

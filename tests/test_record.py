@@ -7,7 +7,7 @@ from dodecagrid.engine import CellGraph, Configuration, GraphError, Trace
 from dodecagrid.pentagrid import NodeKind, TreeNode
 from dodecagrid.railway import Active, ElementaryCircuit, Passive, Side, SwitchKind, SwitchState
 from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
-from dodecagrid.scenarios import CellTemplate, NamedScenario, Scenario, build_bridge, build_vertical_segment
+from dodecagrid.scenarios import NamedScenario, Scenario, build_bridge, build_vertical_segment
 from dodecagrid.verify import CheckResult
 
 _CTX = context_from_letters("W B W W W W W W W W W W W".split())
@@ -31,11 +31,6 @@ FROZEN = [
         f"Conflict(a={_RULE_A!r}, b={_RULE_B!r}, minimal={minimal_context(_CTX)!r})",
     ),
     (InvarianceReport, {"conflicts": ()}, "InvarianceReport(conflicts=())"),
-    (
-        CellTemplate,
-        {"blue": (2, 5, 6, 7), "red": (), "open_faces": (1, 3)},
-        "CellTemplate(blue=(2, 5, 6, 7), red=(), open_faces=(1, 3))",
-    ),
     (NamedScenario, {"builder": build_bridge, "args": ("v1",)}, f"NamedScenario(builder={build_bridge!r}, args=('v1',))"),
     (CheckResult, {"name": "golden: v1-fwd", "ok": True}, "CheckResult(name='golden: v1-fwd', ok=True, detail='')"),
     (Active, {}, "Active()"),
@@ -93,15 +88,6 @@ def test_record_pickles_and_copies(cls, kwargs, text):
         assert type(again) is cls
         assert again == value
         assert repr(again) == text
-
-
-def test_cell_template_shares_its_fixed_ports_after_a_copy():
-    template = CellTemplate((2, 5, 6, 7), (3,), (1, 4))
-    assert template._fixed == (W, W, B, R, W, B, B, B, W, W, W, W)
-    assert copy.deepcopy(template)._fixed == template._fixed
-    # every cell of this shape shares the one tuple, and a graph keeps it as given
-    graph = CellGraph({1: (template._fixed, {4: 2}), 2: (template._fixed, {1: 1})})
-    assert graph.wiring(1)[0] is graph.wiring(2)[0] is template._fixed
 
 
 def test_elementary_circuit_validates_its_switches():

@@ -10,6 +10,7 @@ from dodecagrid.scenarios import (
     RIGHT_BRANCH,
     SCENARIOS,
     SEGMENT_BUFFER,
+    STRAIGHT_EXIT_PAIRS,
     CrossingMode,
     build_bridge,
     build_corner,
@@ -19,6 +20,7 @@ from dodecagrid.scenarios import (
     build_vertical_segment,
     horizontal_exit_faces,
     idle_states,
+    milestones,
 )
 from dodecagrid.verify import check_bridge, check_segment, trace_divergence
 
@@ -40,20 +42,24 @@ def idle_context(kind, lat, cell):
     return context_of(graph, idle, cell)
 
 
-# --- track element templates -------------------------------------------------
+# --- track elements ----------------------------------------------------------
+
+
+def blue_faces(fixed):
+    return tuple(face for face, state in enumerate(fixed) if state is B)
 
 
 def test_straight_template_milestones():
-    template = build_straight_element((1, 3))
-    assert template.blue == (2, 5, 6, 7)
-    assert set(template.open_faces) == {1, 3}
+    fixed, exits = build_straight_element((1, 3))
+    assert blue_faces(fixed) == (2, 5, 6, 7)
+    assert set(exits) == {1, 3}
 
 
 def test_straight_variants_share_conservative_orbit():
     # whichever exit pair is used, the idle context canonicalizes identically
     base = minimal_context(ctx("W W W B W W B B B W W W W"))
-    for pair in ((1, 3), (1, 4), (1, 8), (1, 10)):
-        neighbors = build_straight_element(pair)._fixed
+    for pair in STRAIGHT_EXIT_PAIRS:
+        neighbors, _ = build_straight_element(pair)
         assert minimal_context(ctx("W " + " ".join(s.letter for s in neighbors))) == base
 
 
@@ -63,24 +69,45 @@ def test_straight_rejects_corner_pair():
 
 
 def test_corner_template():
-    template = build_corner()
-    assert template.blue == (3, 5, 6, 7, 8, 10, 11)
-    assert set(template.open_faces) == {1, 2}
-    assert template._fixed[0] is W  # the corner's back stays white
+    fixed, exits = build_corner()
+    assert blue_faces(fixed) == (3, 5, 6, 7, 8, 10, 11)
+    assert set(exits) == {1, 2}
+    assert fixed[0] is W  # the corner's back stays white
 
 
 def test_corner_front_arrival_rule(catalog):
-    template = build_corner()
-    neighbors = list(template._fixed)
+    neighbors = list(build_corner()[0])
     neighbors[1] = B
     assert catalog.lookup(ctx("W " + " ".join(s.letter for s in neighbors))) is B
 
 
 def test_template_rejects_link_on_closed_face():
     # face 5 of a corner holds a blue milestone, which a link there would hide
-    corner = build_corner()._fixed
+    corner, _ = build_corner()
     with pytest.raises(GraphError, match="^cell 1 face 5 links over fixed state B$"):
         CellGraph({1: (corner, {5: 2}), 2: (corner, {1: 1})})
+
+
+def test_each_shape_is_one_shared_element():
+    for pair in STRAIGHT_EXIT_PAIRS:
+        assert build_straight_element(pair) is build_straight_element(pair)
+        assert build_straight_element(list(pair)) is build_straight_element(pair)
+    assert build_corner() is build_corner()
+
+
+def test_milestones_colour_their_faces_and_leave_the_rest_white():
+    assert milestones((2, 5, 6, 7), (3,)) == (W, W, B, R, W, B, B, B, W, W, W, W)
+    assert milestones(()) == (W,) * 12
+
+
+def test_a_long_horizontal_segment_shares_one_fixed_tuple_per_shape():
+    graph = build_horizontal_segment(200).graph
+    used = {id(graph.wiring(cell)[0]) for cell in graph.cell_ids}
+    # plain (1, 4) straights, Fibonacci-word straights exiting by face 4 or 10, and corners; the graph
+    # keeps each cell's fixed tuple as given, so 410 cells hold 3 objects
+    shapes = (build_straight_element((1, 4)), build_straight_element((1, 10)), build_corner())
+    assert len(graph) == 410
+    assert used == {id(fixed) for fixed, _ in shapes}
 
 
 # --- segments ----------------------------------------------------------------
