@@ -6,7 +6,7 @@ import json
 from functools import lru_cache
 from pathlib import Path
 
-from .engine import Trace, parse_trace_text
+from .engine import Trace, TraceFormatError, parse_trace_text
 from .rules import RuleTable, load_rule_dir
 
 
@@ -40,7 +40,11 @@ def load_golden_trace(name: str, golden_dir: Path | str | None = None) -> Trace:
     path = golden_path(name, golden_dir)
     if not path.is_file():
         raise FileNotFoundError(f"golden trace missing: {path}")
-    return parse_trace_text(path.read_text(), str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
+    return parse_trace_text(text, str(path))
 
 
 @lru_cache(maxsize=1)

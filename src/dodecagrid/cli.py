@@ -13,10 +13,10 @@ from .catalog import load_catalog
 from .engine import Configuration, EngineError, TraceFormatError, format_trace, format_trace_tsv
 from .geometry import dump_rotations
 from .pentagrid import enumerate_levels
-from .railway import Side, SwitchKind, SwitchState, cross
+from .railway import CrossingMode, Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
 from .rules import InvarianceReport, RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
-from .scenarios import SCENARIOS, CrossingMode, check_crossing, oracle_mode
+from .scenarios import SCENARIOS, check_crossing
 from .verify import check_catalog_invariance, verify_all, verify_scenario
 
 
@@ -203,7 +203,7 @@ def _cmd_oracle_crossings(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    exit_taken, new_state = cross(SwitchState(kind, lat), oracle_mode(mode, lat))
+    exit_taken, new_state = cross(SwitchState(kind, lat), mode)
     print(f"exit {exit_taken.value}, selected {new_state.selected.value}")
     return 0
 
@@ -231,8 +231,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
-    except (FileNotFoundError, RuleParseError, TraceFormatError) as exc:
-        # fail closed: a missing or malformed golden or rule file is a configuration error
+    except (OSError, RuleParseError, TraceFormatError) as exc:
+        # fail closed: a missing, unreadable or malformed golden or rule file is a configuration error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (EngineError, RuleConflictError) as exc:

@@ -1,8 +1,9 @@
-"""Abstract railway-model semantics: switch state machines and the one-bit circuit.
+"""Abstract railway-model semantics: switch state machines, crossing modes and the one-bit circuit.
 
 This is the event-level oracle the cellular traces are checked against.  It
 knows nothing about cells or timing: a crossing is atomic and only the exit
-taken and the resulting switch state matter.
+taken and the resulting switch state matter.  It owns the crossing modes, which
+also name the scenarios, the golden runs and the CLI's ``--mode``.
 """
 
 from __future__ import annotations
@@ -35,19 +36,12 @@ class Exit(Enum):
     U = "u"
 
 
-class Active(Record):
-    __slots__ = ()
+class CrossingMode(Enum):
+    """Enter by the single track, or passively by the selected arm or by the other one."""
 
-
-class Passive(Record):
-    __slots__ = _fields = ("arm",)
-    arm: Side
-
-    def __init__(self, arm: Side):
-        object.__setattr__(self, "arm", arm)
-
-
-Crossing = Active | Passive
+    ACTIVE = "active"
+    PASSIVE_SELECTED = "sel"
+    PASSIVE_NONSELECTED = "nonsel"
 
 
 class SwitchState(Record):
@@ -60,17 +54,18 @@ class SwitchState(Record):
         object.__setattr__(self, "selected", selected)
 
 
-def cross(state: SwitchState, mode: Crossing) -> tuple[Exit, SwitchState]:
+def cross(state: SwitchState, mode: CrossingMode) -> tuple[Exit, SwitchState]:
     """Run one crossing; return the exit taken and the successor state."""
-    if isinstance(mode, Active):
+    if mode is CrossingMode.ACTIVE:
         exit_taken = Exit(state.selected.value)
         if state.kind is SwitchKind.FLIPFLOP:
             return exit_taken, SwitchState(state.kind, state.selected.other)
         return exit_taken, state
     if state.kind is SwitchKind.FLIPFLOP:
         raise ValueError("a flip-flop switch is never crossed passively")
-    if state.kind is SwitchKind.MEMORY:
-        return Exit.U, SwitchState(state.kind, mode.arm)
+    # a memory switch selects the arm it was entered by, so only a crossing through the other arm flips it
+    if state.kind is SwitchKind.MEMORY and mode is CrossingMode.PASSIVE_NONSELECTED:
+        return Exit.U, SwitchState(state.kind, state.selected.other)
     return Exit.U, state
 
 
@@ -111,11 +106,11 @@ def new_circuit(bit: Side = Side.LEFT) -> ElementaryCircuit:
 def circuit_enter(circuit: ElementaryCircuit, gate: Gate) -> tuple[CircuitExit, ElementaryCircuit]:
     """Read (enter at E) or write (enter at U) the stored bit."""
     if gate is Gate.E:
-        exit_taken, e_after = cross(circuit.e_switch, Active())
+        exit_taken, e_after = cross(circuit.e_switch, CrossingMode.ACTIVE)
         out = CircuitExit.O1 if exit_taken is Exit.LEFT else CircuitExit.O2
         return out, ElementaryCircuit(e_after, circuit.u_switch)
     # Entering at U toggles the flip-flop, then the loop track routes the
     # locomotive through the memory switch's currently non-selected arm.
-    _, u_after = cross(circuit.u_switch, Active())
-    _, e_after = cross(circuit.e_switch, Passive(circuit.e_switch.selected.other))
+    _, u_after = cross(circuit.u_switch, CrossingMode.ACTIVE)
+    _, e_after = cross(circuit.e_switch, CrossingMode.PASSIVE_NONSELECTED)
     return CircuitExit.U_RETURN, ElementaryCircuit(e_after, u_after)

@@ -336,7 +336,11 @@ def load_rule_files(paths: Iterable[Path | str]) -> RuleTable:
     rules: list[Rule] = []
     for path in paths:
         path = Path(path)
-        rules.extend(parse_rules(path.read_text(), path.name))
+        try:
+            text = path.read_text()
+        except UnicodeDecodeError as exc:
+            raise RuleParseError(f"{path.name}: {exc}") from None
+        rules.extend(parse_rules(text, path.name))
     return RuleTable(rules)
 
 

@@ -25,7 +25,6 @@ runs cover.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
-from enum import Enum
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -41,7 +40,7 @@ from .engine import (
     with_states,
 )
 from .pentagrid import fibonacci_word
-from .railway import Active, Crossing, Passive, Side, SwitchKind
+from .railway import CrossingMode, Side, SwitchKind
 from .record import Record
 from .rules import B, CellState, R, RuleTable, W, states_from_letters
 
@@ -52,19 +51,6 @@ CORNER_EXITS = (1, 2)
 
 SEGMENT_BUFFER = 5  # plain cells kept past each end of a segment under test
 _HEADING = {True: "fwd", False: "rev"}  # travel direction in a track scenario's name
-
-
-class CrossingMode(Enum):
-    ACTIVE = "active"
-    PASSIVE_SELECTED = "sel"
-    PASSIVE_NONSELECTED = "nonsel"
-
-
-def oracle_mode(mode: CrossingMode, laterality: Side) -> Crossing:
-    """The railway crossing a mode names; a passive one enters by the selected arm or by the other one."""
-    if mode is CrossingMode.ACTIVE:
-        return Active()
-    return Passive(laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other)
 
 
 def milestones(blue: Iterable[int], red: Iterable[int] = ()) -> tuple[CellState, ...]:
@@ -298,12 +284,12 @@ def check_crossing(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> No
 def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scenario:
     """The switch idle on ``laterality``, with the locomotive (rear R, front B) placed for a ``mode`` crossing."""
     check_crossing(kind, laterality, mode)
-    crossing = oracle_mode(mode, laterality)
-    if isinstance(crossing, Passive):
-        arm = LEFT_BRANCH if crossing.arm is Side.LEFT else RIGHT_BRANCH
-        locomotive = {arm[2]: B, arm[3]: R}
-    else:
+    if mode is CrossingMode.ACTIVE:
         locomotive = {2: R, 3: B}
+    else:
+        arm_side = laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other
+        arm = LEFT_BRANCH if arm_side is Side.LEFT else RIGHT_BRANCH
+        locomotive = {arm[2]: B, arm[3]: R}
     graph = _switch_graph(kind)
     return Scenario(
         name=switch_name(kind, laterality, mode),

@@ -34,7 +34,6 @@ from .scenarios import (
     SCENARIOS,
     Scenario,
     idle_states,
-    oracle_mode,
 )
 
 
@@ -332,7 +331,7 @@ def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
 def check_oracle_agreement(scenario: Scenario, trace: Trace) -> CheckResult:
     name = f"oracle:{scenario.name}"
     kind, laterality, mode = scenario.crossing
-    want_exit, want_state = railway.cross(railway.SwitchState(kind, laterality), oracle_mode(mode, laterality))
+    want_exit, want_state = railway.cross(railway.SwitchState(kind, laterality), mode)
     try:
         got_exit, got_selected = ca_outcome(trace, kind)
     except ValueError as exc:  # an end state with no reading is a failed check

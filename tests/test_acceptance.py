@@ -148,21 +148,13 @@ def read_ca_outcome(trace):
 @criterion(6, "CA outcomes agree with the railway oracle for every kind/laterality/mode")
 def test_criterion_6_oracle_agreement():
     table = load_catalog()
-    from dodecagrid.scenarios import CrossingMode
-
     checked = 0
     for entry in SCENARIOS.values():
         scenario = entry.build()
         if not scenario.crossing:
             continue
-        kind, laterality, crossing_mode = scenario.crossing
-        state = railway.SwitchState(kind, laterality)
-        if crossing_mode is CrossingMode.ACTIVE:
-            mode = railway.Active()
-        else:
-            arm = laterality if crossing_mode is CrossingMode.PASSIVE_SELECTED else laterality.other
-            mode = railway.Passive(arm)
-        want_exit, want_state = railway.cross(state, mode)
+        kind, laterality, mode = scenario.crossing
+        want_exit, want_state = railway.cross(railway.SwitchState(kind, laterality), mode)
         got_exit, got_selected = read_ca_outcome(scenario.run(table))
         assert got_exit is want_exit, scenario.name
         assert got_selected is want_state.selected, scenario.name

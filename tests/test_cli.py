@@ -283,6 +283,37 @@ def test_verify_all_refuses_a_header_only_golden_file(capsys, tmp_path):
     assert err == f"error: {golden}: trace has no rows\n"
 
 
+def _with_a_bad_byte(source_dir, target_dir, filename):
+    """A copy of ``source_dir`` whose ``filename`` ends in byte 0xff, which is not UTF-8."""
+    shutil.copytree(source_dir, target_dir)
+    target = target_dir / filename
+    target.write_bytes(target.read_bytes() + b"\xff\n")
+    return target
+
+
+@pytest.mark.parametrize("command", ["rules check", "verify-all"])
+def test_a_rule_file_that_is_not_text_fails_closed(capsys, tmp_path, command):
+    _with_a_bad_byte(default_rules_dir(), tmp_path / "rules", "straight_motion.rules")
+    code, out, err = run_cli(capsys, *command.split(), "--rules", str(tmp_path / "rules"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: straight_motion.rules: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_verify_all_golden_file_that_is_not_text_fails_closed(capsys, tmp_path):
+    golden = _with_a_bad_byte(default_golden_dir(), tmp_path / "golden", "fixed-sel.trace")
+    code, out, err = run_cli(capsys, "verify-all", "--golden", str(tmp_path / "golden"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {golden}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+def test_rules_check_of_a_directory_fails_closed(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "rules", "check", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
 def test_verify_golden_with_a_second_header_fails_closed(capsys, tmp_path):
     # a shorter first header over rows that omit cell 22 must not pass as the whole trace
     lines = golden_path("memo-left-sel").read_text().splitlines()
@@ -370,10 +401,31 @@ def test_verify_prints_the_scenarios_lines_of_verify_all(capsys, name):
     assert out.splitlines() == checks
 
 
+# every crossing check_crossing accepts, as (kind, mode, lat, scenario name, what the oracle prints)
+ORACLE_CROSSINGS = [
+    ("memory", "active", "left", "memo-left-active", "exit left, selected left"),
+    ("memory", "sel", "left", "memo-left-sel", "exit u, selected left"),
+    ("memory", "nonsel", "left", "memo-left-nonsel", "exit u, selected right"),
+    ("memory", "active", "right", "memo-right-active", "exit right, selected right"),
+    ("memory", "sel", "right", "memo-right-sel", "exit u, selected right"),
+    ("memory", "nonsel", "right", "memo-right-nonsel", "exit u, selected left"),
+    ("fixed", "active", "left", "fixed-active", "exit left, selected left"),
+    ("fixed", "sel", "left", "fixed-sel", "exit u, selected left"),
+    ("fixed", "nonsel", "left", "fixed-nonsel", "exit u, selected left"),
+    ("flipflop", "active", "left", "flipflop-left-active", "exit left, selected right"),
+    ("flipflop", "active", "right", "flipflop-right-active", "exit right, selected left"),
+]
+
+
 def test_oracle_crossings(capsys):
     code, out, _ = run_cli(capsys, "oracle", "crossings", "--kind", "memory", "--mode", "nonsel")
     assert code == 0
     assert out.strip() == "exit u, selected right"
+    for kind, mode, lat, name, want in ORACLE_CROSSINGS:
+        code, out, err = run_cli(capsys, "oracle", "crossings", "--kind", kind, "--mode", mode, "--lat", lat)
+        assert (code, out, err) == (0, f"{want}\n", ""), name
+        # the oracle line verify-all prints for the same crossing carries the same reading
+        assert f"PASS  oracle:{name}  ({want})" in VERIFY_ALL_OUTPUT.splitlines(), name
 
 
 @pytest.mark.parametrize("mode", ["sel", "nonsel"])

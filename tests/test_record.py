@@ -5,7 +5,7 @@ import pytest
 
 from dodecagrid.engine import CellGraph, Configuration, GraphError, Trace
 from dodecagrid.pentagrid import NodeKind, TreeNode
-from dodecagrid.railway import Active, ElementaryCircuit, Passive, Side, SwitchKind, SwitchState
+from dodecagrid.railway import ElementaryCircuit, Side, SwitchKind, SwitchState
 from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
 from dodecagrid.scenarios import NamedScenario, Scenario, build_bridge, build_vertical_segment
 from dodecagrid.verify import CheckResult
@@ -33,8 +33,6 @@ FROZEN = [
     (InvarianceReport, {"conflicts": ()}, "InvarianceReport(conflicts=())"),
     (NamedScenario, {"builder": build_bridge, "args": ("v1",)}, f"NamedScenario(builder={build_bridge!r}, args=('v1',))"),
     (CheckResult, {"name": "golden: v1-fwd", "ok": True}, "CheckResult(name='golden: v1-fwd', ok=True, detail='')"),
-    (Active, {}, "Active()"),
-    (Passive, {"arm": Side.LEFT}, "Passive(arm=<Side.LEFT: 'left'>)"),
     (
         SwitchState,
         {"kind": SwitchKind.MEMORY, "selected": Side.LEFT},
@@ -99,8 +97,9 @@ def test_elementary_circuit_validates_its_switches():
 
 def test_a_bad_port_is_named_by_its_repr():
     fixed = [W] * 12
-    fixed[3] = Passive(Side.LEFT)
-    with pytest.raises(GraphError, match=r"^cell 1 face 3: fixed state Passive\(arm=<Side.LEFT: 'left'>\) is not a CellState$"):
+    fixed[3] = _MEMORY
+    text = r"SwitchState\(kind=<SwitchKind.MEMORY: 'memory'>, selected=<Side.LEFT: 'left'>\)"
+    with pytest.raises(GraphError, match=rf"^cell 1 face 3: fixed state {text} is not a CellState$"):
         CellGraph({1: (fixed, {})})
 
 
