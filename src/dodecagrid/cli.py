@@ -6,6 +6,7 @@ Exit code is 0 exactly when the requested check or verification passes.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -230,7 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so a reader that closed stdout early is met here, not in the interpreter's last flush
+        return status
+    except BrokenPipeError:  # the reader closed stdout: exit as SIGPIPE would, with the last flush to nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (OSError, RuleParseError, TraceFormatError) as exc:
         # fail closed: a missing, unreadable or malformed golden or rule file is a configuration error
         print(f"error: {exc}", file=sys.stderr)

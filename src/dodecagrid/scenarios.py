@@ -99,7 +99,7 @@ class Scenario(Record):
         segment_cells: tuple[CellId, ...] = (),
         default_steps: int = 7,
         layout: dict[CellId, tuple[float, float]] | None = None,  # a fresh {} for each scenario by default
-        # a bridge's other track, which the locomotive must never disturb
+        # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
         crossing_track: tuple[CellId, ...] = (),
         crossing: tuple[SwitchKind, Side, CrossingMode] | None = None,  # what ``build_switch`` was called with
     ):

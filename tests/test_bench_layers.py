@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+from dodecagrid import verify
 from dodecagrid.catalog import load_catalog
 from dodecagrid.rules import context_from_letters
 from dodecagrid.scenarios import build_horizontal_segment, build_vertical_segment
@@ -71,3 +72,21 @@ def test_lookup_outcomes_classify_missed_contexts(monkeypatch):
         (table, context_from_letters("W R R R R R R R R R R R R".split())),  # no rule, no blanks
     }
     assert tracer.lookup_outcomes() == {"distinct": 3, "explicit": 1, "fallback": 1, "missing": 1}
+
+
+def test_the_tracer_unwinds_the_track_check_aliases(monkeypatch):
+    # check_segment and check_bridge are two more names for check_track, so the tracer wraps one
+    # function twice and patches all three names; uninstall must hand each back the original
+    original = verify.check_track
+    assert verify.check_segment is verify.check_bridge is original
+    tracer = _bench_sample(monkeypatch).Tracer()
+    tracer.install()
+    try:
+        assert verify.check_track is not original
+        traced = verify.verify_all()
+    finally:
+        tracer.uninstall()
+    assert verify.check_track is verify.check_segment is verify.check_bridge is original
+    for results in (traced, verify.verify_all()):
+        assert len(results) == 32
+        assert all(r.ok for r in results), [r.line() for r in results if not r.ok]

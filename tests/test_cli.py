@@ -1,6 +1,9 @@
 import argparse
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -448,6 +451,50 @@ def test_pentagrid_levels(capsys):
     code, out, _ = run_cli(capsys, "pentagrid", "levels", "--depth", "1")
     assert code == 0
     assert out.splitlines() == ["1 white 1", "2 black 10", "3 white 11", "4 white 101"]
+
+
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():
+    # depth 10 prints about 870 KB, far more than a pipe holds, so writing hits the closed pipe;
+    # the status is a SIGPIPE death's, not 2, which means a missing or malformed data file
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "dodecagrid.cli", "pentagrid", "levels", "--depth", "10"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"1 white 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141
+    assert err == b""
+
+
+class ClosedPipe:
+    """A stdout that takes every write and refuses the flush, as a pipe whose reader has gone does."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_reader_gone_before_the_last_flush_ends_the_command_quietly(capsys, monkeypatch, tmp_path):
+    # an output that fits the stream's buffer is written only by its last flush, so main flushes
+    # while it can still catch the error, then points the stream's descriptor at the null device
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+    try:
+        assert main(["pentagrid", "levels", "--depth", "1"]) == 141
+        os.write(fd, b"after")
+    finally:
+        os.close(fd)
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 def test_render_writes_svg(capsys, tmp_path):

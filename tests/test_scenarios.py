@@ -22,7 +22,7 @@ from dodecagrid.scenarios import (
     idle_states,
     milestones,
 )
-from dodecagrid.verify import check_bridge, check_segment, trace_divergence
+from dodecagrid.verify import check_track, trace_divergence
 
 GOLDEN_NAMES = [name for name, e in SCENARIOS.items() if e.build().crossing]
 
@@ -176,7 +176,7 @@ def test_bridge_idle_restored_both_directions(catalog):
 
 @pytest.mark.parametrize("name", ("v0-fwd", "v0-rev", "v1-fwd", "v1-rev"))
 def test_bridge_link_walk_from_the_track_never_reaches_the_crossing_track(name):
-    # so the locomotive cannot disturb the crossing track; what crossing_disturbance
+    # so the locomotive cannot disturb the crossing track; what check_track
     # still checks there is that the catalogue keeps the idle crossing cells white
     scenario = SCENARIOS[name].build()
     reached, frontier = set(scenario.track_cells), list(scenario.track_cells)
@@ -222,9 +222,9 @@ def test_track_scenario_invariants(shape, heading, catalog):
     assert scenario.initial.states[track[SEGMENT_BUFFER + 1]] is B
     assert sum(s is not W for s in scenario.initial.states.values()) == 2
     assert scenario.default_steps == len(chain) - SEGMENT_BUFFER - 2
-    check = check_bridge if shape.startswith("bridge") else check_segment
-    result = check(scenario, scenario.run(catalog))
+    result = check_track(scenario, scenario.run(catalog))
     assert result.ok, result.detail
+    assert result.name == f"{'bridge' if shape.startswith('bridge') else 'segment'}:{scenario.name}"
 
 
 # --- switch graphs -----------------------------------------------------------

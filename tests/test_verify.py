@@ -25,18 +25,16 @@ from dodecagrid.verify import (
     CheckResult,
     ca_outcome,
     chain_rows,
-    check_bridge,
     check_catalog_invariance,
     check_golden,
     check_oracle_agreement,
     check_rotation_group,
-    check_segment,
+    check_track,
     closed_under_composition,
-    crossing_disturbance,
     locomotive_progress,
     one_d_violations,
     trace_divergence,
-    traversal_problems,
+    track_problems,
     verify_all,
     verify_scenario,
 )
@@ -285,8 +283,8 @@ def test_segment_check_fails_on_stuck_segment_cell(catalog):
     trace = scenario.run(catalog, 6)
     rear = scenario.track_cells[11]
     assert rear in scenario.segment_cells
-    assert traversal_problems(scenario, trace, "stuck") == [f"stuck: [{rear}]"]
-    assert check_segment(scenario, trace).line() == (
+    assert track_problems(scenario, trace) == [f"segment cells not idle after exit: [{rear}]"]
+    assert check_track(scenario, trace).line() == (
         f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{rear}])"
     )
 
@@ -297,7 +295,7 @@ def test_stuck_cells_are_listed_in_segment_order_on_a_reversed_track(catalog):
     scenario = build_vertical_segment(7, forward=False)
     trace = scenario.run(catalog, 4)
     assert scenario.track_cells.index(8) < scenario.track_cells.index(7)
-    assert traversal_problems(scenario, trace, "stuck") == ["stuck: [7, 8]"]
+    assert track_problems(scenario, trace) == ["segment cells not idle after exit: [7, 8]"]
 
 
 def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
@@ -308,18 +306,8 @@ def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
         (t, tuple(B if t == 3 and cell == crossing else s for cell, s in zip(trace.cell_ids, states)))
         for t, states in trace.rows
     )
-    result = check_bridge(scenario, Trace.from_rows(trace.cell_ids, rows))
+    result = check_track(scenario, Trace.from_rows(trace.cell_ids, rows))
     assert result.line() == f"FAIL  bridge:v1-fwd  (t3: crossing track disturbed at [{crossing}])"
-
-
-def dense_crossing_disturbance(scenario, trace):
-    """The reference crossing-track scan: every replayed row as a dict of every cell."""
-    for t, states in trace.rows:
-        row = dict(zip(trace.cell_ids, states))
-        touched = [c for c in scenario.crossing_track if row[c] is not W]
-        if touched:
-            return f"t{t}: crossing track disturbed at {touched}"
-    return None
 
 
 def disturbed_bridge_trace(catalog, disturbances):
@@ -344,9 +332,17 @@ def disturbed_bridge_trace(catalog, disturbances):
 def test_crossing_disturbance_matches_dense_scan(catalog, disturbances, detail):
     scenario, trace = disturbed_bridge_trace(catalog, disturbances)
     want = detail.format(*scenario.crossing_track)
-    assert dense_crossing_disturbance(scenario, trace) == want
-    assert crossing_disturbance(scenario, trace) == want
-    assert check_bridge(scenario, trace).detail.startswith(want)
+    assert dense_track_problems(scenario, trace)[0] == want
+    assert track_problems(scenario, trace)[0] == want
+    assert check_track(scenario, trace).detail.startswith(want)
+
+
+def test_disturbed_cells_are_listed_in_crossing_track_order():
+    # the crossing track runs against cell order, and both its cells turn at t1, after the first row
+    scenario = Scenario("reversed", None, None, track_cells=(1, 2, 3), segment_cells=(), crossing_track=(5, 4))
+    trace = Trace.from_rows((1, 2, 3, 4, 5), ((0, (R, B, W, W, W)), (1, (W, R, B, B, R))))
+    want = ["t1: crossing track disturbed at [5, 4]"]
+    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace) == want
 
 
 # the v1 bridge run has 13 rows and 17 crossing-track cells
@@ -354,12 +350,13 @@ def test_crossing_disturbance_matches_dense_scan(catalog, disturbances, detail):
 @settings(max_examples=60, deadline=None)
 def test_crossing_disturbance_agrees_with_dense_scan(catalog, disturbances):
     scenario, trace = disturbed_bridge_trace(catalog, disturbances)
-    assert crossing_disturbance(scenario, trace) == dense_crossing_disturbance(scenario, trace)
+    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace)
 
 
 def test_crossing_disturbance_of_a_one_row_trace(catalog):
+    # no disturbance: the one fault is the locomotive, still on its first two cells
     scenario = build_bridge("v1")
-    assert crossing_disturbance(scenario, scenario.run(catalog, 0)) is None
+    assert track_problems(scenario, scenario.run(catalog, 0)) == ["bridge cells not idle after traversal: [23, 24]"]
 
 
 def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active):
@@ -393,12 +390,12 @@ def test_locomotive_progress_flags_split_locomotive():
 
 def test_segment_checks(catalog):
     for scenario in (build_vertical_segment(7), build_vertical_segment(7, forward=False)):
-        assert check_segment(scenario, scenario.run(catalog)).ok
+        assert check_track(scenario, scenario.run(catalog)).ok
 
 
 def test_bridge_checks(catalog):
     for scenario in (build_bridge("v1"), build_bridge("v0", forward=False)):
-        assert check_bridge(scenario, scenario.run(catalog)).ok
+        assert check_track(scenario, scenario.run(catalog)).ok
 
 
 def test_oracle_agreement_all_modes(catalog):
@@ -549,13 +546,22 @@ def dense_locomotive_progress(rows):
     return out
 
 
-def dense_traversal_problems(scenario, trace, stuck_label):
+def dense_track_problems(scenario, trace):
+    """The reference track check: every replayed row as a dict of every cell, then the dense track rows."""
+    problems = []
+    for t, states in trace.rows:
+        row = dict(zip(trace.cell_ids, states))
+        touched = [c for c in scenario.crossing_track if row[c] is not W]
+        if touched:
+            problems.append(f"t{t}: crossing track disturbed at {touched}")
+            break
     rows = chain_rows(trace, scenario.track_cells)
-    problems = dense_locomotive_progress(rows) + dense_one_d_violations(rows)
+    problems += dense_locomotive_progress(rows) + dense_one_d_violations(rows)
     final = dict(zip(scenario.track_cells, rows[-1]))
     stuck = [c for c in scenario.segment_cells if final[c] is not W]
     if stuck:
-        problems.append(f"{stuck_label}: {stuck}")
+        label = "bridge cells not idle after traversal" if scenario.crossing_track else "segment cells not idle after exit"
+        problems.append(f"{label}: {stuck}")
     return problems
 
 
@@ -569,19 +575,25 @@ def one_d_step(row):
 def track_traces(draw):
     """A scenario of 1-12 track cells among up to 3 others, and a trace of 0-8 steps over them.
 
-    Each step moves the track by the 1D rules, then redraws each cell with a
-    drawn chance (none, some or about 30 %), so most traces break the rules
-    somewhere, repeat a broken transition, or split the locomotive.
+    Some of the others, in a drawn order, may form a crossing track, as a
+    bridge's other track does; it may start white.  Each step moves the track
+    by the 1D rules, then redraws each cell with a drawn chance (none, some or
+    about 30 %), so most traces break the rules somewhere, repeat a broken
+    transition, split the locomotive, or disturb the crossing track.
     """
     n_track = draw(st.integers(1, 12))
     cell_ids = tuple(draw(st.permutations(range(1, n_track + draw(st.integers(0, 3)) + 1))))
     track = tuple(draw(st.permutations(cell_ids)))[:n_track]
+    spare = tuple(draw(st.permutations([c for c in cell_ids if c not in track])))
+    crossing = spare[: draw(st.integers(0, len(spare)))]
     lo = draw(st.integers(0, n_track))
     segment = track[lo : draw(st.integers(lo, n_track))]
     if draw(st.booleans(), label="segment against travel order"):
         segment = segment[::-1]
     state = st.sampled_from([W, W, B, R])
     row = dict(zip(cell_ids, draw(st.lists(state, min_size=len(cell_ids), max_size=len(cell_ids)))))
+    if draw(st.booleans(), label="crossing track starts white"):
+        row.update(dict.fromkeys(crossing, W))
     redraw = draw(st.sampled_from([0, 1, 3]))  # in tenths
     start = draw(st.integers(0, 3))
     rows = [(start, tuple(row[c] for c in cell_ids))]
@@ -591,15 +603,15 @@ def track_traces(draw):
             if draw(st.integers(0, 9)) < redraw:
                 row[c] = draw(state)
         rows.append((t, tuple(row[c] for c in cell_ids)))
-    scenario = Scenario("random", None, None, track_cells=track, segment_cells=segment)
+    scenario = Scenario("random", None, None, track_cells=track, segment_cells=segment, crossing_track=crossing)
     return scenario, Trace.from_rows(cell_ids, rows)
 
 
 @given(track_traces())
 @settings(max_examples=400, deadline=None)
-def test_traversal_problems_agree_with_the_dense_reference(scenario_and_trace):
+def test_track_problems_agree_with_the_dense_reference(scenario_and_trace):
     scenario, trace = scenario_and_trace
-    assert traversal_problems(scenario, trace, "stuck") == dense_traversal_problems(scenario, trace, "stuck")
+    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace)
     rows = chain_rows(trace, scenario.track_cells)
     assert one_d_violations(rows) == dense_one_d_violations(rows)
     assert locomotive_progress(rows) == dense_locomotive_progress(rows)
@@ -647,8 +659,8 @@ def test_track_checks_agree_with_the_dense_reference_under_track_rule_flips():
                 trace = scenario.run(table)
             except EngineError:
                 continue
-            want = dense_traversal_problems(scenario, trace, "stuck")
-            assert traversal_problems(scenario, trace, "stuck") == want, scenario.name
+            want = dense_track_problems(scenario, trace)
+            assert track_problems(scenario, trace) == want, scenario.name
             compared += 1
     assert compared > 0
 
