@@ -174,10 +174,7 @@ class Configuration(Record):
     __slots__ = _fields = ("states", "time")
     states: Mapping[CellId, CellState]
     time: int
-
-    def __init__(self, states: Mapping[CellId, CellState], time: int = 0):
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "time", time)
+    _defaults = {"time": 0}
 
 
 def uniform_configuration(graph: CellGraph) -> Configuration:
@@ -252,10 +249,7 @@ class Trace(Record):
     def __init__(self, cell_ids: tuple[CellId, ...], start: int, initial: tuple[CellState, ...], changes: tuple):
         if initial is None:
             raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
-        object.__setattr__(self, "cell_ids", cell_ids)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "changes", changes)
+        super().__init__(cell_ids, start, initial, changes)
 
     @classmethod
     def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:

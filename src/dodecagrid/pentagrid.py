@@ -12,6 +12,7 @@ preferred son.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
 
@@ -97,20 +98,18 @@ class TreeNode(Record):
     parent: int | None
     sons: tuple[int, ...]
 
-    def __init__(self, number: int, kind: NodeKind, coord: str, level: int, parent: int | None, sons: tuple[int, ...]):
-        object.__setattr__(self, "number", number)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coord", coord)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "sons", sons)
 
+def enumerate_levels(depth: int) -> Iterator[list[TreeNode]]:
+    """The Fibonacci tree down to ``depth``, numbered breadth-first from 1, one level at a time as it is built.
 
-def enumerate_levels(depth: int) -> list[list[TreeNode]]:
-    """The Fibonacci tree down to ``depth``, numbered breadth-first from 1."""
+    A negative depth raises ``ValueError`` here, not at the first level.
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    levels: list[list[TreeNode]] = []
+    return _levels(depth)
+
+
+def _levels(depth: int) -> Iterator[list[TreeNode]]:
     next_number = 2
     frontier: list[tuple[int, NodeKind, int | None]] = [(1, NodeKind.WHITE, None)]
     for level in range(depth + 1):
@@ -122,9 +121,8 @@ def enumerate_levels(depth: int) -> list[list[TreeNode]]:
             next_number += len(son_kinds)
             nodes.append(TreeNode(number, kind, longest_repr(number), level, parent, sons))
             next_frontier.extend((s, k, number) for s, k in zip(sons, son_kinds))
-        levels.append(nodes)
+        yield nodes
         frontier = next_frontier
-    return levels
 
 
 def fibonacci_word(k: int) -> str:

@@ -49,10 +49,6 @@ class SwitchState(Record):
     kind: SwitchKind
     selected: Side
 
-    def __init__(self, kind: SwitchKind, selected: Side):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "selected", selected)
-
 
 def cross(state: SwitchState, mode: CrossingMode) -> tuple[Exit, SwitchState]:
     """Run one crossing; return the exit taken and the successor state."""
@@ -92,8 +88,7 @@ class ElementaryCircuit(Record):
             raise ValueError("gate E needs a memory switch")
         if u_switch.kind is not SwitchKind.FLIPFLOP:
             raise ValueError("gate U needs a flip-flop switch")
-        object.__setattr__(self, "e_switch", e_switch)
-        object.__setattr__(self, "u_switch", u_switch)
+        super().__init__(e_switch, u_switch)
 
 
 def new_circuit(bit: Side = Side.LEFT) -> ElementaryCircuit:

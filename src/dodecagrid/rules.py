@@ -226,18 +226,10 @@ class Conflict(Record):
     b: Rule
     minimal: Context
 
-    def __init__(self, a: Rule, b: Rule, minimal: Context):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "minimal", minimal)
-
 
 class InvarianceReport(Record):
     __slots__ = _fields = ("conflicts",)
     conflicts: tuple[Conflict, ...]
-
-    def __init__(self, conflicts: tuple[Conflict, ...]):
-        object.__setattr__(self, "conflicts", conflicts)
 
     @property
     def ok(self) -> bool:

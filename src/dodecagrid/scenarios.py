@@ -79,39 +79,26 @@ def build_corner() -> Element:
 
 
 class Scenario(Record):
-    """A built graph, its initial configuration and what its checks read; the one mutable record, so unhashable."""
+    """A built graph, its initial configuration and what its checks read; unhashable, as its configuration is."""
 
     __slots__ = _fields = (
         "name", "graph", "initial", "track_cells", "segment_cells", "default_steps", "layout", "crossing_track", "crossing"
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(
-        self,
-        name: str,
-        graph: CellGraph,
-        initial: Configuration,
-        # cells along the locomotive's path, in travel order (empty for switches)
-        track_cells: tuple[CellId, ...] = (),
-        # the sub-span whose return to all-white is asserted after a traversal
-        segment_cells: tuple[CellId, ...] = (),
-        default_steps: int = 7,
-        layout: dict[CellId, tuple[float, float]] | None = None,  # a fresh {} for each scenario by default
-        # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
-        crossing_track: tuple[CellId, ...] = (),
-        crossing: tuple[SwitchKind, Side, CrossingMode] | None = None,  # what ``build_switch`` was called with
-    ):
-        self.name = name
-        self.graph = graph
-        self.initial = initial
-        self.track_cells = track_cells
-        self.segment_cells = segment_cells
-        self.default_steps = default_steps
-        self.layout = {} if layout is None else layout
-        self.crossing_track = crossing_track
-        self.crossing = crossing
+    name: str
+    graph: CellGraph
+    initial: Configuration
+    # cells along the locomotive's path, in travel order (empty for switches)
+    track_cells: tuple[CellId, ...]
+    # the sub-span whose return to all-white is asserted after a traversal
+    segment_cells: tuple[CellId, ...]
+    default_steps: int
+    layout: dict[CellId, tuple[float, float]] | None  # where ``render`` draws each cell, or None, which it refuses
+    # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
+    crossing_track: tuple[CellId, ...]
+    crossing: tuple[SwitchKind, Side, CrossingMode] | None  # what ``build_switch`` was called with
+    _defaults = {
+        "track_cells": (), "segment_cells": (), "default_steps": 7, "layout": None, "crossing_track": (), "crossing": None
+    }
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
@@ -306,10 +293,7 @@ class NamedScenario(Record):
     __slots__ = _fields = ("builder", "args")
     builder: Callable[..., Scenario]
     args: tuple
-
-    def __init__(self, builder: Callable[..., Scenario], args: tuple = ()):
-        object.__setattr__(self, "builder", builder)
-        object.__setattr__(self, "args", args)
+    _defaults = {"args": ()}
 
     def build(self) -> Scenario:
         return self.builder(*self.args)

@@ -44,11 +44,7 @@ class CheckResult(Record):
     name: str
     ok: bool
     detail: str
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+    _defaults = {"detail": ""}
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"

@@ -235,11 +235,11 @@ def test_criterion_8_bridge():
 @criterion(9, "pentagrid: level sizes fib(2n+1) to depth 10, preferred sons to depth 8")
 def test_criterion_9_pentagrid():
     assert fib(0) == 1 and fib(1) == 1
-    levels = enumerate_levels(10)
+    levels = list(enumerate_levels(10))
     for n, level in enumerate(levels):
         assert len(level) == level_size(n) == fib(2 * n + 1)
     assert [len(lvl) for lvl in levels[:4]] == [1, 3, 8, 21]
-    deep = enumerate_levels(9)
+    deep = list(enumerate_levels(9))
     for level in deep[:9]:
         for node in level:
             target = coord_value(node.coord + "00")

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dodecagrid import pentagrid
 from dodecagrid.pentagrid import (
     NodeKind,
     coord_value,
@@ -50,14 +51,26 @@ def test_breadth_first_numbering_is_gapless():
 
 
 def test_root_is_white_number_one():
-    root = enumerate_levels(0)[0][0]
+    root = list(enumerate_levels(0))[0][0]
     assert root.number == 1
     assert root.kind is NodeKind.WHITE
     assert root.coord == "1"
 
 
+def test_levels_are_built_only_as_they_are_read(monkeypatch):
+    # each node's coordinate is computed once, when its level is built; depth 12 holds 196 417 nodes
+    calls = []
+    monkeypatch.setattr(pentagrid, "longest_repr", lambda n: calls.append(n) or longest_repr(n))
+    levels = enumerate_levels(12)
+    assert calls == []
+    assert [node.coord for node in next(levels)] == ["1"]
+    assert calls == [1]
+    with pytest.raises(ValueError, match="^depth must be non-negative$"):
+        enumerate_levels(-1)  # refused at the call, before any level is read
+
+
 def test_son_pattern_leftmost_black():
-    levels = enumerate_levels(4)
+    levels = list(enumerate_levels(4))
     by_number = {node.number: node for level in levels for node in level}
     for level in levels[:-1]:
         for node in level:
@@ -108,7 +121,7 @@ def test_root_preferred_son():
 
 
 def test_preferred_son_unique_and_in_position():
-    levels = enumerate_levels(9)
+    levels = list(enumerate_levels(9))
     by_number = {node.number: node for level in levels for node in level}
     for level in levels[:9]:  # every node down to depth 8 has its sons enumerated
         for node in level:

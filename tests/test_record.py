@@ -15,6 +15,7 @@ _RULE_A = Rule(_CTX, W, "a.rules:1")
 _RULE_B = Rule(_CTX, B, "b.rules:2")
 _MEMORY = SwitchState(SwitchKind.MEMORY, Side.LEFT)
 _FLIPFLOP = SwitchState(SwitchKind.FLIPFLOP, Side.RIGHT)
+_INITIAL = Configuration({1: W, 2: W})
 
 # (class, keyword arguments in field order, pinned repr); the value is built afresh for each use
 FROZEN = [
@@ -48,6 +49,22 @@ FROZEN = [
         {"number": 3, "kind": NodeKind.WHITE, "coord": "11", "level": 1, "parent": 1, "sons": (7, 8, 9)},
         "TreeNode(number=3, kind=<NodeKind.WHITE: 'white'>, coord='11', level=1, parent=1, sons=(7, 8, 9))",
     ),
+    (  # no graph: a CellGraph compares by identity, so no copy of one would equal it
+        Scenario,
+        {
+            "name": "s",
+            "graph": None,
+            "initial": _INITIAL,
+            "track_cells": (1, 2),
+            "segment_cells": (2,),
+            "default_steps": 3,
+            "layout": {1: (0.0, 0.0), 2: (1.0, 0.0)},
+            "crossing_track": (),
+            "crossing": None,
+        },
+        f"Scenario(name='s', graph=None, initial={_INITIAL!r}, track_cells=(1, 2), segment_cells=(2,), default_steps=3,"
+        " layout={1: (0.0, 0.0), 2: (1.0, 0.0)}, crossing_track=(), crossing=None)",
+    ),
 ]
 IDS = [cls.__name__ for cls, _, _ in FROZEN]
 
@@ -61,7 +78,7 @@ def test_record_equality_hash_and_repr(cls, kwargs, text):
     twin = type(cls.__name__, (cls,), {"__slots__": ()})(**kwargs)
     assert value != twin and twin != value
     assert value != tuple(kwargs.values())
-    if cls is Configuration:  # its states are a dict, so it is no more hashable than that
+    if cls in (Configuration, Scenario):  # they hold dicts, so they are no more hashable than those
         with pytest.raises(TypeError):
             hash(value)
     else:
@@ -88,6 +105,37 @@ def test_record_pickles_and_copies(cls, kwargs, text):
         assert repr(again) == text
 
 
+@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+def test_record_constructor_rejects_a_bad_call(cls, kwargs, text):
+    # too many fields, a missing field with no default (no record's first field has one), an unknown field,
+    # a field given twice: each a TypeError that names the class
+    values = list(kwargs.values())
+    first = next(iter(kwargs))
+    given = {name: value for name, value in kwargs.items() if name != first}
+    for args, more in (
+        ([None] * (len(cls._fields) + 1), {}),  # one field too many
+        ([], given),  # the first field left out
+        (values, {"bogus": None}),  # no such field
+        (values[:1], {first: values[0]}),  # the first field twice
+    ):
+        with pytest.raises(TypeError, match=rf"\b{cls.__name__}\b"):
+            cls(*args, **more)
+
+
+def test_record_defaults_fill_only_what_a_call_leaves_out():
+    assert Configuration({1: W}) == Configuration({1: W}, 0) == Configuration(states={1: W}, time=0)
+    assert CheckResult("c", True).detail == "" and CheckResult("c", True, detail="d").detail == "d"
+    assert NamedScenario(build_bridge).args == ()
+    with pytest.raises(TypeError, match=r"^CheckResult is missing field\(s\) name, ok$"):
+        CheckResult()
+    with pytest.raises(TypeError, match=r"^SwitchState takes 2 fields, 3 given$"):
+        SwitchState(SwitchKind.MEMORY, Side.LEFT, None)
+    with pytest.raises(TypeError, match=r"^InvarianceReport has no field 'conflict'$"):
+        InvarianceReport(conflict=())
+    with pytest.raises(TypeError, match=r"^Conflict got field 'a' twice$"):
+        Conflict(_RULE_A, _RULE_B, _CTX, a=_RULE_A)
+
+
 def test_elementary_circuit_validates_its_switches():
     with pytest.raises(ValueError, match="^gate E needs a memory switch$"):
         ElementaryCircuit(_FLIPFLOP, _FLIPFLOP)
@@ -103,18 +151,21 @@ def test_a_bad_port_is_named_by_its_repr():
         CellGraph({1: (fixed, {})})
 
 
-def test_scenario_is_a_mutable_unhashable_record():
+def test_scenario_is_a_frozen_unhashable_record():
     built = build_vertical_segment(3)
     fields = {name: getattr(built, name) for name in Scenario._fields}
     same = Scenario(**fields)
     assert same == built and same is not built
     with pytest.raises(TypeError):
         hash(built)
-    same.default_steps = 9
-    assert same != built
-    # every scenario built without a layout gets its own
-    a, b = Scenario("a", built.graph, built.initial), Scenario("b", built.graph, built.initial)
-    assert a.layout == {} and a.layout is not b.layout
+    with pytest.raises(AttributeError, match="^cannot assign to field 'default_steps'$"):
+        same.default_steps = 9
+    with pytest.raises(AttributeError, match="^cannot delete field 'layout'$"):
+        del same.layout
+    assert same == built
+    # a scenario built without a layout has none, rather than a dict that every such scenario would share
+    a = Scenario("a", built.graph, built.initial)
+    assert a.layout is None and a.default_steps == 7 and a.track_cells == a.crossing_track == ()
     assert repr(a).startswith("Scenario(name='a', graph=<dodecagrid.engine.CellGraph object at ")
     again = pickle.loads(pickle.dumps(built))
     assert type(again) is Scenario
