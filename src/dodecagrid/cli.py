@@ -13,7 +13,7 @@ from pathlib import Path
 from .catalog import load_catalog
 from .engine import Configuration, EngineError, TraceFormatError, format_trace, format_trace_tsv
 from .geometry import dump_rotations
-from .pentagrid import enumerate_levels
+from .pentagrid import tree_nodes
 from .railway import CrossingMode, Side, SwitchKind, SwitchState, cross
 from .render import ViewSide, render_scenario
 from .rules import InvarianceReport, RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
@@ -210,9 +210,8 @@ def _cmd_oracle_crossings(args: argparse.Namespace) -> int:
 
 
 def _cmd_pentagrid_levels(args: argparse.Namespace) -> int:
-    for level in enumerate_levels(args.depth):
-        for node in level:
-            print(f"{node.number} {node.kind.value} {node.coord}")
+    for number, kind, coord in tree_nodes(args.depth):
+        print(f"{number} {kind.value} {coord}")
     return 0
 
 

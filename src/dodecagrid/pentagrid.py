@@ -8,6 +8,10 @@ numeration basis 1, 2, 3, 5, 8, ...  Among the several representations of a
 number we use the maximal one: no digit 1 sits above two consecutive zeros,
 which makes it unique.  Appending "00" to a coordinate names the node's
 preferred son.
+
+``tree_nodes`` streams the tree node by node: each level's kinds are read
+off the level above through the son rule, one generator per level, so its
+memory grows with the depth, not with the size of a level.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from enum import Enum
 from functools import lru_cache
-
-from .record import Record
+from itertools import chain
 
 
 @lru_cache(maxsize=None)
@@ -89,40 +92,24 @@ def preferred_son(coord: str) -> str:
     return longest_repr(coord_value(coord + "00"))
 
 
-class TreeNode(Record):
-    __slots__ = _fields = ("number", "kind", "coord", "level", "parent", "sons")
-    number: int
-    kind: NodeKind
-    coord: str
-    level: int
-    parent: int | None
-    sons: tuple[int, ...]
+def tree_nodes(depth: int) -> Iterator[tuple[int, NodeKind, str]]:
+    """The Fibonacci tree down to ``depth``, one ``(number, kind, coordinate)`` at a time, breadth-first from 1.
 
-
-def enumerate_levels(depth: int) -> Iterator[list[TreeNode]]:
-    """The Fibonacci tree down to ``depth``, numbered breadth-first from 1, one level at a time as it is built.
-
-    A negative depth raises ``ValueError`` here, not at the first level.
+    A negative depth raises ``ValueError`` here, not at the first node.
     """
     if depth < 0:
         raise ValueError("depth must be non-negative")
-    return _levels(depth)
+    kinds = chain.from_iterable(_level_kinds(level) for level in range(depth + 1))
+    return ((number, kind, longest_repr(number)) for number, kind in enumerate(kinds, start=1))
 
 
-def _levels(depth: int) -> Iterator[list[TreeNode]]:
-    next_number = 2
-    frontier: list[tuple[int, NodeKind, int | None]] = [(1, NodeKind.WHITE, None)]
-    for level in range(depth + 1):
-        nodes: list[TreeNode] = []
-        next_frontier: list[tuple[int, NodeKind, int | None]] = []
-        for number, kind, parent in frontier:
-            son_kinds = kind.son_kinds if level < depth else ()
-            sons = tuple(range(next_number, next_number + len(son_kinds)))
-            next_number += len(son_kinds)
-            nodes.append(TreeNode(number, kind, longest_repr(number), level, parent, sons))
-            next_frontier.extend((s, k, number) for s, k in zip(sons, son_kinds))
-        yield nodes
-        frontier = next_frontier
+def _level_kinds(level: int) -> Iterator[NodeKind]:
+    """The kinds on ``level``, left to right: the son kinds of each node on the level above, in order."""
+    if level == 0:
+        yield NodeKind.WHITE
+    else:
+        for parent in _level_kinds(level - 1):
+            yield from parent.son_kinds
 
 
 def fibonacci_word(k: int) -> str:

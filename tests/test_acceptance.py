@@ -16,7 +16,7 @@ from dodecagrid import railway
 from dodecagrid.catalog import golden_path, load_catalog
 from dodecagrid.engine import format_trace, trace_tokens
 from dodecagrid.geometry import IDENTITY, compose, enumerate_motions, inverse, preserves_adjacency
-from dodecagrid.pentagrid import coord_value, enumerate_levels, fib, level_size, NodeKind
+from dodecagrid.pentagrid import coord_value, fib, level_size, longest_repr, NodeKind
 from dodecagrid.railway import Side
 from dodecagrid.rules import (
     B,
@@ -233,20 +233,19 @@ def test_criterion_8_bridge():
 
 
 @criterion(9, "pentagrid: level sizes fib(2n+1) to depth 10, preferred sons to depth 8")
-def test_criterion_9_pentagrid():
+def test_criterion_9_pentagrid(fibonacci_tree):
+    # fibonacci_tree (conftest.py) is the breadth-first reference, built from the son rule to depth 10
     assert fib(0) == 1 and fib(1) == 1
-    levels = list(enumerate_levels(10))
-    for n, level in enumerate(levels):
+    for n, level in enumerate(fibonacci_tree):
         assert len(level) == level_size(n) == fib(2 * n + 1)
-    assert [len(lvl) for lvl in levels[:4]] == [1, 3, 8, 21]
-    deep = list(enumerate_levels(9))
-    for level in deep[:9]:
-        for node in level:
-            target = coord_value(node.coord + "00")
-            hits = [s for s in node.sons if s == target]
-            assert len(hits) == 1, node.number
-            want_position = 0 if node.kind is NodeKind.BLACK else 1
-            assert node.sons.index(target) == want_position, node.number
+    assert [len(lvl) for lvl in fibonacci_tree[:4]] == [1, 3, 8, 21]
+    for level in fibonacci_tree[:9]:
+        for number, kind, _, sons in level:
+            target = coord_value(longest_repr(number) + "00")
+            hits = [s for s in sons if s == target]
+            assert len(hits) == 1, number
+            want_position = 0 if kind is NodeKind.BLACK else 1
+            assert sons.index(target) == want_position, number
 
 
 @criterion(10, "headline universality out of desk-scale scope; component verifications stand in")

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import shutil
 import subprocess
@@ -451,6 +452,14 @@ def test_pentagrid_levels(capsys):
     code, out, _ = run_cli(capsys, "pentagrid", "levels", "--depth", "1")
     assert code == 0
     assert out.splitlines() == ["1 white 1", "2 black 10", "3 white 11", "4 white 101"]
+
+
+def test_pentagrid_levels_output_is_pinned_at_depth_10(capsys):
+    # every line to depth 10, 28 656 nodes, pinned by digest: order, kinds and coordinates alike
+    code, out, _ = run_cli(capsys, "pentagrid", "levels", "--depth", "10")
+    assert code == 0
+    assert out.count("\n") == 28_656
+    assert hashlib.sha256(out.encode()).hexdigest() == "defb90c9693e14acb7de50d4e3f8b10d6b9427e0d69b645aebabad3dd3212ea0"
 
 
 def test_a_reader_that_closes_stdout_early_ends_the_command_quietly():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,13 +8,13 @@ from dodecagrid import pentagrid
 from dodecagrid.pentagrid import (
     NodeKind,
     coord_value,
-    enumerate_levels,
     fib,
     fibonacci_word,
     level_size,
     longest_repr,
     preferred_son,
     preferred_son_number,
+    tree_nodes,
 )
 
 
@@ -38,46 +40,70 @@ def test_level_sizes_frozen():
     assert level_size(3) == 21
 
 
-def test_level_sizes_match_tree():
-    levels = enumerate_levels(7)
-    for n, level in enumerate(levels):
+def test_level_sizes_match_tree(fibonacci_tree):
+    for n, level in enumerate(fibonacci_tree):
         assert len(level) == level_size(n) == fib(2 * n + 1)
 
 
-def test_breadth_first_numbering_is_gapless():
-    levels = enumerate_levels(6)
-    numbers = [node.number for level in levels for node in level]
+def test_breadth_first_numbering_is_gapless(fibonacci_tree):
+    numbers = [number for level in fibonacci_tree for number, _, _, _ in level]
     assert numbers == list(range(1, len(numbers) + 1))
 
 
-def test_root_is_white_number_one():
-    root = list(enumerate_levels(0))[0][0]
-    assert root.number == 1
-    assert root.kind is NodeKind.WHITE
-    assert root.coord == "1"
+def test_root_is_white_number_one(fibonacci_tree):
+    assert fibonacci_tree[0] == [(1, NodeKind.WHITE, None, (2, 3, 4))]
+    assert list(tree_nodes(0)) == [(1, NodeKind.WHITE, "1")]
+
+
+def test_tree_nodes_match_the_breadth_first_reference(fibonacci_tree):
+    expected = [(number, kind, longest_repr(number)) for level in fibonacci_tree for number, kind, _, _ in level]
+    assert list(tree_nodes(10)) == expected
+
+
+def test_a_node_is_black_exactly_when_its_coordinate_ends_in_0(fibonacci_tree):
+    # a fact of the tree that tree_nodes does not use: it takes kinds from the son rule alone;
+    # the root, "1", is white and obeys it too
+    for level in fibonacci_tree:
+        for number, kind, _, _ in level:
+            assert (kind is NodeKind.BLACK) == longest_repr(number).endswith("0"), number
+
+
+def test_tree_nodes_hold_no_level_whole():
+    # memory grows with the depth, not with the level: level 9 alone has 6 765 nodes; the stream's
+    # generators and the node in hand take about 4 KiB, and a list of the kinds on level 8 already 20 KiB
+    nodes = tree_nodes(9)
+    longest_repr(10**6)  # fill fib's cache before tracing
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        count = sum(1 for _ in nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == sum(map(level_size, range(10))) == 10_945
+    assert peak < 16 * 1024
 
 
 def test_levels_are_built_only_as_they_are_read(monkeypatch):
-    # each node's coordinate is computed once, when its level is built; depth 12 holds 196 417 nodes
+    # each node's coordinate is computed when the node is read; depth 40 holds about 10^33 nodes
     calls = []
     monkeypatch.setattr(pentagrid, "longest_repr", lambda n: calls.append(n) or longest_repr(n))
-    levels = enumerate_levels(12)
+    nodes = tree_nodes(40)
     assert calls == []
-    assert [node.coord for node in next(levels)] == ["1"]
+    assert next(nodes) == (1, NodeKind.WHITE, "1")
     assert calls == [1]
     with pytest.raises(ValueError, match="^depth must be non-negative$"):
-        enumerate_levels(-1)  # refused at the call, before any level is read
+        tree_nodes(-1)  # refused at the call, before any node is read
 
 
-def test_son_pattern_leftmost_black():
-    levels = list(enumerate_levels(4))
-    by_number = {node.number: node for level in levels for node in level}
-    for level in levels[:-1]:
-        for node in level:
-            kinds = [by_number[s].kind for s in node.sons]
+def test_son_pattern_leftmost_black(fibonacci_tree):
+    kind_of = {number: kind for level in fibonacci_tree for number, kind, _, _ in level}
+    for level in fibonacci_tree[:-1]:
+        for number, kind, _, sons in level:
+            kinds = [kind_of[s] for s in sons]
             assert kinds[0] is NodeKind.BLACK
             assert all(k is NodeKind.WHITE for k in kinds[1:])
-            assert len(kinds) == (3 if node.kind is NodeKind.WHITE else 2)
+            assert len(kinds) == (3 if kind is NodeKind.WHITE else 2)
 
 
 def test_longest_repr_frozen_values():
@@ -120,19 +146,18 @@ def test_root_preferred_son():
     assert preferred_son("1") == longest_repr(3)
 
 
-def test_preferred_son_unique_and_in_position():
-    levels = list(enumerate_levels(9))
-    by_number = {node.number: node for level in levels for node in level}
-    for level in levels[:9]:  # every node down to depth 8 has its sons enumerated
-        for node in level:
-            target = coord_value(node.coord + "00")
-            hits = [s for s in node.sons if s == target]
-            assert len(hits) == 1, f"node {node.number}"
-            position = node.sons.index(target)
-            expected = 0 if node.kind is NodeKind.BLACK else 1
-            assert position == expected, f"node {node.number}"
-            assert preferred_son_number(node.number) == target
-            assert preferred_son(node.coord) == by_number[target].coord
+def test_preferred_son_unique_and_in_position(fibonacci_tree):
+    for level in fibonacci_tree[:9]:  # down to depth 8
+        for number, kind, _, sons in level:
+            coord = longest_repr(number)
+            target = coord_value(coord + "00")
+            hits = [s for s in sons if s == target]
+            assert len(hits) == 1, f"node {number}"
+            position = sons.index(target)
+            expected = 0 if kind is NodeKind.BLACK else 1
+            assert position == expected, f"node {number}"
+            assert preferred_son_number(number) == target
+            assert preferred_son(coord) == longest_repr(target)
 
 
 def test_fibonacci_word_prefix_property():
@@ -161,8 +186,8 @@ def test_fibonacci_word_rejects_nonpositive():
         fibonacci_word(0)
 
 
-def test_level_kind_sequences_are_word_factors():
+def test_level_kind_sequences_are_word_factors(fibonacci_tree):
     word = fibonacci_word(20_000)
-    for level in enumerate_levels(8):
-        seq = "".join("a" if n.kind is NodeKind.WHITE else "b" for n in level)
+    for level in fibonacci_tree[:9]:  # down to depth 8
+        seq = "".join("a" if kind is NodeKind.WHITE else "b" for _, kind, _, _ in level)
         assert seq in word

@@ -4,7 +4,6 @@ import pickle
 import pytest
 
 from dodecagrid.engine import CellGraph, Configuration, GraphError, Trace
-from dodecagrid.pentagrid import NodeKind, TreeNode
 from dodecagrid.railway import ElementaryCircuit, Side, SwitchKind, SwitchState
 from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
 from dodecagrid.scenarios import NamedScenario, Scenario, build_bridge, build_vertical_segment
@@ -43,11 +42,6 @@ FROZEN = [
         ElementaryCircuit,
         {"e_switch": _MEMORY, "u_switch": _FLIPFLOP},
         f"ElementaryCircuit(e_switch={_MEMORY!r}, u_switch={_FLIPFLOP!r})",
-    ),
-    (
-        TreeNode,
-        {"number": 3, "kind": NodeKind.WHITE, "coord": "11", "level": 1, "parent": 1, "sons": (7, 8, 9)},
-        "TreeNode(number=3, kind=<NodeKind.WHITE: 'white'>, coord='11', level=1, parent=1, sons=(7, 8, 9))",
     ),
     (  # no graph: a CellGraph compares by identity, so no copy of one would equal it
         Scenario,
