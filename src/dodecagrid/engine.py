@@ -43,10 +43,10 @@ row it returns.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from itertools import product
-from typing import Iterable, Mapping
 
-from .record import Record
 from .rules import CellState, Context, MissingRuleError, RuleTable, W, states_from_letters
 
 CellId = int
@@ -170,11 +170,8 @@ class CellGraph:
         return self._wiring[cell]
 
 
-class Configuration(Record):
-    __slots__ = _fields = ("states", "time")
-    states: Mapping[CellId, CellState]
-    time: int
-    _defaults = {"time": 0}
+# every cell's state, ``{cell: CellState}``, at one time
+Configuration = namedtuple("Configuration", "states time", defaults=(0,))
 
 
 def uniform_configuration(graph: CellGraph) -> Configuration:
@@ -229,7 +226,7 @@ def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configura
     return Configuration(new_states, config.time + 1)
 
 
-class Trace(Record):
+class Trace(namedtuple("Trace", "cell_ids start initial changes")):
     """Rows of states over a fixed cell ordering, stored as the first row and each step's changes.
 
     Row ``k`` is at time ``start + k``.  ``changes[k]`` lists the ``(index
@@ -240,16 +237,12 @@ class Trace(Record):
     ``len(cell_ids)`` states; ``states_at`` stops at its row.
     """
 
-    __slots__ = _fields = ("cell_ids", "start", "initial", "changes")
-    cell_ids: tuple[CellId, ...]
-    start: int
-    initial: tuple[CellState, ...]
-    changes: tuple[tuple[tuple[int, CellState], ...], ...]
+    __slots__ = ()
 
-    def __init__(self, cell_ids: tuple[CellId, ...], start: int, initial: tuple[CellState, ...], changes: tuple):
+    def __new__(cls, cell_ids: tuple[CellId, ...], start: int, initial: tuple[CellState, ...], changes: tuple) -> Trace:
         if initial is None:
             raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
-        super().__init__(cell_ids, start, initial, changes)
+        return super().__new__(cls, cell_ids, start, initial, changes)
 
     @classmethod
     def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:

@@ -9,8 +9,8 @@ alignments through ``RINGS`` reconstructs the full face permutation.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 FACE_COUNT = 12
 
@@ -40,11 +40,8 @@ IDENTITY: FacePermutation = tuple(range(FACE_COUNT))
 _PROPAGATION_ORDER = (1, 5, 7, 8)
 
 
-class Motion(NamedTuple):
-    """A rotation named by the images of faces 0 and 1."""
-
-    f0: int
-    f1: int
+# a rotation named by the images of faces 0 and 1
+Motion = namedtuple("Motion", "f0 f1")
 
 
 def ring_of(face: int) -> tuple[int, ...]:

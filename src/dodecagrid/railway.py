@@ -8,9 +8,8 @@ also name the scenarios, the golden runs and the CLI's ``--mode``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
-
-from .record import Record
 
 
 class SwitchKind(Enum):
@@ -44,10 +43,7 @@ class CrossingMode(Enum):
     PASSIVE_NONSELECTED = "nonsel"
 
 
-class SwitchState(Record):
-    __slots__ = _fields = ("kind", "selected")
-    kind: SwitchKind
-    selected: Side
+SwitchState = namedtuple("SwitchState", "kind selected")
 
 
 def cross(state: SwitchState, mode: CrossingMode) -> tuple[Exit, SwitchState]:
@@ -76,19 +72,17 @@ class CircuitExit(Enum):
     U_RETURN = "U-return"
 
 
-class ElementaryCircuit(Record):
+class ElementaryCircuit(namedtuple("ElementaryCircuit", "e_switch u_switch")):
     """One stored bit: a memory switch at the read gate, a flip-flop at the write gate."""
 
-    __slots__ = _fields = ("e_switch", "u_switch")
-    e_switch: SwitchState
-    u_switch: SwitchState
+    __slots__ = ()
 
-    def __init__(self, e_switch: SwitchState, u_switch: SwitchState):
+    def __new__(cls, e_switch: SwitchState, u_switch: SwitchState) -> ElementaryCircuit:
         if e_switch.kind is not SwitchKind.MEMORY:
             raise ValueError("gate E needs a memory switch")
         if u_switch.kind is not SwitchKind.FLIPFLOP:
             raise ValueError("gate U needs a flip-flop switch")
-        super().__init__(e_switch, u_switch)
+        return super().__new__(cls, e_switch, u_switch)
 
 
 def new_circuit(bit: Side = Side.LEFT) -> ElementaryCircuit:

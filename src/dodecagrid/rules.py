@@ -37,14 +37,14 @@ whichever form filled it, and a caller on a hot path can pass plain pairs.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
 
 from .geometry import FACE_COUNT, FacePermutation, enumerate_motions
-from .record import Record
 
 DEFAULT_BLANK_THRESHOLD = 10
 
@@ -77,21 +77,17 @@ def states_from_letters(letters: Iterable[str]) -> tuple[CellState, ...]:
         raise ValueError(f"not a cell state: {exc.args[0]!r}") from None
 
 
-Neighborhood = tuple[CellState, ...]
+class Context(namedtuple("Context", "current neighbors")):
+    """A cell's current state and its 12 neighbour states, indexed by face."""
 
-
-class Context(NamedTuple):
-    current: CellState
-    neighbors: Neighborhood
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.current.letter} | " + " ".join(s.letter for s in self.neighbors)
 
 
-class Rule(NamedTuple):
-    context: Context
-    new_state: CellState
-    source: str = ""
+class Rule(namedtuple("Rule", "context new_state source", defaults=("",))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.context} -> {self.new_state.letter}"
@@ -220,16 +216,12 @@ def census(ctx: Context) -> tuple[CellState, int, int]:
     return current, n.count(W), n.count(B)
 
 
-class Conflict(Record):
-    __slots__ = _fields = ("a", "b", "minimal")
-    a: Rule
-    b: Rule
-    minimal: Context
+# two rules whose contexts share the minimal form ``minimal`` but whose new states differ
+Conflict = namedtuple("Conflict", "a b minimal")
 
 
-class InvarianceReport(Record):
-    __slots__ = _fields = ("conflicts",)
-    conflicts: tuple[Conflict, ...]
+class InvarianceReport(namedtuple("InvarianceReport", "conflicts")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -24,7 +24,8 @@ runs cover.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -33,7 +34,6 @@ from .catalog import load_switch_wiring
 from .engine import (
     CellGraph,
     CellId,
-    Configuration,
     Trace,
     run,
     uniform_configuration,
@@ -41,7 +41,6 @@ from .engine import (
 )
 from .pentagrid import fibonacci_word
 from .railway import CrossingMode, Side, SwitchKind
-from .record import Record
 from .rules import B, CellState, R, RuleTable, W, states_from_letters
 
 STRAIGHT_EXIT_PAIRS = ((1, 3), (1, 4), (1, 8), (1, 10))
@@ -78,27 +77,25 @@ def build_corner() -> Element:
     return _CORNER
 
 
-class Scenario(Record):
+_SCENARIO_FIELDS = (
+    "name",
+    "graph",
+    "initial",
+    "track_cells",  # cells along the locomotive's path, in travel order (empty for switches)
+    "segment_cells",  # the sub-span whose return to all-white is asserted after a traversal
+    "default_steps",
+    "layout",  # where ``render`` draws each cell, or None, which it refuses
+    # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
+    "crossing_track",
+    "crossing",  # the (kind, side, mode) ``build_switch`` was called with, or None
+)
+
+
+# every field from track_cells on has a default
+class Scenario(namedtuple("Scenario", _SCENARIO_FIELDS, defaults=((), (), 7, None, (), None))):
     """A built graph, its initial configuration and what its checks read; unhashable, as its configuration is."""
 
-    __slots__ = _fields = (
-        "name", "graph", "initial", "track_cells", "segment_cells", "default_steps", "layout", "crossing_track", "crossing"
-    )
-    name: str
-    graph: CellGraph
-    initial: Configuration
-    # cells along the locomotive's path, in travel order (empty for switches)
-    track_cells: tuple[CellId, ...]
-    # the sub-span whose return to all-white is asserted after a traversal
-    segment_cells: tuple[CellId, ...]
-    default_steps: int
-    layout: dict[CellId, tuple[float, float]] | None  # where ``render`` draws each cell, or None, which it refuses
-    # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
-    crossing_track: tuple[CellId, ...]
-    crossing: tuple[SwitchKind, Side, CrossingMode] | None  # what ``build_switch`` was called with
-    _defaults = {
-        "track_cells": (), "segment_cells": (), "default_steps": 7, "layout": None, "crossing_track": (), "crossing": None
-    }
+    __slots__ = ()
 
     def run(self, table: RuleTable, n_steps: int | None = None) -> Trace:
         steps = self.default_steps if n_steps is None else n_steps
@@ -287,13 +284,10 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
     )
 
 
-class NamedScenario(Record):
+class NamedScenario(namedtuple("NamedScenario", "builder args", defaults=((),))):
     """A registry entry: a builder and its arguments, built only when asked for."""
 
-    __slots__ = _fields = ("builder", "args")
-    builder: Callable[..., Scenario]
-    args: tuple
-    _defaults = {"args": ()}
+    __slots__ = ()
 
     def build(self) -> Scenario:
         return self.builder(*self.args)

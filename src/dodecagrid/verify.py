@@ -9,25 +9,25 @@ The checks read a trace as ``engine.run`` stores it, a first row and each
 step's changes, so they cost what the run changed, not the size of its graph.
 One check, ``check_track``, judges segments and bridges: it walks the track once
 (``walk_track``) and reads a bridge's crossing track up to its first non-white
-cell.  A golden trace is compared as a record; only one that differs is
-replayed row by row, to name the first divergence.  ``chain_rows``,
-``one_d_violations`` and ``locomotive_progress`` take dense rows, for callers
-that hold rows.
+cell.  A golden trace is compared with the run in one tuple comparison; only
+one that differs is replayed row by row, to name the first divergence.
+``chain_rows``, ``one_d_violations`` and ``locomotive_progress`` take dense
+rows, for callers that hold rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Collection, Iterable
 from operator import itemgetter
 from pathlib import Path
-from typing import Collection, Iterable
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
 from .engine import EngineError, Trace
 from .geometry import IDENTITY, FacePermutation, enumerate_motions, inverse, preserves_adjacency
 from .railway import Exit, Side, SwitchKind
-from .record import Record
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import (
     APPROACH,
@@ -39,12 +39,8 @@ from .scenarios import (
 )
 
 
-class CheckResult(Record):
-    __slots__ = _fields = ("name", "ok", "detail")
-    name: str
-    ok: bool
-    detail: str
-    _defaults = {"detail": ""}
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "PASS" if self.ok else "FAIL"
@@ -123,7 +119,7 @@ def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[Check
 def trace_divergence(got: Trace, want: Trace) -> str | None:
     """First mismatch as ``time T cell C: expected X, got Y``; None when equal.
 
-    Equal traces are equal records: both list each step's changes in
+    Equal traces are equal tuples: both list each step's changes in
     ascending index order and only cells that do change, so equal rows have
     equal changes.  Only unequal ones are replayed, to word the divergence.
     """

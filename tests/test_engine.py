@@ -354,6 +354,8 @@ def test_a_trace_without_rows_is_refused():
         parse_trace_text("1 2 3\n\n# no rows\n", "t.trace")
     with pytest.raises(TraceFormatError, match="^trace of 1 cells has no rows$"):
         Trace((1,), 0, None, ())
+    with pytest.raises(TraceFormatError, match="^trace of 1 cells has no rows$"):
+        Trace(cell_ids=(1,), start=0, initial=None, changes=())
 
 
 def test_trace_from_rows_rejects_skipped_time():

@@ -4,20 +4,22 @@ import pickle
 import pytest
 
 from dodecagrid.engine import CellGraph, Configuration, GraphError, Trace
+from dodecagrid.geometry import Motion
 from dodecagrid.railway import ElementaryCircuit, Side, SwitchKind, SwitchState
-from dodecagrid.rules import B, R, W, Conflict, InvarianceReport, Rule, context_from_letters, minimal_context
+from dodecagrid.rules import B, R, W, Conflict, Context, InvarianceReport, Rule, context_from_letters, minimal_context
 from dodecagrid.scenarios import NamedScenario, Scenario, build_bridge, build_vertical_segment
 from dodecagrid.verify import CheckResult
 
 _CTX = context_from_letters("W B W W W W W W W W W W W".split())
+_CTX_TEXT = "Context(current=<CellState.W: 0>, neighbors=(<CellState.B: 1>, " + ", ".join(["<CellState.W: 0>"] * 11) + "))"
 _RULE_A = Rule(_CTX, W, "a.rules:1")
 _RULE_B = Rule(_CTX, B, "b.rules:2")
 _MEMORY = SwitchState(SwitchKind.MEMORY, Side.LEFT)
 _FLIPFLOP = SwitchState(SwitchKind.FLIPFLOP, Side.RIGHT)
 _INITIAL = Configuration({1: W, 2: W})
 
-# (class, keyword arguments in field order, pinned repr); the value is built afresh for each use
-FROZEN = [
+# every value type: (class, keyword arguments in field order, pinned repr); the value is built afresh for each use
+VALUES = [
     (Configuration, {"states": {1: W}, "time": 3}, "Configuration(states={1: <CellState.W: 0>}, time=3)"),
     (
         Trace,
@@ -25,12 +27,19 @@ FROZEN = [
         "Trace(cell_ids=(1, 2), start=0, initial=(<CellState.W: 0>, <CellState.B: 1>),"
         " changes=(((1, <CellState.R: 2>),),))",
     ),
+    (Context, {"current": W, "neighbors": _CTX.neighbors}, _CTX_TEXT),
+    (
+        Rule,
+        {"context": _CTX, "new_state": R, "source": "a.rules:1"},
+        f"Rule(context={_CTX_TEXT}, new_state=<CellState.R: 2>, source='a.rules:1')",
+    ),
     (
         Conflict,
         {"a": _RULE_A, "b": _RULE_B, "minimal": minimal_context(_CTX)},
         f"Conflict(a={_RULE_A!r}, b={_RULE_B!r}, minimal={minimal_context(_CTX)!r})",
     ),
     (InvarianceReport, {"conflicts": ()}, "InvarianceReport(conflicts=())"),
+    (Motion, {"f0": 0, "f1": 1}, "Motion(f0=0, f1=1)"),
     (NamedScenario, {"builder": build_bridge, "args": ("v1",)}, f"NamedScenario(builder={build_bridge!r}, args=('v1',))"),
     (CheckResult, {"name": "golden: v1-fwd", "ok": True}, "CheckResult(name='golden: v1-fwd', ok=True, detail='')"),
     (
@@ -60,26 +69,25 @@ FROZEN = [
         " layout={1: (0.0, 0.0), 2: (1.0, 0.0)}, crossing_track=(), crossing=None)",
     ),
 ]
-IDS = [cls.__name__ for cls, _, _ in FROZEN]
+IDS = [cls.__name__ for cls, _, _ in VALUES]
 
 
-@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
 def test_record_equality_hash_and_repr(cls, kwargs, text):
     value = cls(**kwargs)
+    fields = tuple(getattr(value, name) for name in cls._fields)
     assert value == cls(*kwargs.values())
     assert repr(value) == text
-    # another class with equal fields, and the plain tuple of the fields, are not equal to it
-    twin = type(cls.__name__, (cls,), {"__slots__": ()})(**kwargs)
-    assert value != twin and twin != value
-    assert value != tuple(kwargs.values())
+    # a value is the tuple of its fields: it equals that tuple, and hashes as it
+    assert value == fields and fields == value
     if cls in (Configuration, Scenario):  # they hold dicts, so they are no more hashable than those
         with pytest.raises(TypeError):
             hash(value)
     else:
-        assert hash(value) == hash(cls(**kwargs))
+        assert hash(value) == hash(cls(**kwargs)) == hash(fields)
 
 
-@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
 def test_record_is_frozen(cls, kwargs, text):
     value = cls(**kwargs)
     for name in (*kwargs, "other"):
@@ -90,7 +98,7 @@ def test_record_is_frozen(cls, kwargs, text):
     assert value == cls(**kwargs)
 
 
-@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
 def test_record_pickles_and_copies(cls, kwargs, text):
     value = cls(**kwargs)
     for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
@@ -99,9 +107,9 @@ def test_record_pickles_and_copies(cls, kwargs, text):
         assert repr(again) == text
 
 
-@pytest.mark.parametrize("cls, kwargs, text", FROZEN, ids=IDS)
+@pytest.mark.parametrize("cls, kwargs, text", VALUES, ids=IDS)
 def test_record_constructor_rejects_a_bad_call(cls, kwargs, text):
-    # too many fields, a missing field with no default (no record's first field has one), an unknown field,
+    # too many fields, a missing field with no default (no type's first field has one), an unknown field,
     # a field given twice: each a TypeError that names the class
     values = list(kwargs.values())
     first = next(iter(kwargs))
@@ -120,14 +128,7 @@ def test_record_defaults_fill_only_what_a_call_leaves_out():
     assert Configuration({1: W}) == Configuration({1: W}, 0) == Configuration(states={1: W}, time=0)
     assert CheckResult("c", True).detail == "" and CheckResult("c", True, detail="d").detail == "d"
     assert NamedScenario(build_bridge).args == ()
-    with pytest.raises(TypeError, match=r"^CheckResult is missing field\(s\) name, ok$"):
-        CheckResult()
-    with pytest.raises(TypeError, match=r"^SwitchState takes 2 fields, 3 given$"):
-        SwitchState(SwitchKind.MEMORY, Side.LEFT, None)
-    with pytest.raises(TypeError, match=r"^InvarianceReport has no field 'conflict'$"):
-        InvarianceReport(conflict=())
-    with pytest.raises(TypeError, match=r"^Conflict got field 'a' twice$"):
-        Conflict(_RULE_A, _RULE_B, _CTX, a=_RULE_A)
+    assert Rule(_CTX, W).source == "" and Rule(_CTX, W, source="s").source == "s"
 
 
 def test_elementary_circuit_validates_its_switches():
@@ -135,6 +136,8 @@ def test_elementary_circuit_validates_its_switches():
         ElementaryCircuit(_FLIPFLOP, _FLIPFLOP)
     with pytest.raises(ValueError, match="^gate U needs a flip-flop switch$"):
         ElementaryCircuit(_MEMORY, _MEMORY)
+    with pytest.raises(ValueError, match="^gate E needs a memory switch$"):
+        ElementaryCircuit(e_switch=_FLIPFLOP, u_switch=_FLIPFLOP)
 
 
 def test_a_bad_port_is_named_by_its_repr():
@@ -152,9 +155,9 @@ def test_scenario_is_a_frozen_unhashable_record():
     assert same == built and same is not built
     with pytest.raises(TypeError):
         hash(built)
-    with pytest.raises(AttributeError, match="^cannot assign to field 'default_steps'$"):
+    with pytest.raises(AttributeError):
         same.default_steps = 9
-    with pytest.raises(AttributeError, match="^cannot delete field 'layout'$"):
+    with pytest.raises(AttributeError):
         del same.layout
     assert same == built
     # a scenario built without a layout has none, rather than a dict that every such scenario would share
