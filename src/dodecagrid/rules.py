@@ -1,12 +1,11 @@
-"""Rules of the 3-state automaton and their canonical forms under rotation.
+"""Rules of the 3-state automaton, their canonical forms under rotation, and the rule index.
 
 A rule maps a context (current state plus the 12 neighbour states indexed by
 face) to a new state.  Two contexts are equivalent when one is a rotated form
 of the other; the canonical representative is the lexicographic minimum over
 the 60 rotations, with states ordered W < B < R.  A rule set is rotation
-invariant exactly when no two rules share a minimal context but disagree on
-the new state, and lookups go through the minimal form so that any rotated
-variant of a listed rule is found.
+invariant exactly when no two rules share an orbit but disagree on the new
+state.
 
 The minimum is found without building the 60 forms.  It starts with the least
 neighbour state, and the five rotations that bring a face f holding it to slot
@@ -14,16 +13,21 @@ neighbour state, and the five rotations that bring a face f holding it to slot
 one sequence (checked once against ``enumerate_motions``).  So each such face
 allows at best its ring's least cyclic shift, found by one memoised lookup per
 ring pattern (the least-circular-shift problem, Booth 1980), and only the
-rotations reaching the least of these 6-slot prefixes build 12-tuples.
+rotations reaching the least of these 6-slot prefixes build full 12-tuples.
 
-A rotation only permutes faces, so it keeps a context's census: its current
-state and its numbers of white and black neighbours.  A lookup canonicalises
-only a context whose census some indexed minimal form has; any other context
-is certain to miss the index, and the lookup does not canonicalise it.  Nor
-does it canonicalise a context written in a rule: a table's lookup cache
-starts out holding each rule's context and new state, which is exact because
-a table, once built, has no conflict, so that new state is the one the
-context's minimal form indexes.
+Lookups do not canonicalise.  A rotation only permutes faces, so it keeps a
+context's census: its current state and its numbers of white and black
+neighbours.  It also keeps the census's anchor, its rarest neighbour state
+that is present (the lower one on a tie).  A table indexes each rule under
+its census, storing every rotation of its neighbours that puts an
+anchor-state face at slot 0, five per such face.  A lookup rotates the
+context once, by the shift-0 rotation of its first anchor-state face, and
+that anchored form is stored exactly when some rotation of the context is a
+rule's.  One pass over the rules builds this index and finds every rule that
+disagrees with the first rule of its orbit; only such a conflict is reported
+with a minimal form.  A table's lookup cache starts out holding each rule's
+context and new state, which is exact because a table, once built, has no
+conflict.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
@@ -239,20 +243,20 @@ class InvarianceReport(namedtuple("InvarianceReport", "conflicts")):
 
 
 class RuleTable:
-    """An ordered rule list with a canonical lookup index: each minimal form maps to its deciding rule.
+    """An ordered rule list with a lookup index keyed by census.
 
-    ``_censuses`` holds the census of every indexed minimal form; a context
-    whose census is not among them cannot match a rule under any rotation.
-    ``_cache`` starts with every rule's context as written.  A rule set that
-    is not rotation invariant is refused with ``RuleConflictError``.
+    ``_index`` maps each rule context's census to that census's anchor state
+    and to a dict taking each stored anchored form to the rule that decides
+    its orbit.  ``_cache`` starts with every rule's context as written.  A
+    rule set that is not rotation invariant is refused with
+    ``RuleConflictError``.
     """
 
     def __init__(self, rules: Iterable[Rule]):
         self.rules: tuple[Rule, ...] = tuple(rules)
-        self._index, report = _index_minimal_forms(self.rules)
+        self._index, report = _index_rules(self.rules)
         if not report.ok:
             raise RuleConflictError(report)
-        self._censuses = {census(mctx) for mctx in self._index}
         self._cache: dict[Context, CellState] = {rule.context: rule.new_state for rule in self.rules}
 
     def __len__(self) -> int:
@@ -266,36 +270,58 @@ class RuleTable:
         hit = self._cache.get(ctx)
         if hit is not None:
             return hit
-        key = census(ctx)  # (current, white neighbours, black neighbours)
-        rule = self._index.get(minimal_context(ctx)) if key in self._censuses else None
+        current, n = ctx
+        whites = n.count(W)
+        entry = self._index.get((current, whites, n.count(B)))
+        rule = entry[1].get(_anchored(n, entry[0])) if entry is not None else None
         if rule is not None:
             new_state = rule.new_state
-        elif key[1] >= DEFAULT_BLANK_THRESHOLD:
-            new_state = key[0]
+        elif whites >= DEFAULT_BLANK_THRESHOLD:
+            new_state = current
         else:
             raise MissingRuleError(ctx)
         self._cache[ctx] = new_state
         return new_state
 
     def has_explicit(self, ctx: Context) -> bool:
-        return minimal_context(ctx) in self._index
+        entry = self._index.get(census(ctx))
+        return entry is not None and _anchored(ctx[1], entry[0]) in entry[1]
 
 
-def _index_minimal_forms(rules: Iterable[Rule]) -> tuple[dict[Context, Rule], InvarianceReport]:
-    """One minimal-form pass: the first rule per minimal context, and every rule disagreeing with it."""
-    first: dict[Context, Rule] = {}
+def _anchored(n: tuple[CellState, ...], anchor: CellState) -> tuple[CellState, ...]:
+    """``n`` rotated so that its first face holding ``anchor`` comes to slot 0, by that face's shift-0 rotation."""
+    return _ring_shifts()[n.index(anchor)][1][0](n)
+
+
+def _index_rules(rules: Iterable[Rule]) -> tuple[dict, InvarianceReport]:
+    """One pass: the census index of each orbit's first rule, and every rule disagreeing with it.
+
+    The anchor is the census's rarest present neighbour state, the lower on a
+    tie.  A first rule stores each rotation putting an anchor-state face at
+    slot 0, so the ``_anchored`` form of any rotation of its context is stored.
+    """
+    index: dict[tuple[CellState, int, int], tuple[CellState, dict[tuple[CellState, ...], Rule]]] = {}
     conflicts: list[Conflict] = []
     for rule in rules:
-        mctx = minimal_context(rule.context)
-        prior = first.setdefault(mctx, rule)
-        if prior.new_state is not rule.new_state:
-            conflicts.append(Conflict(prior, rule, mctx))
-    return first, InvarianceReport(tuple(conflicts))
+        n = rule.context.neighbors
+        key = census(rule.context)
+        if key not in index:
+            index[key] = min(sorted(set(n)), key=n.count), {}
+        anchor, forms = index[key]
+        prior = forms.get(_anchored(n, anchor))
+        if prior is None:
+            for state, (_, rotations) in zip(n, _ring_shifts()):
+                if state is anchor:
+                    for rotation in rotations:
+                        forms[rotation(n)] = rule
+        elif prior.new_state is not rule.new_state:
+            conflicts.append(Conflict(prior, rule, minimal_context(rule.context)))
+    return index, InvarianceReport(tuple(conflicts))
 
 
 def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:
-    """Group rules by minimal context; report any pair disagreeing on new state."""
-    return _index_minimal_forms(rules)[1]
+    """Group rules by rotation orbit; report any rule disagreeing with its orbit's first."""
+    return _index_rules(rules)[1]
 
 
 def parse_rules(text: str, source: str = "<string>") -> list[Rule]:

@@ -567,7 +567,7 @@ def test_each_run_keeps_its_own_memo(catalog):
     graph, config = scenario.graph, scenario.initial
     ahead = scenario.track_cells[SEGMENT_BUFFER + 2]
     fired = minimal_context(context_of(graph, config, ahead))
-    assert catalog._index[fired].new_state is B
+    assert next(r for r in catalog.rules if minimal_context(r.context) == fired).new_state is B
     mutated = RuleTable(r._replace(new_state=R) if minimal_context(r.context) == fired else r for r in catalog.rules)
     for table in (catalog, mutated, catalog):
         expected = outcome(sweep_run, graph, config, table, scenario.default_steps)

@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 from operator import itemgetter
 
 import pytest
@@ -12,7 +12,9 @@ from dodecagrid.geometry import IDENTITY, RINGS, Motion, enumerate_motions, perm
 from dodecagrid.rules import (
     B,
     CellState,
+    Conflict,
     Context,
+    InvarianceReport,
     MissingRuleError,
     R,
     Rule,
@@ -410,7 +412,7 @@ def test_missing_rule_error_carries_what_was_looked_up(catalog, as_pair):
 
 CATALOGUE_RULES = load_catalog().rules
 # a catalogue context under a rotation, or under any face shuffle: the same
-# census, so the gate always lets it through, but mostly not a rule's orbit
+# census, so the lookup always rotates it into the index, but mostly not a rule's orbit
 catalogue_contexts = st.sampled_from([rule.context for rule in CATALOGUE_RULES])
 rotated_catalogue_contexts = st.builds(rotated_context, catalogue_contexts, rotations)
 shuffled_catalogue_contexts = st.builds(rotated_context, catalogue_contexts, st.permutations(range(12)).map(tuple))
@@ -424,7 +426,7 @@ REFERENCE_INDEX = {brute_minimal(rule.context): rule.new_state for rule in CATAL
 
 
 def reference_lookup(c):
-    """The lookup with no census gate: always the brute-force minimal form, then the index, then the fallback."""
+    """The lookup with no census index: always the brute-force minimal form, then the index, then the fallback."""
     new_state = REFERENCE_INDEX.get(brute_minimal(c))
     if new_state is None and blank_count(c) >= 10:
         new_state = c.current
@@ -434,7 +436,7 @@ def reference_lookup(c):
 @given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts, shuffled_catalogue_contexts))
 @settings(max_examples=200)
 def test_census_gated_lookup_matches_always_canonicalising_reference(c):
-    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so every example not written in a rule goes through the gate
+    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so every example not written in a rule goes through the index
     want = reference_lookup(c)
     try:
         got = table.lookup(c)
@@ -444,6 +446,70 @@ def test_census_gated_lookup_matches_always_canonicalising_reference(c):
         assert exc.minimal == brute_minimal(c)
     else:
         assert got is want
+
+
+def contexts_with_census(current, whites, blacks):
+    """Every context with this census: each choice of white faces, then of black faces among the rest."""
+    for white in combinations(range(12), whites):
+        rest = [f for f in range(12) if f not in white]
+        base = [R] * 12
+        for f in white:
+            base[f] = W
+        for black in combinations(rest, blacks):
+            n = base.copy()
+            for f in black:
+                n[f] = B
+            yield Context(current, tuple(n))
+
+
+def test_lookup_is_exact_on_every_context_with_a_rule_census():
+    # the union of the rules' 60-rotation orbits is what the index must find, and only that
+    orbits = {rotated_context(rule.context, p): rule.new_state for rule in CATALOGUE_RULES for p in MOTIONS}
+    table = RuleTable(CATALOGUE_RULES)
+    checked = 0
+    for key in {census(rule.context) for rule in CATALOGUE_RULES}:
+        for c in contexts_with_census(*key):
+            checked += 1
+            want = orbits.get(c)
+            assert table.has_explicit(c) is (want is not None), c
+            if want is None and key[1] >= 10:
+                want = c.current
+            try:
+                got = table.lookup(c)
+            except MissingRuleError:
+                got = None
+            assert got is want, c
+    assert checked == 337318
+
+
+def grouped_report(rules, minimal_forms):
+    """The invariance report of grouping ``rules`` by their given minimal forms: each disagreement with a group's first."""
+    first, conflicts = {}, []
+    for rule, minimal in zip(rules, minimal_forms):
+        prior = first.setdefault(minimal, rule)
+        if prior.new_state is not rule.new_state:
+            conflicts.append(Conflict(prior, rule, minimal))
+    return InvarianceReport(tuple(conflicts))
+
+
+def test_every_single_rule_flip_is_judged_as_grouping_by_minimal_form():
+    minimal_forms = [brute_minimal(rule.context) for rule in CATALOGUE_RULES]
+    refused = 0
+    for i, rule in enumerate(CATALOGUE_RULES):
+        for other in CellState:
+            if other is rule.new_state:
+                continue
+            flipped = [*CATALOGUE_RULES[:i], rule._replace(new_state=other), *CATALOGUE_RULES[i + 1 :]]
+            want = grouped_report(flipped, minimal_forms)
+            assert check_rotation_invariance(flipped) == want
+            try:
+                RuleTable(flipped)
+            except RuleConflictError as exc:
+                refused += 1
+                assert exc.report == want
+            else:
+                assert want.ok
+    assert refused == 48
 
 
 def outcome(table, c):
@@ -458,7 +524,7 @@ def outcome(table, c):
 @given(st.one_of(contexts, sparse_contexts, rotated_catalogue_contexts))
 @settings(max_examples=200)
 def test_pair_lookup_matches_context_lookup(c):
-    # fresh tables, so each form not written in a rule goes through the census gate and the index itself
+    # fresh tables, so each form not written in a rule goes through the census index itself
     pair = (c.current, c.neighbors)
     got = outcome(RuleTable(CATALOGUE_RULES), pair)
     assert got == outcome(RuleTable(CATALOGUE_RULES), c)
@@ -478,22 +544,14 @@ def test_context_helpers_accept_plain_pairs(catalog, c, perm):
     assert catalog.has_explicit(pair) is catalog.has_explicit(c)
 
 
-def test_pair_and_context_share_one_cache_entry(monkeypatch):
+def test_pair_and_context_share_one_cache_entry():
     table = RuleTable(CATALOGUE_RULES)
     c = ctx(SCANNED_REAR_LEAVES)
-    calls = 0
-    original = rules.census
-
-    def counted(context):
-        nonlocal calls
-        calls += 1
-        return original(context)
-
-    monkeypatch.setattr(rules, "census", counted)
+    written = len(table._cache)
     assert table.lookup((c.current, c.neighbors)) is W
-    assert calls == 1
-    assert table.lookup(c) is W  # a cache hit: no second census
-    assert calls == 1
+    assert len(table._cache) == written + 1
+    assert table.lookup(c) is W  # a cache hit: no second entry
+    assert len(table._cache) == written + 1
 
 
 def _counting_minimal_context(monkeypatch) -> list:
@@ -517,14 +575,14 @@ def test_a_table_answers_its_written_contexts_without_canonicalising(monkeypatch
 
 
 def test_every_rotation_of_a_written_context_gets_its_rules_answer(monkeypatch):
-    # the rotations that are not themselves written go through the index and agree with the seeded cache
+    # the rotations that are not themselves written go through the census index, rotated once and never
+    # canonicalised, and agree with the seeded cache
     table = RuleTable(CATALOGUE_RULES)
-    written = {rule.context for rule in CATALOGUE_RULES}
     seen = _counting_minimal_context(monkeypatch)
     for rule in CATALOGUE_RULES:
         for perm in MOTIONS:
             assert table.lookup(rotated_context(rule.context, perm)) is rule.new_state
-    assert seen and not written.intersection(seen)
+    assert seen == []
 
 
 @pytest.mark.parametrize("as_written", [True, False], ids=["same-context", "rotated-context"])

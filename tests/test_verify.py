@@ -478,15 +478,15 @@ def _minimal_context_calls(monkeypatch, work) -> int:
 
 
 def test_catalog_invariance_reads_the_table_pass(monkeypatch):
-    # one minimal form per catalogue rule builds both the index and the report
-    assert _minimal_context_calls(monkeypatch, check_catalog_invariance) == 134
+    # one census-index pass builds both the index and the report; only a conflict needs a minimal form
+    assert _minimal_context_calls(monkeypatch, check_catalog_invariance) == 0
 
 
 def test_verify_all_canonicalises_each_rule_once(monkeypatch):
-    # 134 catalogue rules, then 6 of the 123 distinct contexts the matrix looks up:
-    # 112 are written in rules and answered from the table's seeded cache, and
-    # 5 have a census no rule shares, so they never reach the canonicaliser
-    assert _minimal_context_calls(monkeypatch, verify_all) == 140
+    # of the 123 distinct contexts the matrix looks up, 112 are written in rules and answered from the
+    # table's seeded cache; 6 of the other 11 have a rule's census and are rotated once into the index,
+    # and 5 have none: none is canonicalised
+    assert _minimal_context_calls(monkeypatch, verify_all) == 0
 
 
 # --- the dense references the change-reading checks must agree with ---------
