@@ -15,14 +15,16 @@ from .engine import Configuration, EngineError, TraceFormatError, format_trace, 
 from .geometry import dump_rotations
 from .pentagrid import tree_nodes
 from .railway import CrossingMode, Side, SwitchKind, SwitchState, cross
-from .render import ViewSide, render_scenario
 from .rules import InvarianceReport, RuleConflictError, RuleParseError, load_rule_files, minimal_form, parse_rules
 from .scenarios import SCENARIOS, check_crossing
 from .verify import check_catalog_invariance, verify_all, verify_scenario
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:  # argparse would name this function in its message
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {value}")
     return value
@@ -90,6 +92,8 @@ def _add_pentagrid(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_render(parser: argparse.ArgumentParser) -> None:
+    from .render import ViewSide  # only the render command needs the module, so other commands start without it
+
     parser.add_argument("--scenario", required=True, choices=SCENARIOS)
     parser.add_argument("--time", type=_non_negative_int, default=0)
     parser.add_argument("--side", choices=[v.value for v in ViewSide], default="above")
@@ -216,6 +220,8 @@ def _cmd_pentagrid_levels(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import ViewSide, render_scenario
+
     table = load_catalog(args.rules)
     scenario = SCENARIOS[args.scenario].build()
     trace = scenario.run(table, args.time)

@@ -7,27 +7,25 @@ the 60 rotations, with states ordered W < B < R.  A rule set is rotation
 invariant exactly when no two rules share an orbit but disagree on the new
 state.
 
-The minimum is found without building the 60 forms.  It starts with the least
-neighbour state, and the five rotations that bring a face f holding it to slot
-0 lay f's ring of five neighbours in slots 1..5 as the five cyclic shifts of
-one sequence (checked once against ``enumerate_motions``).  So each such face
-allows at best its ring's least cyclic shift, found by one memoised lookup per
-ring pattern (the least-circular-shift problem, Booth 1980), and only the
-rotations reaching the least of these 6-slot prefixes build full 12-tuples.
+One table, built once from ``enumerate_motions``, holds for each face the five
+rotations that bring it to slot 0.  The minimum starts with the least
+neighbour state, so it is the least of the forms that the rotations of the
+faces holding that state build: 5 forms per such face, 60 when every
+neighbour is the same.
 
 Lookups do not canonicalise.  A rotation only permutes faces, so it keeps a
 context's census: its current state and its numbers of white and black
 neighbours.  It also keeps the census's anchor, its rarest neighbour state
 that is present (the lower one on a tie).  A table indexes each rule under
 its census, storing every rotation of its neighbours that puts an
-anchor-state face at slot 0, five per such face.  A lookup rotates the
-context once, by the shift-0 rotation of its first anchor-state face, and
-that anchored form is stored exactly when some rotation of the context is a
-rule's.  One pass over the rules builds this index and finds every rule that
-disagrees with the first rule of its orbit; only such a conflict is reported
-with a minimal form.  A table's lookup cache starts out holding each rule's
-context and new state, which is exact because a table, once built, has no
-conflict.
+anchor-state face at slot 0: the table's five per such face.  A lookup
+rotates the context once, by the table's first rotation of its first
+anchor-state face, and that anchored form is stored exactly when some
+rotation of the context is a rule's.  One pass over the rules builds this
+index and finds every rule that disagrees with the first rule of its orbit;
+only such a conflict is reported with a minimal form.  A table's lookup cache
+starts out holding each rule's context and new state, which is exact because
+a table, once built, has no conflict.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
@@ -147,62 +145,23 @@ def rotated_context(ctx: Context, perm: FacePermutation) -> Context:
 
 
 @lru_cache(maxsize=1)
-def _ring_shifts() -> tuple[tuple[itemgetter, tuple[itemgetter, ...]], ...]:
-    """Per face f: a getter for f's ring as slots 1..5 read it, and the rotations with ``perm[0] == f`` by shift.
-
-    Entry k of the rotations puts ``ring[k:] + ring[:k]`` in slots 1..5, where
-    ``ring`` is what the getter reads.  That the five rotations taking f to
-    slot 0 are exactly these five cyclic shifts is checked here, against
-    ``enumerate_motions``, and a ``ValueError`` is raised if it fails.
-    """
-    faces = []
+def _slot_zero_rotations() -> tuple[tuple[itemgetter, ...], ...]:
+    """Per face f: getters for the five rotations with ``perm[0] == f``, in ``enumerate_motions`` order."""
     motions = enumerate_motions()
-    for face in range(FACE_COUNT):
-        perms = [perm for perm in motions if perm[0] == face]
-        ring = perms[0][1:6]
-        shifts = [ring[k:] + ring[:k] for k in range(5)]
-        if sorted(perm[1:6] for perm in perms) != sorted(shifts):
-            raise ValueError(f"the rotations taking face {face} to slot 0 are not the shifts of one ring: {perms}")
-        perms.sort(key=lambda perm: shifts.index(perm[1:6]))
-        faces.append((itemgetter(*ring), tuple(itemgetter(*perm) for perm in perms)))
-    return tuple(faces)
-
-
-@lru_cache(maxsize=None)  # keyed by a ring of states: at most 3 ** 5 = 243 entries
-def _least_shift(ring: tuple[CellState, ...]) -> tuple[tuple[CellState, ...], tuple[int, ...]]:
-    """The least cyclic shift of ``ring``, and every k for which ``ring[k:] + ring[:k]`` is it."""
-    shifts = [ring[k:] + ring[:k] for k in range(len(ring))]
-    least = min(shifts)
-    return least, tuple(k for k, shift in enumerate(shifts) if shift == least)
+    return tuple(tuple(itemgetter(*perm) for perm in motions if perm[0] == face) for face in range(FACE_COUNT))
 
 
 def minimal_context(ctx: Context) -> Context:
     """Lexicographic minimum of the 60 rotated forms, key (current, n0..n11).
 
-    This is exact without building all 60 forms.  The rotations are
-    transitive on faces, so the minimum starts with ``least = min(n)``, and
-    only the five rotations of each face f holding ``least`` can reach it.
-    Those five put f's ring in slots 1..5 as the five cyclic shifts of one
-    sequence (``_ring_shifts`` checks this), so the best 6-slot prefix f
-    allows is ``least`` followed by the least shift of its ring, which
-    ``_least_shift`` finds once per ring pattern.  Only the rotations that
-    reach the least such prefix over all those faces build full 12-tuples.
+    The rotations are transitive on faces, so the minimum starts with
+    ``least = min(n)``, and only the five rotations of each face holding
+    ``least`` put it in slot 0.  The minimum is the least of those forms.
     """
     current, n = ctx
     least = min(n)
-    best = None
-    for state, (ring, rotations) in zip(n, _ring_shifts()):
-        if state == least:
-            prefix, shifts = _least_shift(ring(n))
-            if best is None or prefix < best:
-                best = prefix
-                tied = [(rotations, shifts)]
-            elif prefix == best:
-                tied.append((rotations, shifts))
-    if len(tied) == 1 and len(tied[0][1]) == 1:  # one rotation reaches the least prefix
-        rotations, (k,) = tied[0]
-        return Context(current, rotations[k](n))
-    return Context(current, min([rotations[k](n) for rotations, shifts in tied for k in shifts]))
+    forms = [rotate(n) for state, rotations in zip(n, _slot_zero_rotations()) if state == least for rotate in rotations]
+    return Context(current, min(forms))
 
 
 def minimal_form(rule: Rule) -> Rule:
@@ -289,8 +248,8 @@ class RuleTable:
 
 
 def _anchored(n: tuple[CellState, ...], anchor: CellState) -> tuple[CellState, ...]:
-    """``n`` rotated so that its first face holding ``anchor`` comes to slot 0, by that face's shift-0 rotation."""
-    return _ring_shifts()[n.index(anchor)][1][0](n)
+    """``n`` rotated so that its first face holding ``anchor`` comes to slot 0, by that face's first slot-zero rotation."""
+    return _slot_zero_rotations()[n.index(anchor)][0](n)
 
 
 def _index_rules(rules: Iterable[Rule]) -> tuple[dict, InvarianceReport]:
@@ -310,7 +269,7 @@ def _index_rules(rules: Iterable[Rule]) -> tuple[dict, InvarianceReport]:
         anchor, forms = index[key]
         prior = forms.get(_anchored(n, anchor))
         if prior is None:
-            for state, (_, rotations) in zip(n, _ring_shifts()):
+            for state, rotations in zip(n, _slot_zero_rotations()):
                 if state is anchor:
                     for rotation in rotations:
                         forms[rotation(n)] = rule

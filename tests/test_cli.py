@@ -346,6 +346,24 @@ def test_negative_count_rejected(argv, capsys):
     assert "must not be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option, argv",
+    [
+        ("--steps", ["run", "--scenario", "vertical-fwd-n7", "--steps", "abc"]),
+        ("--time", ["render", "--scenario", "vertical-fwd-n7", "--time", "abc", "--out", "frame.svg"]),
+        ("--depth", ["pentagrid", "levels", "--depth", "1.5"]),
+    ],
+)
+def test_non_integer_count_rejected_by_option_name(option, argv, capsys):
+    # argparse names the type function in its message when that function raises ValueError
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    err = capsys.readouterr().err
+    assert raised.value.code == 2
+    assert f"argument {option}: not an integer: {argv[argv.index(option) + 1]!r}" in err
+    assert "_non_negative_int" not in err
+
+
 VERIFY_ALL_OUTPUT = """\
 PASS  rotation-group  (60 rotations, closed)
 PASS  rule-catalog-invariance  (134 rules)

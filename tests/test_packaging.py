@@ -22,11 +22,12 @@ def test_every_data_file_ships_in_the_wheel():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # each costs a clean interpreter more start-up time than the package's own modules; modules the bare interpreter
-    # loads do not count, and -S keeps site out, as a site .pth file may load typing before the package does
+    # loads do not count, and -S keeps site out, as a site .pth file may load typing before the package does;
+    # render is imported by the render command alone
     code = "import sys; before = set(sys.modules); import dodecagrid.cli; print(*sorted(set(sys.modules) - before))"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     added = subprocess.run(
         [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "dodecagrid.cli" in added
-    assert {"dataclasses", "inspect", "typing"} & set(added) == set()
+    assert {"dataclasses", "inspect", "typing", "dodecagrid.render"} & set(added) == set()

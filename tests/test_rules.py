@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from itertools import combinations, product
 from operator import itemgetter
@@ -195,29 +196,14 @@ def test_each_face_reaches_slot_zero_by_five_rotations():
 
 @pytest.mark.parametrize("face", range(12))
 def test_slot_zero_rotations_of_a_face_shift_one_ring(face):
-    # minimal_context compares faces by the least shift of this ring alone
+    # the table minimal_context, _anchored and _index_rules read: the five rotations taking this face to slot 0,
+    # in enumerate_motions order, so _anchored's first is the same rotation for every caller
     perms = [p for p in MOTIONS if p[0] == face]
+    assert [rotate(IDENTITY) for rotate in rules._slot_zero_rotations()[face]] == perms
+    # they lay the face's ring in slots 1..5 as the five cyclic shifts of one sequence
     ring = perms[0][1:6]
     assert set(ring) == set(RINGS[face])
     assert sorted(p[1:6] for p in perms) == sorted(ring[k:] + ring[:k] for k in range(5))
-    # and the table built from it: rotation k puts shift k of the getter's ring in slots 1..5
-    ring_getter, by_shift = rules._ring_shifts()[face]
-    assert ring_getter(IDENTITY) == ring
-    rotated = [rotate(IDENTITY) for rotate in by_shift]
-    assert sorted(rotated) == sorted(perms)
-    assert [r[1:6] for r in rotated] == [ring[k:] + ring[:k] for k in range(5)]
-
-
-def test_least_shift_matches_brute_force_on_every_ring():
-    tie_counts = Counter()
-    for ring in product(CellState, repeat=5):
-        shifts = [ring[k:] + ring[:k] for k in range(5)]
-        least, reaching = rules._least_shift(ring)
-        assert least == min(shifts)
-        assert reaching == tuple(k for k in range(5) if shifts[k] == least)
-        tie_counts[len(reaching)] += 1
-    # 5 is prime, so only the three constant rings have more than one least shift
-    assert tie_counts == {1: 240, 5: 3}
 
 
 def _antipode(face):
@@ -261,9 +247,9 @@ def test_tie_heavy_strategies_hold_their_symmetry():
 @given(st.one_of(sparse_contexts, dense_contexts, antipodal_contexts, symmetric_contexts))
 @settings(max_examples=400)
 def test_minimal_context_matches_brute_force(c):
-    # rotations tied on the 6-slot prefix, which build 12-tuples: 60 with no
-    # non-blank neighbour, 30 with one, 5-20 with two; dense ones mostly 1;
-    # antipodal and rotation-fixed colourings tie many, down to whole forms
+    # forms built, 5 per face holding the least neighbour state: 50-60 for
+    # sparse contexts, as few as 5 for dense ones; antipodal and
+    # rotation-fixed colourings give several rotations the very same form
     assert minimal_context(c) == min(rotated_context(c, p) for p in MOTIONS)
 
 
@@ -583,6 +569,47 @@ def test_every_rotation_of_a_written_context_gets_its_rules_answer(monkeypatch):
         for perm in MOTIONS:
             assert table.lookup(rotated_context(rule.context, perm)) is rule.new_state
     assert seen == []
+
+
+def seeded_contexts(count, seed):
+    """A stream of rotated and face-shuffled catalogue contexts and uniform random ones, a third each."""
+    rng = random.Random(seed)
+    written = [rule.context for rule in CATALOGUE_RULES]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield rotated_context(rng.choice(written), rng.choice(MOTIONS))
+        elif kind == 1:
+            yield rotated_context(rng.choice(written), tuple(rng.sample(range(12), 12)))
+        else:
+            yield Context(rng.choice(list(CellState)), tuple(rng.choices(list(CellState), k=12)))
+
+
+@pytest.fixture(scope="module")
+def seeded_stream():
+    """20 000 seeded contexts and what a catalogue table built with the real slot-zero table gives each."""
+    stream = list(seeded_contexts(20000, seed=5))
+    table = RuleTable(CATALOGUE_RULES)
+    return stream, [outcome(table, c) for c in stream]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_the_index_does_not_depend_on_which_slot_zero_rotation_anchors(monkeypatch, seeded_stream, k):
+    # _anchored applies each face's first slot-zero rotation; a table built and read with the five cycled by k
+    # anchors every context differently, and must still find each rotation its rules stored
+    stream, want = seeded_stream
+    assert {type(got) for got in want} == {CellState, tuple}  # answers and misses both
+    cycled = tuple(rotations[k:] + rotations[:k] for rotations in rules._slot_zero_rotations())
+    monkeypatch.setattr(rules, "_slot_zero_rotations", lambda: cycled)
+    assert rules._anchored(IDENTITY, 0) == MOTIONS[k]  # face 0's rotations come first in enumerate_motions
+    table = RuleTable(CATALOGUE_RULES)
+    for rule in CATALOGUE_RULES:
+        for perm in MOTIONS:
+            c = rotated_context(rule.context, perm)
+            assert table.has_explicit(c), c
+            assert table.lookup(c) is rule.new_state, c
+    table = RuleTable(CATALOGUE_RULES)  # a fresh cache, so the stream's rotated contexts go through the index
+    assert [outcome(table, c) for c in stream] == want
 
 
 @pytest.mark.parametrize("as_written", [True, False], ids=["same-context", "rotated-context"])
