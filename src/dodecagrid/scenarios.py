@@ -11,15 +11,17 @@ elements and keep a few extra plain cells past each end so the locomotive is
 still on modelled track for every step a test runs; the cells outside the
 chain are a permanently white boundary.
 
-Switch graphs (22 cells, printed as columns 1..22) are built from the frozen
-wiring in ``data/switch_wiring.json``: each cell's blue and red milestone
-faces, decoded by ``milestones``, and its links.  The file also gives the
-switch cells 17..22 of an idle switch for each selected side.  Each kind's
-graph is built once and shared by all of its crossings, which differ only in
-their initial configurations.  ``build_switch`` sets those idle states, puts
-the locomotive on the approach (active crossing) or on the arm the crossing
-enters by (passive crossing) and runs 7 steps, which is the window the golden
-runs cover.
+A switch graph (22 cells, printed as columns 1..22) is its core on plain
+track.  Cells 1..16 are three chains of the (1, 4) straight: the approach
+ending in the centre, whose faces 3 and 4 lead to the left and the right arm.
+The frozen wiring in ``data/switch_wiring.json`` gives only the core cells,
+each arm's first cell and the switch cells 17..22 (milestone faces decoded by
+``milestones``, and links), and those switch cells in an idle switch for each
+selected side.  Each kind's graph is built once and shared by its crossings.
+``build_switch`` sets the idle states and puts the locomotive on the approach
+(active crossing) or on the arm the crossing enters by (passive), for the 7
+steps the golden runs cover; ``ca_outcome`` reads the exit and the selected
+side back off the run.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .engine import (
     with_states,
 )
 from .pentagrid import fibonacci_word
-from .railway import CrossingMode, Side, SwitchKind
+from .railway import CrossingMode, Exit, Side, SwitchKind
 from .rules import B, CellState, R, RuleTable, W, states_from_letters
 
 STRAIGHT_EXIT_PAIRS = ((1, 3), (1, 4), (1, 8), (1, 10))
@@ -210,12 +212,13 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     return _track_scenario(name, wiring, chain, forward, layout=layout, crossing_track=other)
 
 
-LEFT_BRANCH = (7, 8, 9, 10, 11)
-RIGHT_BRANCH = (12, 13, 14, 15, 16)
-APPROACH = (1, 2, 3, 4, 5)
+_PLAIN = build_straight_element((1, 4))
+# a switch's plain track: the approach ending in the centre, then the left and the right arm, whose first cells are core
+_SWITCH_TRACK, (_STEM, LEFT_BRANCH, RIGHT_BRANCH) = _chains([_PLAIN] * 6, [_PLAIN] * 5, [_PLAIN] * 5)
+APPROACH, CENTRE = _STEM[:-1], _STEM[-1]
 
 _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
-    **{c: (0.0, float(c - 6)) for c in APPROACH + (6,)},
+    **{c: (0.0, float(c - 6)) for c in _STEM},
     **{c: (-0.8 * (c - 6), 0.8 * (c - 6)) for c in LEFT_BRANCH},
     **{c: (0.8 * (c - 11), 0.8 * (c - 11)) for c in RIGHT_BRANCH},
     # sensors beside their scanned cells; controller stack and markers west
@@ -232,10 +235,13 @@ _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
 def _switch_graph(kind: SwitchKind) -> CellGraph:
     """The 22-cell graph of a ``kind`` switch, built once: a ``CellGraph`` is immutable, so every crossing shares it."""
     table = load_switch_wiring()["kinds"][kind.value]
-    wiring: Wiring = {}
-    for cell_str, entry in table.items():
+    wiring = dict(_SWITCH_TRACK)
+    fixed, links = wiring[CENTRE]
+    wiring[CENTRE] = fixed, {**links, 3: LEFT_BRANCH[0], 4: RIGHT_BRANCH[0]}
+    for cell in (LEFT_BRANCH[0], RIGHT_BRANCH[0], *range(17, 23)):
+        entry = table[str(cell)]
         links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
-        wiring[int(cell_str)] = milestones(entry.get("blue", ()), entry.get("red", ())), links
+        wiring[cell] = milestones(entry.get("blue", ()), entry.get("red", ())), links
     return CellGraph(wiring)
 
 
@@ -269,7 +275,7 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
     """The switch idle on ``laterality``, with the locomotive (rear R, front B) placed for a ``mode`` crossing."""
     check_crossing(kind, laterality, mode)
     if mode is CrossingMode.ACTIVE:
-        locomotive = {2: R, 3: B}
+        locomotive = {APPROACH[1]: R, APPROACH[2]: B}
     else:
         arm_side = laterality if mode is CrossingMode.PASSIVE_SELECTED else laterality.other
         arm = LEFT_BRANCH if arm_side is Side.LEFT else RIGHT_BRANCH
@@ -282,6 +288,29 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
         layout=dict(_SWITCH_LAYOUT),
         crossing=(kind, laterality, mode),
     )
+
+
+def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
+    """Exit branch taken and final selected side, read off a crossing trace.
+
+    The selected side is the one whose idle state the switch cells are back
+    in at the end of the run.
+    """
+    final = trace.states_at(trace.end)
+    if any(final[c] is not W for c in APPROACH):
+        exit_taken = Exit.U
+    elif any(final[c] is not W for c in LEFT_BRANCH[1:]):
+        exit_taken = Exit.LEFT
+    elif any(final[c] is not W for c in RIGHT_BRANCH[1:]):
+        exit_taken = Exit.RIGHT
+    else:
+        raise ValueError("no locomotive on any exit track at the end of the run")
+    idle = idle_states(kind)
+    for side, cells in idle.items():
+        if all(final[c] is state for c, state in cells.items()):
+            return exit_taken, side
+    read = " ".join(f"{c}:{final[c].letter}" for c in next(iter(idle.values())))
+    raise ValueError(f"switch cells read {read}, no idle state of the {kind.value} switch")
 
 
 class NamedScenario(namedtuple("NamedScenario", "builder args", defaults=((),))):

@@ -10,9 +10,10 @@ step's changes, so they cost what the run changed, not the size of its graph.
 One check, ``check_track``, judges segments and bridges: it walks the track once
 (``walk_track``) and reads a bridge's crossing track up to its first non-white
 cell.  A golden trace is compared with the run in one tuple comparison; only
-one that differs is replayed row by row, to name the first divergence.
-``chain_rows``, ``one_d_violations`` and ``locomotive_progress`` take dense
-rows, for callers that hold rows.
+one that differs is replayed row by row, to name the first divergence.  The
+oracle check reads a crossing with ``scenarios.ca_outcome``, next to the switch
+layout it reads.  ``chain_rows``, ``one_d_violations`` and
+``locomotive_progress`` take dense rows, for callers that hold rows.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ from . import railway
 from .catalog import load_catalog, load_golden_trace
 from .engine import EngineError, Trace
 from .geometry import IDENTITY, FacePermutation, enumerate_motions, inverse, preserves_adjacency
-from .railway import Exit, Side, SwitchKind
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
-from .scenarios import (
-    APPROACH,
-    LEFT_BRANCH,
-    RIGHT_BRANCH,
-    SCENARIOS,
-    Scenario,
-    idle_states,
-)
+from .scenarios import SCENARIOS, Scenario, ca_outcome
 
 
 class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
@@ -289,29 +282,6 @@ def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
 
 
 check_segment = check_bridge = check_track  # the benchmark's tracer times these names; they go with its next change
-
-
-def ca_outcome(trace: Trace, kind: SwitchKind) -> tuple[Exit, Side]:
-    """Exit branch taken and final selected side, read off a crossing trace.
-
-    The selected side is the one whose idle state the switch cells are back
-    in at the end of the run.
-    """
-    final = trace.states_at(trace.end)
-    if any(final[c] is not W for c in APPROACH):
-        exit_taken = Exit.U
-    elif any(final[c] is not W for c in LEFT_BRANCH[1:]):
-        exit_taken = Exit.LEFT
-    elif any(final[c] is not W for c in RIGHT_BRANCH[1:]):
-        exit_taken = Exit.RIGHT
-    else:
-        raise ValueError("no locomotive on any exit track at the end of the run")
-    idle = idle_states(kind)
-    for side, cells in idle.items():
-        if all(final[c] is state for c, state in cells.items()):
-            return exit_taken, side
-    read = " ".join(f"{c}:{final[c].letter}" for c in next(iter(idle.values())))
-    raise ValueError(f"switch cells read {read}, no idle state of the {kind.value} switch")
 
 
 def check_oracle_agreement(scenario: Scenario, trace: Trace) -> CheckResult:

@@ -1,11 +1,25 @@
+import copy
+
 import pytest
 
-from dodecagrid.catalog import golden_path, load_golden_trace
-from dodecagrid.engine import CellGraph, GraphError, context_of, format_trace, run, trace_tokens, uniform_configuration, with_states
+from dodecagrid import railway, scenarios
+from dodecagrid.catalog import golden_path, load_golden_trace, load_switch_wiring
+from dodecagrid.engine import (
+    CellGraph,
+    EngineError,
+    GraphError,
+    context_of,
+    format_trace,
+    run,
+    trace_tokens,
+    uniform_configuration,
+    with_states,
+)
 from dodecagrid.pentagrid import fibonacci_word
-from dodecagrid.railway import Side, SwitchKind
+from dodecagrid.railway import Exit, Side, SwitchKind
 from dodecagrid.rules import B, R, W, context_from_letters, minimal_context
 from dodecagrid.scenarios import (
+    APPROACH,
     LEFT_BRANCH,
     RIGHT_BRANCH,
     SCENARIOS,
@@ -309,6 +323,49 @@ def test_idle_states_cannot_be_altered_through_a_returned_mapping(kind):
     assert build_switch(kind, Side.LEFT, CrossingMode.ACTIVE).initial.states[17] is want[Side.LEFT][17]
 
 
+# --- switch wiring -----------------------------------------------------------
+
+# the cells of every switch that are plain (1, 4) track in the frozen wiring: all but the core cells 7, 12 and 17..22
+PLAIN_SWITCH_CELLS = (*range(1, 7), *range(8, 12), *range(13, 17))
+
+
+def frozen_wiring(kind):
+    """Every cell of a ``kind`` switch decoded from the frozen wiring, one cell at a time: the reference."""
+    wiring = {}
+    for cell, entry in load_switch_wiring()["kinds"][kind.value].items():
+        links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
+        wiring[int(cell)] = milestones(entry.get("blue", ()), entry.get("red", ())), links
+    return wiring
+
+
+def assert_frozen_wiring(graph, kind):
+    assert graph.cell_ids == tuple(range(1, 23))
+    for cell, (fixed, links) in frozen_wiring(kind).items():
+        assert graph.wiring(cell) == (fixed, tuple(sorted(links.items()))), f"{kind.value} cell {cell}"
+
+
+@pytest.mark.parametrize("kind", list(SwitchKind))
+def test_switch_graph_is_the_frozen_wiring_with_its_plain_cells_one_shared_straight(kind):
+    graph = scenarios._switch_graph(kind)
+    assert_frozen_wiring(graph, kind)
+    plain = build_straight_element((1, 4))[0]
+    assert all(graph.wiring(cell)[0] is plain for cell in PLAIN_SWITCH_CELLS)
+
+
+def test_switch_graphs_read_only_the_core_cells_of_the_frozen_wiring(monkeypatch):
+    cores = copy.deepcopy(load_switch_wiring())
+    for table in cores["kinds"].values():
+        for cell in PLAIN_SWITCH_CELLS:
+            del table[str(cell)]
+    monkeypatch.setattr(scenarios, "load_switch_wiring", lambda: cores)
+    scenarios._switch_graph.cache_clear()
+    try:
+        for kind in SwitchKind:
+            assert_frozen_wiring(scenarios._switch_graph(kind), kind)
+    finally:
+        scenarios._switch_graph.cache_clear()  # drop the graphs built from the trimmed table
+
+
 # --- golden runs -------------------------------------------------------------
 
 
@@ -384,6 +441,18 @@ def test_active_crossing_never_enters_nonselected_branch(catalog):
     for name, guard in guard_cells.items():
         trace = SCENARIOS[name].build().run(catalog)
         assert all(trace.states_at(t)[guard] is W for t, _ in trace.rows), name
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_a_crossing_run_past_the_golden_window_stops_at_the_free_end_of_its_exit(name, catalog):
+    # the front leaves the modelled track and the lone rear meets a context no rule covers
+    scenario = SCENARIOS[name].build()
+    kind, laterality, mode = scenario.crossing
+    exit_, _ = railway.cross(railway.SwitchState(kind, laterality), mode)
+    free_end = {Exit.U: APPROACH[0], Exit.LEFT: LEFT_BRANCH[-1], Exit.RIGHT: RIGHT_BRANCH[-1]}[exit_]
+    with pytest.raises(EngineError) as err:
+        scenario.run(catalog, 30)
+    assert (err.value.cell, err.value.time, str(err.value.minimal)) == (free_end, 9, "R | W W W W W W W B B B B W")
 
 
 def test_switch_scenario_run_returns_eight_rows(catalog):

@@ -19,11 +19,11 @@ from dodecagrid.scenarios import (
     Scenario,
     build_bridge,
     build_vertical_segment,
+    ca_outcome,
 )
 from dodecagrid.verify import (
     ONE_D_RULES,
     CheckResult,
-    ca_outcome,
     chain_rows,
     check_catalog_invariance,
     check_golden,
