@@ -8,10 +8,14 @@ immaterial; the new configuration is a fresh value.
 
 With 12 faces and 3 states, a context is exactly 13 base-3 digits, its code
 ``current * 3**12 + sum(neighbour_f * 3**f)``.  A ``CellGraph`` checks each
-cell's fixed states and links in one pass and keeps them, two tuples per cell.
-The same pass derives what the codes need: each cell's base, the code of its
-fixed states, and its feeds, ``(cell, 3**12)`` and ``(reader, 3**f)`` for
-each cell that reads it through face ``f``.
+cell's fixed states and links in one pass.  A railway is long chains of a few
+element shapes, so the graph stores what cells share once: a shape is the
+fixed states, their code and the links as ``(face, index offset)`` pairs, one
+value for every cell wired alike (a vertical segment of any length has 3).
+Per cell it keeps only its index, a reference to its shape, its base (the
+code of its fixed states) and its feeds, ``(cell, 3**12)`` and ``(reader,
+3**f)`` for each cell that reads it through face ``f``.  ``wiring(cell)``
+rebuilds the cell's ``(fixed, ((face, cell), ...))`` from its shape.
 
 ``step`` is the full-sweep reference: it reads every cell's wiring through
 ``context_of``.  ``run`` reads only the bases and feeds and gives the same
@@ -33,23 +37,34 @@ and hashes as it, and ``EngineError`` still carries a ``Context``.  Both
 ``run`` and ``step`` refuse, with a ``ConfigurationError``, a configuration
 that does not give exactly the graph's cells a ``CellState`` each.
 
-A ``Trace`` stores what ``run`` computes and no more: the initial row and,
-for each step, the ``(cell index, new state)`` pairs that changed.  A run's
-time and memory therefore follow its activity, not the size of its graph.
-``Trace.rows`` rebuilds the dense rows on demand, which costs one tuple of
-``len(cell_ids)`` states per row; ``Trace.states_at`` replays only up to the
-row it returns.
+A ``Trace`` stores what ``run`` computes and no more, flat: the initial row,
+then one array of the cell indices each step changed, the new states as
+bytes beside them, and each step's end offset into both.  ``run`` appends to
+them as it goes, so a run's time and memory follow its activity, not the
+size of its graph, and it allocates no object per change that outlives its
+step.  ``Trace.rows`` rebuilds the dense rows on demand, which costs one
+tuple of ``len(cell_ids)`` states per row; ``Trace.states_at`` replays only
+up to the row it returns.  Readers map a stored state back through
+``STATES``.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from itertools import product
+from itertools import islice, product
 
 from .rules import CellState, Context, MissingRuleError, RuleTable, W, states_from_letters
 
 CellId = int
+
+
+# a cell's wiring, shared by every cell wired alike: its fixed states, their code, and its (face, index offset) links
+Shape = tuple[tuple[CellState, ...], int, tuple[tuple[int, int], ...]]
+
+# the state each value of Trace.new_states stands for
+STATES = tuple(CellState)
 
 
 class GraphError(ValueError):
@@ -99,9 +114,14 @@ class CellGraph:
     ``W``, never names its own cell, and has exactly one link back.  The first
     fault in cell order (a cell's fixed states, then its links in face order)
     raises a located ``GraphError``; return links are counted last, from the
-    feeds.  ``cell_ids`` keeps the insertion order, and ``wiring(cell)`` a copy
-    of what was given, the links as face-ordered pairs, which ``CellGraph``
-    takes back.  The same pass derives each cell's base and feeds, which
+    feeds.  ``cell_ids`` keeps the insertion order.
+
+    A graph stores each cell's wiring as one interned shape, ``(fixed, base,
+    links)``: the fixed states, their code, and the links as ``(face, index
+    offset)`` pairs in face order, one value for every cell wired alike.
+    ``wiring(cell)`` rebuilds from it the ``(fixed, ((face, cell), ...))``
+    value the graph was given, which ``CellGraph`` takes back.  Per cell the
+    graph keeps only its index, its shape, its base and its feeds, which
     ``run`` codes contexts with.  A fixed tuple that several cells share, as
     every cell of one track-element shape does (an element is ``(fixed,
     exits)``, one shared value per shape), is checked and coded once, at the
@@ -111,15 +131,17 @@ class CellGraph:
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
         index = {cell: i for i, cell in enumerate(wiring_by_cell)}
         self.cell_ids: tuple[CellId, ...] = tuple(index)
-        self._wiring: dict[CellId, tuple[tuple[CellState, ...], tuple[tuple[int, CellId], ...]]] = {}
+        self._index = index
+        readers = list(index.values())  # each cell's index, one int object that every feed naming it shares
         # per cell j, (j, 3**12) and (i, 3**f) for each cell i that reads j through face f
-        self._feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in range(len(index))]
+        feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in readers]
+        self._shapes: list[Shape] = []  # per cell, its interned shape
         self._bases: list[int] = []  # per cell, the code of its fixed states
-        all_links = []  # (cell index, face, target index) of every link
+        shapes: dict[tuple[int, tuple[tuple[int, int], ...]], Shape] = {}  # (base, links) -> the one shape
         # id(fixed) -> (fixed, base) of each fixed tuple already checked: builders give every cell of
         # one shape the same tuple; holding the tuple keeps its id from being reused by another
         coded_fixed: dict[int, tuple[tuple[CellState, ...], int]] = {}
-        for i, (cell, wiring) in enumerate(wiring_by_cell.items()):
+        for i, (cell, wiring) in zip(readers, wiring_by_cell.items()):
             try:
                 fixed, links = wiring
                 fixed, links = tuple(fixed), dict(links)
@@ -140,8 +162,8 @@ class CellGraph:
             for face in links:
                 if type(face) is not int or not 0 <= face < 12:
                     raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
-            links = tuple(sorted(links.items()))
-            for face, target in links:
+            offsets = []
+            for face, target in sorted(links.items()):
                 if fixed[face] is not W:  # a link would hide the milestone fixed there
                     raise GraphError(f"cell {cell} face {face} links over fixed state {fixed[face].letter}")
                 if target == cell:  # no cell of {5,3,4} is its own face-neighbour
@@ -152,22 +174,32 @@ class CellGraph:
                     raise GraphError(f"cell {cell} face {face} links to unhashable target {target!r}") from None
                 if j is None:
                     raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
-                self._feeds[j].append((i, _FACE_WEIGHTS[face]))
-                all_links.append((i, face, j))
-            self._wiring[cell] = fixed, links
-            self._bases.append(base)
-        for i, face, j in all_links:
-            # each link from cell j back to cell i put j among the cells that i feeds
-            if (back := [k for k, _ in self._feeds[i]].count(j)) != 1:
-                cell, target = self.cell_ids[i], self.cell_ids[j]
-                raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
+                feeds[j].append((i, _FACE_WEIGHTS[face]))
+                offsets.append((face, j - i))
+            key = base, tuple(offsets)
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = fixed, *key
+            self._shapes.append(shape)
+            self._bases.append(shape[1])  # the shape's int, shared by its cells
+        for i, (_, _, links) in zip(readers, self._shapes):
+            for face, offset in links:
+                # each link from cell j back to cell i put j among the cells that i feeds
+                j = i + offset
+                if (back := [k for k, _ in feeds[i]].count(j)) != 1:
+                    cell, target = self.cell_ids[i], self.cell_ids[j]
+                    raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
+        self._feeds: list[tuple[tuple[int, int], ...]] = list(map(tuple, feeds))
 
     def __len__(self) -> int:
         return len(self.cell_ids)
 
     def wiring(self, cell: CellId) -> tuple[tuple[CellState, ...], tuple[tuple[int, CellId], ...]]:
         """The 12 fixed states of ``cell`` and its ``(face, cell)`` links in face order."""
-        return self._wiring[cell]
+        i = self._index[cell]
+        fixed, _, links = self._shapes[i]
+        cell_ids = self.cell_ids
+        return fixed, tuple((face, cell_ids[i + offset]) for face, offset in links)
 
 
 # every cell's state, ``{cell: CellState}``, at one time
@@ -196,7 +228,7 @@ def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
             raise ConfigurationError(f"cell {cell}: configuration state {found}")
         out.append(state)
     if len(states) != len(out):  # every graph cell has a state, so the rest are strays
-        stray = next(cell for cell in states if cell not in graph._wiring)
+        stray = next(cell for cell in states if cell not in graph._index)
         raise ConfigurationError(f"cell {stray}: configuration state for a cell the graph lacks")
     return out
 
@@ -226,56 +258,76 @@ def step(graph: CellGraph, config: Configuration, table: RuleTable) -> Configura
     return Configuration(new_states, config.time + 1)
 
 
-class Trace(namedtuple("Trace", "cell_ids start initial changes")):
-    """Rows of states over a fixed cell ordering, stored as the first row and each step's changes.
+class Trace(namedtuple("Trace", "cell_ids start initial ends indices new_states")):
+    """Rows of states over a fixed cell ordering, stored as the first row and each step's changes, flat.
 
-    Row ``k`` is at time ``start + k``.  ``changes[k]`` lists the ``(index
-    into cell_ids, new state)`` pairs that differ between rows ``k`` and
-    ``k + 1``, in ascending index order.  There is always a first row: an
-    ``initial`` of None raises ``TraceFormatError``.
-    Reading ``rows`` replays every step into a dense row of
-    ``len(cell_ids)`` states; ``states_at`` stops at its row.
+    Row ``k`` is at time ``start + k``.  The step from row ``k`` to row ``k +
+    1`` changes the cells whose indices into ``cell_ids`` are
+    ``indices[ends[k - 1]:ends[k]]`` (from 0 for the first step), in
+    ascending order, to the states ``STATES[v]`` for the values ``v`` at the
+    same positions of ``new_states``.  ``run``, ``from_rows`` and the trace
+    parser store ``ends`` as an ``array('Q')``, ``indices`` as an
+    ``array('I')`` and ``new_states`` as ``bytes``, so equal traces are equal
+    records; a ``Trace`` is not hashable.  There is always a first row: an
+    ``initial`` of None raises ``TraceFormatError``.  Reading ``rows``
+    replays every step into a dense row of ``len(cell_ids)`` states;
+    ``states_at`` stops at its row.
     """
 
     __slots__ = ()
 
-    def __new__(cls, cell_ids: tuple[CellId, ...], start: int, initial: tuple[CellState, ...], changes: tuple) -> Trace:
+    def __new__(
+        cls,
+        cell_ids: tuple[CellId, ...],
+        start: int,
+        initial: tuple[CellState, ...],
+        ends: array,
+        indices: array,
+        new_states: bytes,
+    ) -> Trace:
         if initial is None:
             raise TraceFormatError(f"trace of {len(cell_ids)} cells has no rows")
-        return super().__new__(cls, cell_ids, start, initial, changes)
+        return super().__new__(cls, cell_ids, start, initial, ends, indices, new_states)
 
     @classmethod
     def from_rows(cls, cell_ids: Iterable[CellId], rows: Iterable[tuple[int, Iterable[CellState]]]) -> Trace:
         """The trace of dense ``(time, states)`` rows, at least one, whose times must count up by one."""
         cell_ids = tuple(cell_ids)
         start = initial = previous = None
-        changes = []
+        ends, indices, new_states = array("Q"), array("I"), bytearray()
         for t, states in rows:
             states = tuple(states)
             if len(states) != len(cell_ids):
                 raise TraceFormatError(f"row at time {t} has {len(states)} states for {len(cell_ids)} cells")
             if previous is None:
                 start, initial = t, states
-            elif t != start + len(changes) + 1:
-                raise TraceFormatError(f"time {t} after time {start + len(changes)}")
+            elif t != start + len(ends) + 1:
+                raise TraceFormatError(f"time {t} after time {start + len(ends)}")
             else:
-                changes.append(tuple((i, s) for i, (old, s) in enumerate(zip(previous, states)) if s != old))
+                for i, (old, s) in enumerate(zip(previous, states)):
+                    if s != old:
+                        indices.append(i)
+                        new_states.append(s)
+                ends.append(len(indices))
             previous = states
-        return cls(cell_ids, start, initial, tuple(changes))
+        return cls(cell_ids, start, initial, ends, indices, bytes(new_states))
 
     @property
     def end(self) -> int:
         """Time of the last row."""
-        return self.start + len(self.changes)
+        return self.start + len(self.ends)
 
     @property
     def rows(self) -> tuple[tuple[int, tuple[CellState, ...]], ...]:
         """Every ``(time, states)`` row, replayed from the changes."""
         states = list(self.initial)
         rows = [(self.start, self.initial)]
-        for t, changes in enumerate(self.changes, start=self.start + 1):
-            for i, new in changes:
-                states[i] = new
+        changes = zip(self.indices, self.new_states)
+        done = 0
+        for t, end in enumerate(self.ends, start=self.start + 1):
+            for i, new in islice(changes, end - done):
+                states[i] = STATES[new]
+            done = end
             rows.append((t, tuple(states)))
         return tuple(rows)
 
@@ -283,9 +335,9 @@ class Trace(namedtuple("Trace", "cell_ids start initial changes")):
         if not self.start <= time <= self.end:
             raise KeyError(f"no row for time {time}")
         states = list(self.initial)
-        for changes in self.changes[: time - self.start]:
-            for i, new in changes:
-                states[i] = new
+        done = self.ends[time - self.start - 1] if time > self.start else 0
+        for i, new in islice(zip(self.indices, self.new_states), done):
+            states[i] = STATES[new]
         return dict(zip(self.cell_ids, states))
 
 
@@ -293,7 +345,10 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     """``n_steps`` synchronous steps from ``config``; rows follow ``graph.cell_ids``.
 
     Equal to ``n_steps`` calls of ``step``, evaluating only the dirty cells (see the module docstring).
+    A negative ``n_steps`` raises ``ValueError``.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must not be negative: {n_steps}")
     order = graph.cell_ids
     n = len(order)
     feeds = graph._feeds
@@ -308,7 +363,8 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     known = memo.get
     time = config.time
     initial = tuple(states)
-    changes: list[tuple[tuple[int, CellState], ...]] = []
+    ends, indices, new_states = array("Q"), array("I"), bytearray()
+    end_step, add_index, add_state = ends.append, indices.append, new_states.append
     dirty: Iterable[int] = range(n)
     for _ in range(n_steps):
         changed: list[tuple[int, CellState]] = []
@@ -329,10 +385,12 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
             for j, weight in feeds[i]:
                 codes[j] += delta * weight
                 touched.add(j)
+            add_index(i)
+            add_state(new)
         time += 1
-        changes.append(tuple(changed))
+        end_step(len(indices))
         dirty = sorted(touched)
-    return Trace(order, config.time, initial, tuple(changes))
+    return Trace(order, config.time, initial, ends, indices, bytes(new_states))
 
 
 def format_trace(trace: Trace) -> str:

@@ -6,7 +6,8 @@ builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
 The checks read a trace as ``engine.run`` stores it, a first row and each
-step's changes, so they cost what the run changed, not the size of its graph.
+step's changes as flat arrays, so they cost what the run changed, not the
+size of its graph.
 One check, ``check_track``, judges segments and bridges: it walks the track once
 (``walk_track``) and reads a bridge's crossing track up to its first non-white
 cell.  A golden trace is compared with the run in one tuple comparison; only
@@ -21,12 +22,12 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Collection, Iterable
-from operator import itemgetter
+from operator import itemgetter, sub
 from pathlib import Path
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
-from .engine import EngineError, Trace
+from .engine import STATES, EngineError, Trace
 from .geometry import IDENTITY, FacePermutation, enumerate_motions, inverse, preserves_adjacency
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import SCENARIOS, Scenario, ca_outcome
@@ -126,15 +127,15 @@ def trace_divergence(got: Trace, want: Trace) -> str | None:
         for cell, s_got, s_want in zip(got.cell_ids, row_got, row_want):
             if s_got is not s_want:
                 return f"time {t_got} cell {cell}: expected {s_want.letter}, got {s_got.letter}"
-    if len(got.changes) != len(want.changes):
-        return f"row counts differ: {len(got.changes) + 1} vs {len(want.changes) + 1}"
+    if len(got.ends) != len(want.ends):
+        return f"row counts differ: {len(got.ends) + 1} vs {len(want.ends) + 1}"
     return None
 
 
 def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) -> CheckResult:
     want = load_golden_trace(name, golden_dir)  # missing file raises
     diff = trace_divergence(trace, want)
-    return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.changes) + 1} rows match")
+    return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.ends) + 1} rows match")
 
 
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
@@ -150,12 +151,16 @@ Steps = Iterable[Iterable[tuple[int, CellState]]]
 def chain_steps(trace: Trace, chain: tuple[int, ...]) -> tuple[tuple[CellState, ...], Steps]:
     """The first row of ``chain``'s cells, and each step's changes among them by position in ``chain``.
 
-    The steps are generated as they are read, so each is freed once walked.
+    The steps are generated as they are read, from the trace's flat changes, so each is freed once walked.
     """
     position = {c: i for i, c in enumerate(trace.cell_ids)}
     on_chain = {position[c]: k for k, c in enumerate(chain)}
     initial = tuple(trace.initial[i] for i in on_chain)
-    return initial, ([(on_chain[i], s) for i, s in changes if i in on_chain] for changes in trace.changes)
+    changes = zip(trace.indices, trace.new_states)
+    counts = map(sub, trace.ends, itertools.chain((0,), trace.ends))  # the number of changes of each step
+    return initial, (
+        [(on_chain[i], STATES[s]) for i, s in itertools.islice(changes, count) if i in on_chain] for count in counts
+    )
 
 
 # the 1D rules plus the idle track, which stays white: the new state each judged triple must give
@@ -277,7 +282,7 @@ def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
     if scenario.crossing_track:
         name, clean = f"bridge:{scenario.name}", "clean traversal"
     else:
-        name, clean = f"segment:{scenario.name}", f"{len(trace.changes)} steps clean"
+        name, clean = f"segment:{scenario.name}", f"{len(trace.ends)} steps clean"
     return CheckResult(name, not problems, "; ".join(problems[:3]) or clean)
 
 

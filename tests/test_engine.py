@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import sys
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,6 +44,7 @@ from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_seg
 from dodecagrid.verify import verify_all
 
 ALL_WHITE = (W,) * 12
+STATES = st.sampled_from(CellState)
 
 
 def wired(**faces):
@@ -251,6 +255,15 @@ def test_run_zero_steps(catalog):
     assert trace.rows[0][0] == 0
 
 
+def test_run_refuses_a_negative_step_count(catalog):
+    # a step count below zero names no row to stop at; it is refused before the configuration is read
+    scenario = build_vertical_segment(5)
+    with pytest.raises(ValueError, match="^n_steps must not be negative: -3$"):
+        scenario.run(catalog, -3)
+    with pytest.raises(ValueError, match="^n_steps must not be negative: -1$"):
+        run(scenario.graph, Configuration({}), catalog, -1)
+
+
 def run_one_step(graph, config, table):
     return run(graph, config, table, 1)
 
@@ -353,9 +366,9 @@ def test_a_trace_without_rows_is_refused():
     with pytest.raises(TraceFormatError, match="^t.trace: trace has no rows$"):
         parse_trace_text("1 2 3\n\n# no rows\n", "t.trace")
     with pytest.raises(TraceFormatError, match="^trace of 1 cells has no rows$"):
-        Trace((1,), 0, None, ())
+        Trace((1,), 0, None, array("Q"), array("I"), b"")
     with pytest.raises(TraceFormatError, match="^trace of 1 cells has no rows$"):
-        Trace(cell_ids=(1,), start=0, initial=None, changes=())
+        Trace(cell_ids=(1,), start=0, initial=None, ends=array("Q"), indices=array("I"), new_states=b"")
 
 
 def test_trace_from_rows_rejects_skipped_time():
@@ -410,6 +423,18 @@ def test_trace_from_rows_rejects_a_short_row():
         Trace.from_rows((1, 2), ((0, (B, W)), (1, (R,))))
 
 
+def test_a_trace_stores_its_changes_flat(catalog):
+    # the second step changes nothing; the third changes both cells, in index order
+    trace = Trace((1, 2), 0, (B, W), array("Q", [1, 1, 3]), array("I", [1, 0, 1]), bytes([B, R, W]))
+    assert trace == Trace.from_rows((1, 2), ((0, (B, W)), (1, (B, B)), (2, (B, B)), (3, (R, W))))
+    for stored in (trace, Trace.from_rows((1, 2), trace.rows), build_vertical_segment(3).run(catalog)):
+        assert (stored.ends.typecode, stored.indices.typecode, type(stored.new_states)) == ("Q", "I", bytes)
+    assert trace.end == 3
+    assert [states for _, states in trace.rows] == [(B, W), (B, B), (B, B), (R, W)]
+    assert {type(s) for _, states in trace.rows for s in states} == {CellState}
+    assert trace.states_at(3) == {1: R, 2: W}
+
+
 def test_tsv_emission():
     trace = Trace.from_rows((1, 2), ((0, (B, W)),))
     assert format_trace_tsv(trace) == "time\t1\t2\n0\tB\tW\n"
@@ -420,6 +445,27 @@ def test_parse_trace_round_trip(catalog):
     trace = scenario.run(catalog, 3)
     again = parse_trace_text(format_trace(trace))
     assert again == trace
+
+
+def run_up_to(scenario, table, n_steps):
+    """``scenario`` run ``n_steps`` steps, or up to the time it raises ``EngineError``."""
+    try:
+        return scenario.run(table, n_steps)
+    except EngineError as exc:
+        return scenario.run(table, exc.time - scenario.initial.time)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_trace_reads_back_through_its_rows_and_its_text(catalog, name):
+    scenario = SCENARIOS[name].build()
+    trace = run_up_to(scenario, catalog, 30)
+    assert trace.end >= scenario.default_steps
+    rows = trace.rows
+    assert Trace.from_rows(trace.cell_ids, rows) == trace
+    assert parse_trace_text(format_trace(trace)) == trace
+    assert [t for t, _ in rows] == list(range(trace.start, trace.end + 1))
+    for t, states in rows:
+        assert trace.states_at(t) == dict(zip(trace.cell_ids, states))
 
 
 def test_trace_column(catalog):
@@ -483,7 +529,14 @@ def test_trace_stores_exactly_the_changes(catalog, vertical, size, forward):
     assert Trace.from_rows(trace.cell_ids, trace.rows) == trace
     rows = [states for _, states in trace.rows]
     differing = sum(a != b for old, new in zip(rows, rows[1:]) for a, b in zip(old, new))
-    assert sum(len(changes) for changes in trace.changes) == differing
+    assert sum(map(len, step_changes(trace))) == len(trace.indices) == len(trace.new_states) == differing
+
+
+def step_changes(trace: Trace) -> list[tuple[tuple[int, CellState], ...]]:
+    """Each step's ``(index into cell_ids, new state)`` pairs, read off the trace's flat arrays."""
+    starts = (0, *trace.ends)
+    pairs = [*zip(trace.indices, map(CellState, trace.new_states))]
+    return [tuple(pairs[lo:hi]) for lo, hi in zip(starts, trace.ends)]
 
 
 def contexts_met(graph: CellGraph, trace: Trace) -> set[Context]:
@@ -497,7 +550,7 @@ def contexts_met(graph: CellGraph, trace: Trace) -> set[Context]:
             readers[target].add(cell)
     times = range(trace.start, trace.end)
     met = set()
-    for t, changes in zip(times, ((), *trace.changes)):
+    for t, changes in zip(times, ((), *step_changes(trace))):
         config = Configuration(trace.states_at(t), t)
         cells = graph.cell_ids if t == trace.start else {r for i, _ in changes for r in readers[trace.cell_ids[i]]}
         met.update(context_of(graph, config, c) for c in cells)
@@ -557,7 +610,7 @@ def test_two_locomotives_on_one_segment_match_the_full_sweep(catalog, gap, n_ste
     if n_steps is None:
         assert expected[:2] == (track[-1], 44 - gap)
     else:
-        assert {len(changes) for changes in run(scenario.graph, config, catalog, steps).changes} == {6}
+        assert set(map(len, step_changes(run(scenario.graph, config, catalog, steps)))) == {6}
 
 
 def test_each_run_keeps_its_own_memo(catalog):
@@ -603,9 +656,6 @@ TSV_DIGESTS = {
 def test_scenario_trace_is_pinned(catalog, name):
     text = format_trace_tsv(SCENARIOS[name].build().run(catalog))
     assert hashlib.sha256(text.encode()).hexdigest() == TSV_DIGESTS[name]
-
-
-STATES = st.sampled_from(CellState)
 
 
 @given(current=STATES, neighbours=st.tuples(*[STATES] * 12))
@@ -691,6 +741,82 @@ def test_every_scenario_graph_reads_back_its_ports(monkeypatch):
     assert len(built) == 11  # 4 segments, 4 bridges and the graphs of 3 switch kinds
     for wiring_by_cell, graph in built:
         assert_reads_back(wiring_by_cell, graph)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_scenario_graph_rebuilt_from_its_wiring_runs_the_same(catalog, name):
+    scenario = SCENARIOS[name].build()
+    graph = scenario.graph
+    again = CellGraph(wiring_of(graph))
+    assert (again.cell_ids, wiring_of(again)) == (graph.cell_ids, wiring_of(graph))
+    assert len(set(map(id, again._shapes))) == len(set(map(id, graph._shapes)))
+    assert run(again, scenario.initial, catalog, scenario.default_steps) == scenario.run(catalog)
+
+
+# cell ids that are neither ints nor comparable with each other: the graph only hashes them
+ODD_IDS = st.one_of(st.text(max_size=3), st.tuples(st.integers(0, 3), st.text(max_size=1)))
+
+
+@st.composite
+def odd_id_wirings(draw):
+    """A valid ``{cell: (fixed, links)}`` over string and tuple ids, each link answered by one link back."""
+    cells = draw(st.lists(ODD_IDS, min_size=1, max_size=8, unique=True), label="cells")
+    fixed = {c: list(draw(st.tuples(*[STATES] * 12))) for c in cells}
+    links = {c: {} for c in cells}
+    joins = st.tuples(st.sampled_from(cells), st.integers(0, 11), st.sampled_from(cells), st.integers(0, 11))
+    for a, fa, b, fb in draw(st.lists(joins, max_size=12), label="joins"):
+        if a != b and fa not in links[a] and fb not in links[b] and b not in links[a].values():
+            links[a][fa], links[b][fb] = b, a
+            fixed[a][fa] = fixed[b][fb] = W  # a link sits on a white face
+    return {c: (tuple(fixed[c]), links[c]) for c in cells}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), wiring_by_cell=odd_id_wirings(), n_steps=st.integers(0, 4))
+def test_a_graph_with_odd_cell_ids_reads_back_and_runs_the_same(catalog, data, wiring_by_cell, n_steps):
+    assert_reads_back(wiring_by_cell)
+    graph = CellGraph(wiring_by_cell)
+    again = CellGraph(wiring_of(graph))
+    states = data.draw(st.lists(st.sampled_from((W, W, W, B, R)), min_size=len(graph), max_size=len(graph)))
+    config = Configuration(dict(zip(graph.cell_ids, states)))
+    expected = outcome(sweep_run, graph, config, catalog, n_steps)
+    assert outcome(run, graph, config, catalog, n_steps) == outcome(run, again, config, catalog, n_steps) == expected
+
+
+@pytest.mark.parametrize(
+    "build, shapes",
+    [
+        (lambda: build_vertical_segment(3), 3),
+        (lambda: build_vertical_segment(100), 3),
+        (lambda: build_vertical_segment(5000, forward=False), 3),
+        (lambda: build_horizontal_segment(200), 5),
+    ],
+    ids=["vertical-n3", "vertical-n100", "vertical-n5000", "horizontal-k200"],
+)
+def test_a_segment_holds_one_shape_per_distinct_wiring(build, shapes):
+    # a chain's first cell, its inner cells of each element, and its last cell: the inner ones repeat
+    graph = build().graph
+    assert len(set(map(id, graph._shapes))) == len({(fixed, links) for fixed, _, links in graph._shapes}) == shapes
+    # the shapes are shared by value: copies of the fixed tuples give the same count
+    copies = CellGraph({cell: (list(fixed), dict(links)) for cell, (fixed, links) in wiring_of(graph).items()})
+    assert len(set(map(id, copies._shapes))) == shapes
+
+
+def test_a_vertical_segment_holds_at_most_800_bytes_per_cell(catalog):
+    # what stays allocated after building and running build_vertical_segment(2000): graph, scenario and
+    # trace; the graph keeps per cell its index, a shared shape, its base and its feeds, and the trace's
+    # changes are flat arrays; a per-cell wiring copy and a tuple per change held about 1 150 B per cell
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scenario = build_vertical_segment(2000)
+        trace = scenario.run(catalog)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trace.end == scenario.default_steps
+    assert held <= 800 * len(scenario.graph), f"{held / len(scenario.graph):.0f} B per cell"
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from array import array
 
 import pytest
 
@@ -23,9 +24,16 @@ VALUES = [
     (Configuration, {"states": {1: W}, "time": 3}, "Configuration(states={1: <CellState.W: 0>}, time=3)"),
     (
         Trace,
-        {"cell_ids": (1, 2), "start": 0, "initial": (W, B), "changes": (((1, R),),)},
+        {
+            "cell_ids": (1, 2),
+            "start": 0,
+            "initial": (W, B),
+            "ends": array("Q", [1]),
+            "indices": array("I", [1]),
+            "new_states": b"\x02",
+        },
         "Trace(cell_ids=(1, 2), start=0, initial=(<CellState.W: 0>, <CellState.B: 1>),"
-        " changes=(((1, <CellState.R: 2>),),))",
+        " ends=array('Q', [1]), indices=array('I', [1]), new_states=b'\\x02')",
     ),
     (Context, {"current": W, "neighbors": _CTX.neighbors}, _CTX_TEXT),
     (
@@ -80,7 +88,7 @@ def test_record_equality_hash_and_repr(cls, kwargs, text):
     assert repr(value) == text
     # a value is the tuple of its fields: it equals that tuple, and hashes as it
     assert value == fields and fields == value
-    if cls in (Configuration, Scenario):  # they hold dicts, so they are no more hashable than those
+    if cls in (Configuration, Scenario, Trace):  # they hold dicts or arrays, so they are no more hashable than those
         with pytest.raises(TypeError):
             hash(value)
     else:

@@ -1,5 +1,6 @@
 import re
 import shutil
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -502,8 +503,8 @@ def dense_trace_divergence(got, want):
         for cell, s_got, s_want in zip(got.cell_ids, row_got, row_want):
             if s_got is not s_want:
                 return f"time {t_got} cell {cell}: expected {s_want.letter}, got {s_got.letter}"
-    if len(got.changes) != len(want.changes):
-        return f"row counts differ: {len(got.changes) + 1} vs {len(want.changes) + 1}"
+    if len(got.ends) != len(want.ends):
+        return f"row counts differ: {len(got.ends) + 1} vs {len(want.ends) + 1}"
     return None
 
 
@@ -685,10 +686,12 @@ def test_golden_divergence_of_equal_rows_in_non_canonical_changes_is_none(memo_l
     # a first step that lists its changes out of index order, then a cell that keeps its state:
     # a different record with the same rows
     trace = memo_left_active
-    first = trace.changes[0]
-    kept = next(i for i in range(len(trace.cell_ids)) if i not in dict(first))
-    shuffled = (*first[::-1], (kept, trace.initial[kept]))
-    other = Trace(trace.cell_ids, trace.start, trace.initial, (shuffled, *trace.changes[1:]))
+    first = trace.ends[0]
+    kept = next(i for i in range(len(trace.cell_ids)) if i not in trace.indices[:first])
+    indices = array("I", [*trace.indices[:first][::-1], kept, *trace.indices[first:]])
+    new_states = bytes([*trace.new_states[:first][::-1], trace.initial[kept], *trace.new_states[first:]])
+    ends = array("Q", [end + 1 for end in trace.ends])
+    other = Trace(trace.cell_ids, trace.start, trace.initial, ends, indices, new_states)
     assert other != trace
     assert other.rows == trace.rows
     assert trace_divergence(other, trace) is None
