@@ -13,27 +13,30 @@ element shapes, so the graph stores what cells share once: a shape is the
 fixed states, their code and the links as ``(face, index offset)`` pairs, one
 value for every cell wired alike (a vertical segment of any length has 3).
 Per cell it keeps only its index, a reference to its shape, its base (the
-code of its fixed states) and its feeds, ``(cell, 3**12)`` and ``(reader,
-3**f)`` for each cell that reads it through face ``f``.  ``wiring(cell)``
-rebuilds the cell's ``(fixed, ((face, cell), ...))`` from its shape.
+code of its fixed states) and its feeds, ``(reader, 3**f)`` for each cell
+that reads it through face ``f``; a cell's feeds never name the cell itself,
+whose own state always weighs ``3**12`` in its own code.  The return links
+are checked from the shapes, which each feed's face is read from too.
+``wiring(cell)`` rebuilds the cell's ``(fixed, ((face, cell), ...))`` from its
+shape.
 
 ``step`` is the full-sweep reference: it reads every cell's wiring through
 ``context_of``.  ``run`` reads only the bases and feeds and gives the same
 result while evaluating only the cells whose context can have changed: every
-cell on the first step, afterwards only the cells fed by the cells that
-changed.  This is exact because a cell whose own state and 12 neighbours are
+cell on the first step, afterwards only the cells that changed and the cells
+they feed.  This is exact because a cell whose own state and 12 neighbours are
 unchanged has the same context, so the deterministic ``RuleTable.lookup``
 gives it the same new state as before, which is its current one.  Dirty
 cells are evaluated in ``graph.cell_ids`` order, so an uncovered context
 raises the same ``EngineError`` (cell, time and context) as the full sweep.
 
-``run`` starts each code from the cell's base plus ``state * weight`` along
-the feeds of every non-white cell, and after each step adds ``(new - old) *
-weight`` along the feeds of the cells that changed.  A run-local memo maps
+``run`` starts each code from the cell's base plus, for every non-white
+cell, ``state * 3**12`` on its own code and ``state * weight`` along its
+feeds; after each step it adds ``(new - old)`` the same way for each cell
+that changed, and marks that cell and its feeds dirty.  A run-local memo maps
 each code met to its new state; only a code the run has not met yet is
-decoded into the plain ``(current, neighbours)`` pair that ``lookup`` takes.
-The pair shares the table's cache entries with a ``Context``, which equals
-and hashes as it, and ``EngineError`` still carries a ``Context``.  Both
+decoded into the plain ``(current, neighbours)`` pair that ``lookup`` takes,
+and ``EngineError`` still carries a ``Context``, which equals that pair.  Both
 ``run`` and ``step`` refuse, with a ``ConfigurationError``, a configuration
 that does not give exactly the graph's cells a ``CellState`` each.
 
@@ -113,8 +116,9 @@ class CellGraph:
     (hashable) cells.  A link sits on a face in 0..11 whose fixed state is
     ``W``, never names its own cell, and has exactly one link back.  The first
     fault in cell order (a cell's fixed states, then its links in face order)
-    raises a located ``GraphError``; return links are counted last, from the
-    feeds.  ``cell_ids`` keeps the insertion order.
+    raises a located ``GraphError``; return links are counted last, in the
+    same order, from the linked cell's shape.  ``cell_ids`` keeps the
+    insertion order.
 
     A graph stores each cell's wiring as one interned shape, ``(fixed, base,
     links)``: the fixed states, their code, and the links as ``(face, index
@@ -122,10 +126,11 @@ class CellGraph:
     ``wiring(cell)`` rebuilds from it the ``(fixed, ((face, cell), ...))``
     value the graph was given, which ``CellGraph`` takes back.  Per cell the
     graph keeps only its index, its shape, its base and its feeds, which
-    ``run`` codes contexts with.  A fixed tuple that several cells share, as
-    every cell of one track-element shape does (an element is ``(fixed,
-    exits)``, one shared value per shape), is checked and coded once, at the
-    first cell that uses it.
+    ``run`` codes contexts with: one ``(reader, 3**f)`` pair per link, ``f``
+    read off the return link, and none for the cell itself.  A fixed tuple
+    that several cells share, as every cell of one track-element shape does
+    (an element is ``(fixed, exits)``, one shared value per shape), is
+    checked and coded once, at the first cell that uses it.
     """
 
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
@@ -133,11 +138,12 @@ class CellGraph:
         self.cell_ids: tuple[CellId, ...] = tuple(index)
         self._index = index
         readers = list(index.values())  # each cell's index, one int object that every feed naming it shares
-        # per cell j, (j, 3**12) and (i, 3**f) for each cell i that reads j through face f
-        feeds: list[list[tuple[int, int]]] = [[(i, _CURRENT_WEIGHT)] for i in readers]
         self._shapes: list[Shape] = []  # per cell, its interned shape
         self._bases: list[int] = []  # per cell, the code of its fixed states
-        shapes: dict[tuple[int, tuple[tuple[int, int], ...]], Shape] = {}  # (base, links) -> the one shape
+        # per cell, its shape's {offset: 3**face} for each offset that exactly one of its links has
+        returns: list[dict[int, int]] = []
+        # (base, links) -> the one shape and its returns
+        shapes: dict[tuple[int, tuple[tuple[int, int], ...]], tuple[Shape, dict[int, int]]] = {}
         # id(fixed) -> (fixed, base) of each fixed tuple already checked: builders give every cell of
         # one shape the same tuple; holding the tuple keeps its id from being reused by another
         coded_fixed: dict[int, tuple[tuple[CellState, ...], int]] = {}
@@ -163,7 +169,8 @@ class CellGraph:
                 if type(face) is not int or not 0 <= face < 12:
                     raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
             offsets = []
-            for face, target in sorted(links.items()):
+            for face in sorted(links):
+                target = links[face]
                 if fixed[face] is not W:  # a link would hide the milestone fixed there
                     raise GraphError(f"cell {cell} face {face} links over fixed state {fixed[face].letter}")
                 if target == cell:  # no cell of {5,3,4} is its own face-neighbour
@@ -174,22 +181,31 @@ class CellGraph:
                     raise GraphError(f"cell {cell} face {face} links to unhashable target {target!r}") from None
                 if j is None:
                     raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
-                feeds[j].append((i, _FACE_WEIGHTS[face]))
                 offsets.append((face, j - i))
             key = base, tuple(offsets)
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = fixed, *key
+            entry = shapes.get(key)
+            if entry is None:
+                counts = [offset for _, offset in offsets]
+                weights = {offset: _FACE_WEIGHTS[face] for face, offset in offsets if counts.count(offset) == 1}
+                entry = shapes[key] = (fixed, *key), weights
+            shape = entry[0]
             self._shapes.append(shape)
             self._bases.append(shape[1])  # the shape's int, shared by its cells
-        for i, (_, _, links) in zip(readers, self._shapes):
+            returns.append(entry[1])
+        # per cell i, (j, 3**f) for each cell j that reads i through face f: the return link of each of i's
+        # links, which must be its only link back; the error counts the links back in j's shape
+        self._feeds: list[tuple[tuple[int, int], ...]] = []
+        for i, (_, _, links) in enumerate(self._shapes):
+            feed = []
             for face, offset in links:
-                # each link from cell j back to cell i put j among the cells that i feeds
                 j = i + offset
-                if (back := [k for k, _ in feeds[i]].count(j)) != 1:
+                weight = returns[j].get(-offset)
+                if weight is None:
+                    back = [o for _, o in self._shapes[j][2]].count(-offset)
                     cell, target = self.cell_ids[i], self.cell_ids[j]
                     raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
-        self._feeds: list[tuple[tuple[int, int], ...]] = list(map(tuple, feeds))
+                feed.append((readers[j], weight))
+            self._feeds.append(tuple(feed))
 
     def __len__(self) -> int:
         return len(self.cell_ids)
@@ -357,6 +373,7 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     codes = list(graph._bases)
     for j in range(n):
         if state := states[j]:
+            codes[j] += state * _CURRENT_WEIGHT
             for i, weight in feeds[j]:
                 codes[i] += state * weight
     memo: dict[int, CellState] = {}  # context code -> new state, for the contexts this run has met
@@ -382,6 +399,8 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
         for i, new in changed:
             delta = new - states[i]
             states[i] = new
+            codes[i] += delta * _CURRENT_WEIGHT
+            touched.add(i)
             for j, weight in feeds[i]:
                 codes[j] += delta * weight
                 touched.add(j)

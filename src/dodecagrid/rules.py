@@ -23,18 +23,18 @@ rotates the context once, by the table's first rotation of its first
 anchor-state face, and that anchored form is stored exactly when some
 rotation of the context is a rule's.  One pass over the rules builds this
 index and finds every rule that disagrees with the first rule of its orbit;
-only such a conflict is reported with a minimal form.  A table's lookup cache
-starts out holding each rule's context and new state, which is exact because
-a table, once built, has no conflict.
+only such a conflict is reported with a minimal form.  A lookup is one census,
+one rotation and one dict read, and stores nothing: ``engine.run`` looks up
+each context at most once per run, so a cache here would save only repeats
+across runs.
 
 Contexts that miss the index but have at least ten white neighbours fall back
 to keeping their current state; anything else is a hard ``MissingRuleError``,
 whose ``Context`` and minimal form are built the first time they are read.
 
 Every function here that reads a context takes any ``(current, neighbours)``
-pair; a ``Context`` is one.  A ``Context`` equals and hashes as the plain pair
-with the same fields, so the lookup cache keeps one entry per context
-whichever form filled it, and a caller on a hot path can pass plain pairs.
+pair; a ``Context`` is one, and equals and hashes as the plain pair with the
+same fields, so a caller on a hot path can pass plain pairs.
 """
 
 from __future__ import annotations
@@ -206,9 +206,8 @@ class RuleTable:
 
     ``_index`` maps each rule context's census to that census's anchor state
     and to a dict taking each stored anchored form to the rule that decides
-    its orbit.  ``_cache`` starts with every rule's context as written.  A
-    rule set that is not rotation invariant is refused with
-    ``RuleConflictError``.
+    its orbit.  A rule set that is not rotation invariant is refused with
+    ``RuleConflictError``.  A lookup reads the index and changes nothing.
     """
 
     def __init__(self, rules: Iterable[Rule]):
@@ -216,7 +215,6 @@ class RuleTable:
         self._index, report = _index_rules(self.rules)
         if not report.ok:
             raise RuleConflictError(report)
-        self._cache: dict[Context, CellState] = {rule.context: rule.new_state for rule in self.rules}
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -226,21 +224,15 @@ class RuleTable:
 
         ``MissingRuleError.context`` is built from the pair when first read.
         """
-        hit = self._cache.get(ctx)
-        if hit is not None:
-            return hit
         current, n = ctx
         whites = n.count(W)
         entry = self._index.get((current, whites, n.count(B)))
         rule = entry[1].get(_anchored(n, entry[0])) if entry is not None else None
         if rule is not None:
-            new_state = rule.new_state
-        elif whites >= DEFAULT_BLANK_THRESHOLD:
-            new_state = current
-        else:
-            raise MissingRuleError(ctx)
-        self._cache[ctx] = new_state
-        return new_state
+            return rule.new_state
+        if whites >= DEFAULT_BLANK_THRESHOLD:
+            return current
+        raise MissingRuleError(ctx)
 
     def has_explicit(self, ctx: Context) -> bool:
         entry = self._index.get(census(ctx))

@@ -86,7 +86,9 @@ _SCENARIO_FIELDS = (
     "track_cells",  # cells along the locomotive's path, in travel order (empty for switches)
     "segment_cells",  # the sub-span whose return to all-white is asserted after a traversal
     "default_steps",
-    "layout",  # where ``render`` draws each cell, or None, which it refuses
+    # where ``render`` draws each cell: a read-only mapping, computed from the chain on plain track, or None,
+    # which it refuses
+    "layout",
     # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
     "crossing_track",
     "crossing",  # the (kind, side, mode) ``build_switch`` was called with, or None
@@ -108,7 +110,7 @@ class Scenario(namedtuple("Scenario", _SCENARIO_FIELDS, defaults=((), (), 7, Non
 Wiring = dict[CellId, tuple[tuple[CellState, ...], dict[int, CellId]]]
 
 
-def _chains(*chains: list[Element]) -> tuple[Wiring, list[tuple[CellId, ...]]]:
+def _chains(*chains: list[Element]) -> tuple[Wiring, list[range]]:
     """Each list's elements chained exit face to the next one's entry face, ends left open.
 
     Ids count from 1 through the lists one after another; returns the wiring and each chain's ids.
@@ -124,14 +126,38 @@ def _chains(*chains: list[Element]) -> tuple[Wiring, list[tuple[CellId, ...]]]:
             if cell < cells[-1]:
                 links[exit_] = cell + 1
             wiring[cell] = fixed, links
-        ids.append(tuple(cells))
+        ids.append(cells)
     return wiring, ids
+
+
+class ChainLayout(Mapping):
+    """A chain drawn as a straight line, read-only: its i-th cell at ``(float(i), 0.0)``, computed when read."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: range):
+        self.cells = cells
+
+    def __getitem__(self, cell: CellId) -> tuple[float, float]:
+        try:
+            return float(self.cells.index(cell)), 0.0
+        except ValueError:
+            raise KeyError(cell) from None
+
+    def __iter__(self):
+        return iter(self.cells)
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __repr__(self) -> str:
+        return f"ChainLayout({self.cells!r})"
 
 
 def _track_scenario(
     name: str,
     wiring: Wiring,
-    chain: tuple[CellId, ...],
+    chain: range,
     forward: bool,
     **fields,
 ) -> Scenario:
@@ -140,17 +166,19 @@ def _track_scenario(
     It starts as rear R then front B, pointing along the chain (or against it
     when not ``forward``), and runs until its front reaches the last cell of
     the chain; the buffer cells at each end lie outside the segment under
-    test.  The layout defaults to the chain drawn as a straight line.
+    test.  The layout defaults to the chain drawn as a straight line, a
+    ``ChainLayout`` that stores no position.
     """
     graph = CellGraph(wiring)
-    track = chain if forward else chain[::-1]
-    fields.setdefault("layout", {c: (float(i), 0.0) for i, c in enumerate(chain)})
+    cells = graph.cell_ids[chain.start - 1 : chain.stop - 1]  # ids count from 1: the graph's own id objects, shared
+    track = cells if forward else cells[::-1]
+    fields.setdefault("layout", ChainLayout(chain))
     return Scenario(
         name=name,
         graph=graph,
         initial=with_states(uniform_configuration(graph), {track[SEGMENT_BUFFER]: R, track[SEGMENT_BUFFER + 1]: B}),
         track_cells=track,
-        segment_cells=chain[SEGMENT_BUFFER : len(chain) - SEGMENT_BUFFER],
+        segment_cells=cells[SEGMENT_BUFFER : len(cells) - SEGMENT_BUFFER],
         default_steps=len(chain) - SEGMENT_BUFFER - 2,
         **fields,
     )
@@ -209,12 +237,13 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
     name = f"{active_track}-{_HEADING[forward]}"
-    return _track_scenario(name, wiring, chain, forward, layout=layout, crossing_track=other)
+    return _track_scenario(name, wiring, chain, forward, layout=layout, crossing_track=tuple(other))
 
 
 _PLAIN = build_straight_element((1, 4))
 # a switch's plain track: the approach ending in the centre, then the left and the right arm, whose first cells are core
-_SWITCH_TRACK, (_STEM, LEFT_BRANCH, RIGHT_BRANCH) = _chains([_PLAIN] * 6, [_PLAIN] * 5, [_PLAIN] * 5)
+_SWITCH_TRACK, _SWITCH_CHAINS = _chains([_PLAIN] * 6, [_PLAIN] * 5, [_PLAIN] * 5)
+_STEM, LEFT_BRANCH, RIGHT_BRANCH = map(tuple, _SWITCH_CHAINS)
 APPROACH, CENTRE = _STEM[:-1], _STEM[-1]
 
 _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {

@@ -753,6 +753,27 @@ def test_a_scenario_graph_rebuilt_from_its_wiring_runs_the_same(catalog, name):
     assert run(again, scenario.initial, catalog, scenario.default_steps) == scenario.run(catalog)
 
 
+def reference_feeds(wiring_by_cell) -> list[list[tuple[int, int]]]:
+    """Per cell j, sorted: ``(i, 3**f)`` for each cell i that links to j through face f, never j itself."""
+    index = {cell: i for i, cell in enumerate(wiring_by_cell)}
+    feeds = [[] for _ in index]
+    for i, (_, links) in enumerate(wiring_by_cell.values()):
+        for face, target in dict(links).items():
+            feeds[index[target]].append((i, 3**face))
+    return [sorted(feed) for feed in feeds]
+
+
+def assert_feeds_match_the_reference(wiring_by_cell, graph):
+    # run adds a cell's own state at 3**12 itself, so its feeds hold only the cells that read it
+    assert [sorted(feed) for feed in graph._feeds] == reference_feeds(wiring_by_cell)
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_a_scenario_graph_feeds_exactly_the_cells_that_read_each_cell(name):
+    graph = SCENARIOS[name].build().graph
+    assert_feeds_match_the_reference(wiring_of(graph), graph)
+
+
 # cell ids that are neither ints nor comparable with each other: the graph only hashes them
 ODD_IDS = st.one_of(st.text(max_size=3), st.tuples(st.integers(0, 3), st.text(max_size=1)))
 
@@ -776,6 +797,7 @@ def odd_id_wirings(draw):
 def test_a_graph_with_odd_cell_ids_reads_back_and_runs_the_same(catalog, data, wiring_by_cell, n_steps):
     assert_reads_back(wiring_by_cell)
     graph = CellGraph(wiring_by_cell)
+    assert_feeds_match_the_reference(wiring_by_cell, graph)
     again = CellGraph(wiring_of(graph))
     states = data.draw(st.lists(st.sampled_from((W, W, W, B, R)), min_size=len(graph), max_size=len(graph)))
     config = Configuration(dict(zip(graph.cell_ids, states)))
@@ -802,10 +824,12 @@ def test_a_segment_holds_one_shape_per_distinct_wiring(build, shapes):
     assert len(set(map(id, copies._shapes))) == shapes
 
 
-def test_a_vertical_segment_holds_at_most_800_bytes_per_cell(catalog):
+def test_a_vertical_segment_holds_at_most_560_bytes_per_cell(catalog):
     # what stays allocated after building and running build_vertical_segment(2000): graph, scenario and
-    # trace; the graph keeps per cell its index, a shared shape, its base and its feeds, and the trace's
-    # changes are flat arrays; a per-cell wiring copy and a tuple per change held about 1 150 B per cell
+    # trace; the graph keeps per cell its index, a shared shape, its base and its feeds (no pair for the
+    # cell itself), the scenario's layout is computed from its chain and its track cells are the graph's
+    # own ids, and the trace's changes are flat arrays; a self feed pair per cell, a layout dict of float
+    # pairs and a copy of the chain's ids held about 645 B per cell
     gc.collect()
     tracemalloc.start()
     try:
@@ -816,7 +840,7 @@ def test_a_vertical_segment_holds_at_most_800_bytes_per_cell(catalog):
     finally:
         tracemalloc.stop()
     assert trace.end == scenario.default_steps
-    assert held <= 800 * len(scenario.graph), f"{held / len(scenario.graph):.0f} B per cell"
+    assert held <= 560 * len(scenario.graph), f"{held / len(scenario.graph):.0f} B per cell"
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))

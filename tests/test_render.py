@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from dodecagrid.engine import CellGraph, Configuration, uniform_configuration, with_states
 from dodecagrid.render import FILL, PALE, LayoutError, ViewSide, render_scenario
 from dodecagrid.rules import B, R, W
-from dodecagrid.scenarios import CrossingMode, Scenario, build_switch, build_vertical_segment
+from dodecagrid.scenarios import SCENARIOS, CrossingMode, Scenario, build_switch, build_vertical_segment
 from dodecagrid.railway import Side, SwitchKind
 
 # one isolated cell with a distinct state on every readable face
@@ -98,3 +99,39 @@ def test_quiet_cells_omitted(catalog):
     graph_cells = CellGraph({1: BLANK})
     quiet = Scenario("q", graph_cells, uniform_configuration(graph_cells), layout={1: (0.0, 0.0)})
     assert 'data-cell' not in render_scenario(quiet, quiet.initial, ViewSide.ABOVE)
+
+
+# per scenario, the first 16 hex digits of the sha256 of its four SVGs: times 0 and 3, each from above then below
+RENDER_DIGESTS = {
+    "memo-left-active": "93b6ffd36d25ef41",
+    "memo-left-sel": "2a6d47c6afd2aab1",
+    "memo-left-nonsel": "8725df276374cc09",
+    "memo-right-active": "a3300ef9852a0eee",
+    "memo-right-sel": "0e4b3459088d4d04",
+    "memo-right-nonsel": "b3b496c077191eef",
+    "fixed-active": "962d874b7f0e11fd",
+    "fixed-sel": "3dc9bc1e42e5ebe6",
+    "fixed-nonsel": "5e1bb398d2d7a4f6",
+    "flipflop-left-active": "e72f7744df0f0d8e",
+    "flipflop-right-active": "84e511fe7a00f1fb",
+    "vertical-fwd-n7": "0effe846497b9825",
+    "vertical-rev-n7": "a037121339673857",
+    "horizontal-fwd-k5": "8cd66d23320487e1",
+    "horizontal-rev-k5": "089bc8aef883dd9f",
+    "v1-fwd": "a7e3fa1eba424da8",
+    "v1-rev": "d31dacbb5f277f68",
+    "v0-fwd": "ad5b887481702248",
+    "v0-rev": "d78f9248eb525af6",
+}
+
+
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_every_scenario_renders_its_pinned_frames(catalog, name):
+    scenario = SCENARIOS[name].build()
+    trace = scenario.run(catalog, 3)
+    h = hashlib.sha256()
+    for t in (0, 3):
+        frame = Configuration(trace.states_at(t), t)
+        for side in (ViewSide.ABOVE, ViewSide.BELOW):
+            h.update(render_scenario(scenario, frame, side).encode())
+    assert h.hexdigest()[:16] == RENDER_DIGESTS[name]

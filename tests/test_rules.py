@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from copy import deepcopy
 from itertools import combinations, product
 from operator import itemgetter
 
@@ -530,14 +531,19 @@ def test_context_helpers_accept_plain_pairs(catalog, c, perm):
     assert catalog.has_explicit(pair) is catalog.has_explicit(c)
 
 
-def test_pair_and_context_share_one_cache_entry():
+def test_a_lookup_leaves_the_table_unchanged():
+    # a lookup reads the index and stores nothing: an explicit rule, the fallback and a miss, as pairs and contexts
     table = RuleTable(CATALOGUE_RULES)
-    c = ctx(SCANNED_REAR_LEAVES)
-    written = len(table._cache)
-    assert table.lookup((c.current, c.neighbors)) is W
-    assert len(table._cache) == written + 1
-    assert table.lookup(c) is W  # a cache hit: no second entry
-    assert len(table._cache) == written + 1
+    before = deepcopy(vars(table))
+    rotated, fallback = ctx(SCANNED_REAR_LEAVES), ctx("B R W W W W W W W W W W W")
+    missing = ctx("R W W B W W B B B W W W W")
+    for c in (rotated, fallback, missing) * 2:
+        for looked_up in (c, (c.current, c.neighbors)):
+            try:
+                assert table.lookup(looked_up) is {rotated: W, fallback: B}[c]
+            except MissingRuleError:
+                assert c is missing
+    assert vars(table) == before
 
 
 def _counting_minimal_context(monkeypatch) -> list:

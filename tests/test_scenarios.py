@@ -241,6 +241,35 @@ def test_track_scenario_invariants(shape, heading, catalog):
     assert result.name == f"{'bridge' if shape.startswith('bridge') else 'segment'}:{scenario.name}"
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SCENARIOS["vertical-fwd-n7"].build(),
+        lambda: SCENARIOS["vertical-rev-n7"].build(),
+        lambda: SCENARIOS["horizontal-fwd-k5"].build(),
+        lambda: SCENARIOS["horizontal-rev-k5"].build(),
+        lambda: build_vertical_segment(3),
+        lambda: build_vertical_segment(500, forward=False),
+        lambda: build_horizontal_segment(20),
+    ],
+    ids=["vertical-fwd-n7", "vertical-rev-n7", "horizontal-fwd-k5", "horizontal-rev-k5", "n3", "n500-rev", "k20"],
+)
+def test_a_plain_track_layout_is_its_chain_on_a_line(build):
+    # computed from the chain, it reads as the dict of float pairs it replaces: item for item, in order
+    scenario = build()
+    chain = scenario.graph.cell_ids
+    drawn = {c: (float(i), 0.0) for i, c in enumerate(chain)}
+    layout = scenario.layout
+    assert list(layout.items()) == list(drawn.items())
+    assert layout == drawn and len(layout) == len(drawn)
+    for outside in (0, chain[-1] + 1, "1"):
+        assert outside not in layout
+        with pytest.raises(KeyError):
+            layout[outside]
+    with pytest.raises(TypeError):
+        layout[chain[0]] = (1.0, 1.0)
+
+
 # --- switch graphs -----------------------------------------------------------
 
 
