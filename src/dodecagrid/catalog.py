@@ -14,16 +14,12 @@ from .rules import RuleTable, load_rule_dir
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
-def data_dir() -> Path:
-    return _DATA_DIR
-
-
 def default_rules_dir() -> Path:
-    return data_dir() / "rules"
+    return _DATA_DIR / "rules"
 
 
 def default_golden_dir() -> Path:
-    return data_dir() / "golden"
+    return _DATA_DIR / "golden"
 
 
 def load_catalog(rules_dir: Path | str | None = None) -> RuleTable:
@@ -49,5 +45,5 @@ def load_golden_trace(name: str, golden_dir: Path | str | None = None) -> Trace:
 
 @lru_cache(maxsize=1)
 def load_switch_wiring() -> dict:
-    path = data_dir() / "switch_wiring.json"
+    path = _DATA_DIR / "switch_wiring.json"
     return json.loads(path.read_text())

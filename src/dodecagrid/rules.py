@@ -40,7 +40,7 @@ same fields, so a caller on a hot path can pass plain pairs.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -275,13 +275,17 @@ def check_rotation_invariance(rules: Iterable[Rule]) -> InvarianceReport:
     return _index_rules(rules)[1]
 
 
-def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
-    """One rule per non-comment line: ``CURRENT N0 .. N11 -> NEW``."""
-    rules: list[Rule] = []
+def content_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The number, from 1, and the text before any ``#``, stripped, of each line of ``text`` not left empty."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line := raw.split("#", 1)[0].strip():
+            yield line_no, line
+
+
+def parse_rules(text: str, source: str = "<string>") -> list[Rule]:
+    """One rule per line of ``content_lines``: ``CURRENT N0 .. N11 -> NEW``."""
+    rules: list[Rule] = []
+    for line_no, line in content_lines(text):
         tokens = line.split()
         if len(tokens) != 15 or tokens[13] != "->":
             raise RuleParseError(f"{source}:{line_no}: expected 'CURRENT N0 .. N11 -> NEW', got {len(tokens)} tokens")

@@ -5,29 +5,30 @@ just the ordered list of them.  A check judges the trace it is given and never
 builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
-The checks read a trace as ``engine.run`` stores it, a first row and each
-step's changes as flat arrays, so they cost what the run changed, not the
-size of its graph.
-One check, ``check_track``, judges segments and bridges: it walks the track once
-(``walk_track``) and reads a bridge's crossing track up to its first non-white
-cell.  A golden trace is compared with the run in one tuple comparison; only
-one that differs is replayed row by row, to name the first divergence.  The
-oracle check reads a crossing with ``scenarios.ca_outcome``, next to the switch
-layout it reads.  ``chain_rows``, ``one_d_violations`` and
-``locomotive_progress`` take dense rows, for callers that hold rows.
+The checks read a trace through ``Trace``, its first row and then
+``Trace.steps()``, never its flat arrays, so they cost what the run changed,
+not the size of its graph.  One check, ``check_track``, judges segments and
+bridges: it walks the track once (``walk_track(trace, chain)``, which any
+chain of cells can take) and reads a bridge's crossing track up to its first
+non-white cell.  A golden trace is compared with the run in one tuple
+comparison; only one that differs is replayed row by row, to name the first
+divergence.  The oracle check reads a crossing with ``scenarios.ca_outcome``,
+next to the switch layout it reads.  ``chain_rows`` gives dense rows, and
+``one_d_violations`` and ``locomotive_progress`` take them, for callers that
+hold rows, and walk them as a ``Trace.from_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Collection, Iterable
-from operator import itemgetter, sub
+from collections.abc import Collection
+from operator import itemgetter
 from pathlib import Path
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
-from .engine import STATES, EngineError, Trace
+from .engine import EngineError, Trace
 from .geometry import IDENTITY, FacePermutation, enumerate_motions, inverse, preserves_adjacency
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import SCENARIOS, Scenario, ca_outcome
@@ -138,29 +139,15 @@ def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) 
     return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.ends) + 1} rows match")
 
 
+def _positions(trace: Trace, chain: tuple[int, ...]) -> dict[int, int]:
+    """Each cell of ``chain``, by its index into ``trace.cell_ids``, mapped to its position in ``chain``."""
+    index = {c: i for i, c in enumerate(trace.cell_ids)}
+    return {index[c]: k for k, c in enumerate(chain)}
+
+
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
-    position = {c: i for i, c in enumerate(trace.cell_ids)}
-    index = [position[c] for c in chain]
+    index = list(_positions(trace, chain))
     return [tuple(states[i] for i in index) for _, states in trace.rows]
-
-
-# per step, the (position, new state) pairs it changes along a track
-Steps = Iterable[Iterable[tuple[int, CellState]]]
-
-
-def chain_steps(trace: Trace, chain: tuple[int, ...]) -> tuple[tuple[CellState, ...], Steps]:
-    """The first row of ``chain``'s cells, and each step's changes among them by position in ``chain``.
-
-    The steps are generated as they are read, from the trace's flat changes, so each is freed once walked.
-    """
-    position = {c: i for i, c in enumerate(trace.cell_ids)}
-    on_chain = {position[c]: k for k, c in enumerate(chain)}
-    initial = tuple(trace.initial[i] for i in on_chain)
-    changes = zip(trace.indices, trace.new_states)
-    counts = map(sub, trace.ends, itertools.chain((0,), trace.ends))  # the number of changes of each step
-    return initial, (
-        [(on_chain[i], STATES[s]) for i, s in itertools.islice(changes, count) if i in on_chain] for count in counts
-    )
 
 
 # the 1D rules plus the idle track, which stays white: the new state each judged triple must give
@@ -176,10 +163,10 @@ def _transition_problem(triple: tuple[CellState, CellState, CellState], new: Cel
     return f"{letters} -> {new.letter}, 1D rules say {expected.letter}"
 
 
-def walk_track(initial: tuple[CellState, ...], steps: Steps) -> tuple[list[str], list[str], list[CellState]]:
-    """Locomotive progress and 1D-rule violations along a track, and its last row.
+def walk_track(trace: Trace, chain: tuple[int, ...]) -> tuple[list[str], list[str], list[CellState]]:
+    """Locomotive progress and 1D-rule violations along the track ``chain`` of ``trace``, and its last row.
 
-    The track is given as its first row and each step's changes.
+    The chain's cells are read by position, in travel order, from ``trace.steps()``.
     Row ``t`` must hold exactly one B and one R, adjacent, and the front must
     advance one cell per step (a jump is labelled by row times).  Every
     transition must follow the 1D rules.  The first step judges every
@@ -191,7 +178,8 @@ def walk_track(initial: tuple[CellState, ...], steps: Steps) -> tuple[list[str],
     repeats, as a walk over dense rows reports it.  The B and R positions are
     kept as sets.  So the walk costs the first row plus what the steps change.
     """
-    row = list(initial)
+    on_chain = _positions(trace, chain)
+    row = [trace.initial[i] for i in on_chain]
     n = len(row)
     blue = {i for i, s in enumerate(row) if s is B}
     red = {i for i, s in enumerate(row) if s is R}
@@ -211,8 +199,8 @@ def walk_track(initial: tuple[CellState, ...], steps: Steps) -> tuple[list[str],
 
     check_locomotive(0)
     judge = set(range(n))
-    for t, changes in enumerate(steps):
-        new = dict(changes)
+    for t, changes in enumerate(trace.steps()):
+        new = {on_chain[i]: s for i, s in changes if i in on_chain}
         judge.update(new)
         for i in judge:  # W beyond the ends
             triple = (row[i - 1] if i > 0 else W, row[i], row[i + 1] if i + 1 < n else W)
@@ -238,19 +226,20 @@ def walk_track(initial: tuple[CellState, ...], steps: Steps) -> tuple[list[str],
     return progress, violations, row
 
 
-def _row_steps(rows: list[tuple[CellState, ...]]) -> tuple[tuple[CellState, ...], Steps]:
-    """Dense rows, at least one, as the first row and each step's changes."""
-    return rows[0], ([(i, s) for i, (a, s) in enumerate(zip(old, new)) if s != a] for old, new in zip(rows, rows[1:]))
+def _walk_rows(rows: list[tuple[CellState, ...]]) -> tuple[list[str], list[str], list[CellState]]:
+    """``walk_track`` over dense rows, at least one, as the trace of a track whose cells are its positions."""
+    trace = Trace.from_rows(range(len(rows[0])), enumerate(rows))
+    return walk_track(trace, trace.cell_ids)
 
 
 def one_d_violations(rows: list[tuple[CellState, ...]]) -> list[str]:
     """Check every track-cell transition against the 1D rules (W beyond the ends), via ``walk_track``."""
-    return walk_track(*_row_steps(rows))[1] if rows else []
+    return _walk_rows(rows)[1] if rows else []
 
 
 def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
     """Exactly one B and one R, adjacent, with the front advancing one cell per step, via ``walk_track``."""
-    return walk_track(*_row_steps(rows))[0] if rows else []
+    return _walk_rows(rows)[0] if rows else []
 
 
 def track_problems(scenario: Scenario, trace: Trace) -> list[str]:
@@ -261,15 +250,14 @@ def track_problems(scenario: Scenario, trace: Trace) -> list[str]:
     """
     problems = []
     if scenario.crossing_track:
-        initial, steps = chain_steps(trace, scenario.crossing_track)
-        rows = itertools.chain([[(k, s) for k, s in enumerate(initial) if s is not W]], steps)
+        track = _positions(trace, scenario.crossing_track)
+        first = [(i, trace.initial[i]) for i in track if trace.initial[i] is not W]
         # up to its first disturbed row the crossing track is white, so what a row changes there it leaves non-white
-        for t, changes in enumerate(rows, trace.start):
-            if changes:
-                cells = [scenario.crossing_track[k] for k in sorted(k for k, _ in changes)]
-                problems.append(f"t{t}: crossing track disturbed at {cells}")
+        for t, changes in enumerate(itertools.chain([first], trace.steps()), trace.start):
+            if disturbed := sorted(track[i] for i, _ in changes if i in track):
+                problems.append(f"t{t}: crossing track disturbed at {[scenario.crossing_track[k] for k in disturbed]}")
                 break
-    progress, violations, last = walk_track(*chain_steps(trace, scenario.track_cells))  # track_cells is in travel order
+    progress, violations, last = walk_track(trace, scenario.track_cells)  # track_cells is in travel order
     final = dict(zip(scenario.track_cells, last))
     stuck = [c for c in scenario.segment_cells if final[c] is not W]
     idle = "bridge cells not idle after traversal" if scenario.crossing_track else "segment cells not idle after exit"

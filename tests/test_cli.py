@@ -287,6 +287,19 @@ def test_verify_all_refuses_a_header_only_golden_file(capsys, tmp_path):
     assert err == f"error: {golden}: trace has no rows\n"
 
 
+def test_verify_all_refuses_a_rules_dir_without_rule_files(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "verify-all", "--rules", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: no .rules files in {tmp_path}\n"
+
+
+def test_a_run_past_the_switch_window_fails_at_its_first_uncovered_cell(capsys):
+    code, out, err = run_cli(capsys, "run", "--scenario", "memo-left-active", "--steps", "30")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cell 11 at time 9: no rule covers context ")
+    assert err.count("\n") == 1
+
+
 def _with_a_bad_byte(source_dir, target_dir, filename):
     """A copy of ``source_dir`` whose ``filename`` ends in byte 0xff, which is not UTF-8."""
     shutil.copytree(source_dir, target_dir)

@@ -532,6 +532,66 @@ def test_trace_stores_exactly_the_changes(catalog, vertical, size, forward):
     assert sum(map(len, step_changes(trace))) == len(trace.indices) == len(trace.new_states) == differing
 
 
+def assert_steps_replay(trace: Trace, rows: list[tuple[CellState, ...]]) -> None:
+    """``trace.steps()`` holds, per step, exactly the cells that differ between the dense ``rows``, ascending."""
+    steps = list(trace.steps())
+    assert len(steps) == len(rows) - 1 == len(trace.ends)
+    assert sum(map(len, steps)) == len(trace.indices)
+    states = list(trace.initial)
+    assert tuple(states) == rows[0]
+    for changes, old, new in zip(steps, rows, rows[1:]):
+        indices = [i for i, _ in changes]
+        assert indices == sorted(set(indices))
+        assert changes == [(i, s) for i, (a, s) in enumerate(zip(old, new)) if s is not a]
+        assert all(type(s) is CellState for _, s in changes)
+        for i, s in changes:
+            states[i] = s
+        assert tuple(states) == new
+    assert [row for _, row in trace.rows] == rows
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_trace_steps_replay_every_scenario_run(catalog, name):
+    # the reference rows come from full sweeps of step, which never build a Trace
+    scenario = SCENARIOS[name].build()
+    graph, config = scenario.graph, scenario.initial
+    rows = [tuple(config.states[c] for c in graph.cell_ids)]
+    for _ in range(scenario.default_steps):
+        config = step(graph, config, catalog)
+        rows.append(tuple(config.states[c] for c in graph.cell_ids))
+    assert_steps_replay(scenario.run(catalog), rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n_cells=st.integers(1, 8), n_rows=st.integers(1, 7), start=st.integers(-3, 3))
+def test_trace_steps_replay_the_rows_a_trace_is_built_from(data, n_cells, n_rows, start):
+    rows = data.draw(st.lists(st.tuples(*[STATES] * n_cells), min_size=n_rows, max_size=n_rows), label="rows")
+    trace = Trace.from_rows(range(10, 10 + n_cells), enumerate(rows, start))
+    assert_steps_replay(trace, rows)
+    assert trace.states_at(trace.end) == dict(zip(trace.cell_ids, rows[-1]))
+
+
+def test_states_at_refuses_a_time_outside_the_trace(catalog):
+    trace = build_vertical_segment(4).run(catalog, 2)
+    assert trace.states_at(trace.start) == dict(zip(trace.cell_ids, trace.initial))
+    for time in (trace.start - 1, trace.end + 1):
+        with pytest.raises(KeyError, match=f"no row for time {time}"):
+            trace.states_at(time)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("# cells\ntime 0 :  B  W\n1 2\n", "^t.trace:2: trace rows before header$"),
+        ("", "^t.trace: trace has no header$"),
+        ("# a comment\n\n   # and another\n", "^t.trace: trace has no header$"),
+    ],
+)
+def test_parse_trace_refuses_a_trace_without_a_header_first(text, error):
+    with pytest.raises(TraceFormatError, match=error):
+        parse_trace_text(text, "t.trace")
+
+
 def step_changes(trace: Trace) -> list[tuple[tuple[int, CellState], ...]]:
     """Each step's ``(index into cell_ids, new state)`` pairs, read off the trace's flat arrays."""
     starts = (0, *trace.ends)

@@ -116,6 +116,12 @@ def test_longest_repr_frozen_values():
     assert longest_repr(11) == "1111"
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_longest_repr_refuses_a_number_below_1(n):
+    with pytest.raises(ValueError, match="^only positive integers have a coordinate$"):
+        longest_repr(n)
+
+
 def test_longest_repr_shape():
     for n in range(1, 2000):
         digits = longest_repr(n)

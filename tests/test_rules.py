@@ -27,7 +27,9 @@ from dodecagrid.rules import (
     blank_count,
     census,
     check_rotation_invariance,
+    content_lines,
     context_from_letters,
+    load_rule_dir,
     minimal_context,
     minimal_form,
     parse_rules,
@@ -83,6 +85,25 @@ def test_parse_single_rule():
 def test_parse_comments_and_blanks():
     text = "# header\n\nW W W W W W W W W W W W W -> W  # quiescent\n"
     assert len(parse_rules(text)) == 1
+
+
+def test_content_lines_keep_the_numbers_of_the_lines_left_with_text():
+    text = "# header\n\n  a b  # note\n   \n#\nc#d\n\t e \n"
+    assert list(content_lines(text)) == [(3, "a b"), (6, "c"), (7, "e")]
+    assert list(content_lines("")) == []
+
+
+@pytest.mark.parametrize("letters", ["W" * 12, "W" * 14])
+def test_context_from_letters_refuses_a_count_other_than_13(letters):
+    with pytest.raises(ValueError, match=f"^a context needs 13 states, got {len(letters)}$"):
+        context_from_letters(letters)
+
+
+def test_load_rule_dir_refuses_a_directory_without_rule_files(tmp_path):
+    (tmp_path / "notes.txt").write_text("W W W W W W W W W W W W W -> W\n")
+    with pytest.raises(FileNotFoundError) as err:
+        load_rule_dir(tmp_path)
+    assert str(err.value) == f"no .rules files in {tmp_path}"
 
 
 def test_parse_empty_file_gives_empty_table():
