@@ -18,7 +18,12 @@ that reads it through face ``f``; a cell's feeds never name the cell itself,
 whose own state always weighs ``3**12`` in its own code.  The return links
 are checked from the shapes, which each feed's face is read from too.
 ``wiring(cell)`` rebuilds the cell's ``(fixed, ((face, cell), ...))`` from its
-shape.
+shape.  ``CellGraph.from_chains`` builds the graph of chains of track
+elements, ``(fixed, (entry, exit))`` each, without a per-cell wiring: it
+checks each distinct element once, and lays each chain from its elements'
+shapes as a chain's first, inner and last cell, which imply the links.  The
+shapes and the feeds pass are shared with the per-cell constructor, so the
+two give equal graphs.
 
 ``step`` is the full-sweep reference: it reads every cell's wiring through
 ``context_of``.  ``run`` reads only the bases and feeds and gives the same
@@ -55,8 +60,9 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
 from itertools import islice, product
+from operator import indexOf
 
 from .rules import CellState, Context, MissingRuleError, RuleTable, W, content_lines, states_from_letters
 
@@ -65,6 +71,9 @@ CellId = int
 
 # a cell's wiring, shared by every cell wired alike: its fixed states, their code, and its (face, index offset) links
 Shape = tuple[tuple[CellState, ...], int, tuple[tuple[int, int], ...]]
+
+# a track element: its fixed states and the (entry, exit) faces the locomotive passes by
+Element = tuple[tuple[CellState, ...], tuple[int, int]]
 
 # the state each value of Trace.new_states stands for
 STATES = tuple(CellState)
@@ -108,6 +117,73 @@ def _context_pair(code: int) -> tuple[CellState, tuple[CellState, ...]]:
     return CellState(current), _HALVES[low] + _HALVES[high]
 
 
+class _Shapes(dict):
+    """The shapes of one graph, interned: ``(base, links) -> (shape, returns)``.
+
+    ``returns`` maps each index offset that exactly one of the shape's links
+    has to ``3**face`` of that link: what a return link along it weighs.
+    """
+
+    def __call__(self, fixed: tuple[CellState, ...], base: int, links: tuple[tuple[int, int], ...]) -> Shape:
+        entry = self.get((base, links))
+        if entry is None:
+            offsets = [offset for _, offset in links]
+            returns = {offset: _FACE_WEIGHTS[face] for face, offset in links if offsets.count(offset) == 1}
+            entry = self[base, links] = (fixed, base, links), returns
+        return entry[0]
+
+
+def _fixed_code(cell: CellId, fixed: tuple) -> int:
+    """The code of a cell's fixed states: exactly 12 ``CellState``s, or a ``GraphError`` located at ``cell``."""
+    if len(fixed) != 12:
+        raise GraphError(f"cell {cell}: expected 12 fixed states, got {len(fixed)}")
+    base = 0
+    for face, state in enumerate(fixed):
+        if not isinstance(state, CellState):  # 5 would be coded as B, "B" not at all
+            raise GraphError(f"cell {cell} face {face}: fixed state {state!r} is not a CellState")
+        base += state * _FACE_WEIGHTS[face]
+    return base
+
+
+def _link_face(cell: CellId, face: object) -> None:
+    """Refuse a link of ``cell`` on ``face`` unless it is a face in 0..11."""
+    if type(face) is not int or not 0 <= face < 12:
+        raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
+
+
+def _white_face(cell: CellId, fixed: tuple[CellState, ...], face: int) -> None:
+    """Refuse a link of ``cell`` on ``face`` unless its fixed state there is ``W``: a link would hide a milestone."""
+    if fixed[face] is not W:
+        raise GraphError(f"cell {cell} face {face} links over fixed state {fixed[face].letter}")
+
+
+def chain_ids(*chains: Sized) -> list[range]:
+    """Each chain's cell ids in the graph of ``CellGraph.from_chains``: they count from 1 through the chains in turn."""
+    ids, start = [], 1
+    for elements in chains:
+        ids.append(range(start, start + len(elements)))
+        start += len(elements)
+    return ids
+
+
+def _element_shapes(cell: CellId, element: Element, shape: _Shapes) -> tuple[Shape, Shape, Shape, Shape]:
+    """An element's shapes as a chain's first, inner, last and only cell, checked at ``cell``, its first use."""
+    try:
+        fixed, (entry, exit_) = element
+        fixed = tuple(fixed)
+    except (TypeError, ValueError):
+        raise GraphError(f"cell {cell}: {element!r} is not a (fixed states, (entry, exit)) element") from None
+    base = _fixed_code(cell, fixed)
+    for face in (entry, exit_):
+        _link_face(cell, face)
+    for face in (entry, exit_):
+        _white_face(cell, fixed, face)
+    if entry == exit_:
+        raise GraphError(f"cell {cell}: entry and exit on the same face {entry}")
+    inner = tuple(sorted(((entry, -1), (exit_, 1))))
+    return tuple(shape(fixed, base, links) for links in (((exit_, 1),), inner, ((entry, -1),), ()))
+
+
 class CellGraph:
     """Immutable wiring of a finite set of cells: 12 fixed states plus links per cell, checked in one pass.
 
@@ -118,7 +194,9 @@ class CellGraph:
     fault in cell order (a cell's fixed states, then its links in face order)
     raises a located ``GraphError``; return links are counted last, in the
     same order, from the linked cell's shape.  ``cell_ids`` keeps the
-    insertion order.
+    insertion order.  ``from_chains`` builds the graph of chains of track
+    elements without a per-cell wiring; the two constructors differ only in
+    how they find a cell's links, and share the shapes and the feeds pass.
 
     A graph stores each cell's wiring as one interned shape, ``(fixed, base,
     links)``: the fixed states, their code, and the links as ``(face, index
@@ -128,26 +206,20 @@ class CellGraph:
     graph keeps only its index, its shape, its base and its feeds, which
     ``run`` codes contexts with: one ``(reader, 3**f)`` pair per link, ``f``
     read off the return link, and none for the cell itself.  A fixed tuple
-    that several cells share, as every cell of one track-element shape does
-    (an element is ``(fixed, exits)``, one shared value per shape), is
-    checked and coded once, at the first cell that uses it.
+    that several cells share, as every cell of one track-element shape does,
+    is checked and coded once, at the first cell that uses it.
     """
 
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
         index = {cell: i for i, cell in enumerate(wiring_by_cell)}
         self.cell_ids: tuple[CellId, ...] = tuple(index)
         self._index = index
-        readers = list(index.values())  # each cell's index, one int object that every feed naming it shares
-        self._shapes: list[Shape] = []  # per cell, its interned shape
-        self._bases: list[int] = []  # per cell, the code of its fixed states
-        # per cell, its shape's {offset: 3**face} for each offset that exactly one of its links has
-        returns: list[dict[int, int]] = []
-        # (base, links) -> the one shape and its returns
-        shapes: dict[tuple[int, tuple[tuple[int, int], ...]], tuple[Shape, dict[int, int]]] = {}
+        shape = _Shapes()
+        shapes: list[Shape] = []
         # id(fixed) -> (fixed, base) of each fixed tuple already checked: builders give every cell of
         # one shape the same tuple; holding the tuple keeps its id from being reused by another
         coded_fixed: dict[int, tuple[tuple[CellState, ...], int]] = {}
-        for i, (cell, wiring) in zip(readers, wiring_by_cell.items()):
+        for i, (cell, wiring) in enumerate(wiring_by_cell.items()):
             try:
                 fixed, links = wiring
                 fixed, links = tuple(fixed), dict(links)
@@ -155,24 +227,16 @@ class CellGraph:
                 raise GraphError(f"cell {cell}: {wiring!r} is not a (fixed states, links) pair") from None
             coded = coded_fixed.get(id(fixed))
             if coded is None:
-                if len(fixed) != 12:
-                    raise GraphError(f"cell {cell}: expected 12 fixed states, got {len(fixed)}")
-                base = 0
-                for face, state in enumerate(fixed):
-                    if not isinstance(state, CellState):  # 5 would be coded as B, "B" not at all
-                        raise GraphError(f"cell {cell} face {face}: fixed state {state!r} is not a CellState")
-                    base += state * _FACE_WEIGHTS[face]
+                base = _fixed_code(cell, fixed)
                 coded_fixed[id(fixed)] = fixed, base
             else:
                 base = coded[1]
             for face in links:
-                if type(face) is not int or not 0 <= face < 12:
-                    raise GraphError(f"cell {cell}: link on {face!r}, not a face in 0..11")
+                _link_face(cell, face)
             offsets = []
             for face in sorted(links):
                 target = links[face]
-                if fixed[face] is not W:  # a link would hide the milestone fixed there
-                    raise GraphError(f"cell {cell} face {face} links over fixed state {fixed[face].letter}")
+                _white_face(cell, fixed, face)
                 if target == cell:  # no cell of {5,3,4} is its own face-neighbour
                     raise GraphError(f"cell {cell} face {face} links to itself")
                 try:
@@ -182,26 +246,64 @@ class CellGraph:
                 if j is None:
                     raise GraphError(f"cell {cell} face {face} links to unknown cell {target}")
                 offsets.append((face, j - i))
-            key = base, tuple(offsets)
-            entry = shapes.get(key)
-            if entry is None:
-                counts = [offset for _, offset in offsets]
-                weights = {offset: _FACE_WEIGHTS[face] for face, offset in offsets if counts.count(offset) == 1}
-                entry = shapes[key] = (fixed, *key), weights
-            shape = entry[0]
-            self._shapes.append(shape)
-            self._bases.append(shape[1])  # the shape's int, shared by its cells
-            returns.append(entry[1])
+            shapes.append(shape(fixed, base, tuple(offsets)))
+        self._lay(shapes, shape)
+
+    @classmethod
+    def from_chains(cls, *chains: Sequence[Element]) -> CellGraph:
+        """The graph of chains of track elements, each element's exit face linked to the next one's entry face.
+
+        An element is ``(fixed, (entry, exit))``.  Ids count from 1 through the
+        chains one after another, each chain's as ``chain_ids`` gives them; a
+        chain's ends are left open, so its first cell links only its exit and
+        its last only its entry.  Each distinct element (by identity) is
+        checked once, at the first cell that uses it: 12 ``CellState``s, entry
+        and exit two different faces in 0..11, both fixed ``W``; a fault raises
+        a ``GraphError`` located at that cell.  The graph equals ``CellGraph``
+        of the same cells' ``{face: cell}`` wiring, but no cell's links are
+        looked up: an element has four shapes, as a chain's first, inner, last
+        or only cell, and the chain is laid from them.
+        """
+        graph = cls.__new__(cls)
+        shape = _Shapes()
+        shapes: list[Shape] = []
+        by_element: dict[int, tuple[Shape, Shape, Shape, Shape]] = {}  # id(element) -> its four shapes
+        for elements, cells in zip(chains, chain_ids(*chains)):
+            start = cells.start  # the id of the chain's first cell
+            for key in dict.fromkeys(map(id, elements)):  # the chain's distinct elements, in order of first use
+                if key not in by_element:
+                    k = indexOf(map(id, elements), key)
+                    by_element[key] = _element_shapes(start + k, elements[k], shape)
+            if len(elements) == 1:
+                shapes.append(by_element[id(elements[0])][3])
+            elif elements:
+                inner = {key: shapes_of[1] for key, shapes_of in by_element.items()}
+                shapes.append(by_element[id(elements[0])][0])
+                shapes += map(inner.__getitem__, map(id, islice(elements, 1, len(elements) - 1)))
+                shapes.append(by_element[id(elements[-1])][2])
+        graph.cell_ids = cell_ids = tuple(range(1, len(shapes) + 1))
+        # cell c has index c - 1, which is the id of cell c - 1: one int object serves as both
+        graph._index = dict(zip(cell_ids, (0, *cell_ids)))
+        graph._lay(shapes, shape)
+        return graph
+
+    def _lay(self, shapes: list[Shape], shape: _Shapes) -> None:
+        """Keep each cell's shape and base, and build its feeds, checking that each link has one return link."""
+        self._shapes = shapes
+        self._bases: list[int] = [cell_shape[1] for cell_shape in shapes]  # the shape's int, shared by its cells
+        returns_of = {id(cell_shape): returns for cell_shape, returns in shape.values()}
+        returns = [returns_of[id(cell_shape)] for cell_shape in shapes]
+        readers = list(self._index.values())  # each cell's index, one int object that every feed naming it shares
         # per cell i, (j, 3**f) for each cell j that reads i through face f: the return link of each of i's
         # links, which must be its only link back; the error counts the links back in j's shape
         self._feeds: list[tuple[tuple[int, int], ...]] = []
-        for i, (_, _, links) in enumerate(self._shapes):
+        for i, (_, _, links) in enumerate(shapes):
             feed = []
             for face, offset in links:
                 j = i + offset
                 weight = returns[j].get(-offset)
                 if weight is None:
-                    back = [o for _, o in self._shapes[j][2]].count(-offset)
+                    back = [o for _, o in shapes[j][2]].count(-offset)
                     cell, target = self.cell_ids[i], self.cell_ids[j]
                     raise GraphError(f"link {cell}/{face} -> {target} has {back} return links, expected exactly 1")
                 feed.append((readers[j], weight))

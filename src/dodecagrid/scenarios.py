@@ -5,15 +5,17 @@ states, blue milestones and white elsewhere, and the faces the locomotive
 enters and leaves by.  A straight element has blue milestones on faces 2, 5,
 6, 7 and passes the locomotive between face 1 and one of faces 3, 4, 8, 10; a
 corner has seven milestones (faces 3, 5, 6, 7, 8, 10, 11), a white back on
-face 0 and exits on faces 1 and 2.  Each shape is one shared element, so
-``CellGraph`` checks and codes its fixed tuple once.  Segment scenarios chain
-elements and keep a few extra plain cells past each end so the locomotive is
-still on modelled track for every step a test runs; the cells outside the
-chain are a permanently white boundary.
+face 0 and exits on faces 1 and 2.  Each shape is one shared element, and
+every track graph is ``CellGraph.from_chains`` of lists of elements, which
+checks each element once.  Segment scenarios chain elements and keep a few
+extra plain cells past each end so the locomotive is still on modelled track
+for every step a test runs; the cells outside the chain are a permanently
+white boundary.
 
 A switch graph (22 cells, printed as columns 1..22) is its core on plain
 track.  Cells 1..16 are three chains of the (1, 4) straight: the approach
 ending in the centre, whose faces 3 and 4 lead to the left and the right arm.
+The switch reads their wiring back from the chains' graph, ``wiring(cell)``.
 The frozen wiring in ``data/switch_wiring.json`` gives only the core cells,
 each arm's first cell and the switch cells 17..22 (milestone faces decoded by
 ``milestones``, and links), and those switch cells in an idle switch for each
@@ -33,14 +35,7 @@ from itertools import product
 from types import MappingProxyType
 
 from .catalog import load_switch_wiring
-from .engine import (
-    CellGraph,
-    CellId,
-    Trace,
-    run,
-    uniform_configuration,
-    with_states,
-)
+from .engine import CellGraph, CellId, Element, Trace, chain_ids, run, uniform_configuration
 from .pentagrid import fibonacci_word
 from .railway import CrossingMode, Exit, Side, SwitchKind
 from .rules import B, CellState, R, RuleTable, W, states_from_letters
@@ -59,9 +54,6 @@ def milestones(blue: Iterable[int], red: Iterable[int] = ()) -> tuple[CellState,
     colour = {**{face: R for face in red}, **{face: B for face in blue}}
     return tuple(colour.get(face, W) for face in range(12))
 
-
-# a track element: its fixed states and its (entry, exit) faces
-Element = tuple[tuple[CellState, ...], tuple[int, int]]
 
 # one value per shape, so every cell of one shape shares its fixed tuple
 _STRAIGHTS: dict[tuple[int, int], Element] = {pair: (milestones(STRAIGHT_MILESTONES), pair) for pair in STRAIGHT_EXIT_PAIRS}
@@ -106,30 +98,6 @@ class Scenario(namedtuple("Scenario", _SCENARIO_FIELDS, defaults=((), (), 7, Non
         return run(self.graph, self.initial, table, steps)
 
 
-# per cell, its fixed states and its {face: cell} links: what a CellGraph is built from
-Wiring = dict[CellId, tuple[tuple[CellState, ...], dict[int, CellId]]]
-
-
-def _chains(*chains: list[Element]) -> tuple[Wiring, list[range]]:
-    """Each list's elements chained exit face to the next one's entry face, ends left open.
-
-    Ids count from 1 through the lists one after another; returns the wiring and each chain's ids.
-    """
-    wiring: Wiring = {}
-    ids = []
-    for elements in chains:
-        cells = range(len(wiring) + 1, len(wiring) + len(elements) + 1)
-        for cell, (fixed, (entry, exit_)) in zip(cells, elements):
-            links: dict[int, CellId] = {}
-            if cell > cells[0]:
-                links[entry] = cell - 1
-            if cell < cells[-1]:
-                links[exit_] = cell + 1
-            wiring[cell] = fixed, links
-        ids.append(cells)
-    return wiring, ids
-
-
 class ChainLayout(Mapping):
     """A chain drawn as a straight line, read-only: its i-th cell at ``(float(i), 0.0)``, computed when read."""
 
@@ -156,7 +124,7 @@ class ChainLayout(Mapping):
 
 def _track_scenario(
     name: str,
-    wiring: Wiring,
+    graph: CellGraph,
     chain: range,
     forward: bool,
     **fields,
@@ -169,14 +137,15 @@ def _track_scenario(
     test.  The layout defaults to the chain drawn as a straight line, a
     ``ChainLayout`` that stores no position.
     """
-    graph = CellGraph(wiring)
     cells = graph.cell_ids[chain.start - 1 : chain.stop - 1]  # ids count from 1: the graph's own id objects, shared
     track = cells if forward else cells[::-1]
     fields.setdefault("layout", ChainLayout(chain))
+    initial = uniform_configuration(graph)
+    initial.states.update({track[SEGMENT_BUFFER]: R, track[SEGMENT_BUFFER + 1]: B})
     return Scenario(
         name=name,
         graph=graph,
-        initial=with_states(uniform_configuration(graph), {track[SEGMENT_BUFFER]: R, track[SEGMENT_BUFFER + 1]: B}),
+        initial=initial,
         track_cells=track,
         segment_cells=cells[SEGMENT_BUFFER : len(cells) - SEGMENT_BUFFER],
         default_steps=len(chain) - SEGMENT_BUFFER - 2,
@@ -188,9 +157,9 @@ def build_vertical_segment(n: int, forward: bool = True) -> Scenario:
     """``n`` straight elements chained exit-4 to entry-1, plus end buffers."""
     if n < 3:
         raise ValueError(f"vertical segment needs n >= 3, got {n}")
-    straight = build_straight_element((1, 4))
-    wiring, (chain,) = _chains([straight] * (n + 2 * SEGMENT_BUFFER))
-    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", wiring, chain, forward)
+    elements = [build_straight_element((1, 4))] * (n + 2 * SEGMENT_BUFFER)
+    (chain,) = chain_ids(elements)
+    return _track_scenario(f"vertical-{_HEADING[forward]}-n{n}", CellGraph.from_chains(elements), chain, forward)
 
 
 def horizontal_exit_faces(k: int) -> tuple[int, ...]:
@@ -209,8 +178,8 @@ def build_horizontal_segment(k: int, forward: bool = True) -> Scenario:
     for exit_face in horizontal_exit_faces(k):
         elements += [build_straight_element((1, exit_face)), corner]
     elements += [plain] * SEGMENT_BUFFER
-    wiring, (chain,) = _chains(elements)
-    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", wiring, chain, forward)
+    (chain,) = chain_ids(elements)
+    return _track_scenario(f"horizontal-{_HEADING[forward]}-k{k}", CellGraph.from_chains(elements), chain, forward)
 
 
 def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
@@ -227,9 +196,8 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     corner = build_corner()
 
     approach = [plain] * (SEGMENT_BUFFER + 2)
-    wiring, (v0_chain, v1_chain) = _chains(
-        [plain] * (7 + 2 * SEGMENT_BUFFER), [*approach, ramp, corner, plain, corner, ramp, *approach]
-    )
+    tracks = [plain] * (7 + 2 * SEGMENT_BUFFER), [*approach, ramp, corner, plain, corner, ramp, *approach]
+    v0_chain, v1_chain = chain_ids(*tracks)
     chain, other = (v0_chain, v1_chain) if active_track == "v0" else (v1_chain, v0_chain)
 
     deck = v1_chain[SEGMENT_BUFFER + 2 : SEGMENT_BUFFER + 7]
@@ -237,13 +205,15 @@ def build_bridge(active_track: str = "v1", forward: bool = True) -> Scenario:
     for i, c in enumerate(v1_chain):
         layout[c] = (float(i), 3.0 if c in deck else 2.0)
     name = f"{active_track}-{_HEADING[forward]}"
-    return _track_scenario(name, wiring, chain, forward, layout=layout, crossing_track=tuple(other))
+    graph = CellGraph.from_chains(*tracks)
+    return _track_scenario(name, graph, chain, forward, layout=layout, crossing_track=tuple(other))
 
 
 _PLAIN = build_straight_element((1, 4))
 # a switch's plain track: the approach ending in the centre, then the left and the right arm, whose first cells are core
-_SWITCH_TRACK, _SWITCH_CHAINS = _chains([_PLAIN] * 6, [_PLAIN] * 5, [_PLAIN] * 5)
-_STEM, LEFT_BRANCH, RIGHT_BRANCH = map(tuple, _SWITCH_CHAINS)
+_SWITCH_CHAINS = [_PLAIN] * 6, [_PLAIN] * 5, [_PLAIN] * 5
+_SWITCH_TRACK = CellGraph.from_chains(*_SWITCH_CHAINS)
+_STEM, LEFT_BRANCH, RIGHT_BRANCH = map(tuple, chain_ids(*_SWITCH_CHAINS))
 APPROACH, CENTRE = _STEM[:-1], _STEM[-1]
 
 _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
@@ -264,9 +234,11 @@ _SWITCH_LAYOUT: dict[CellId, tuple[float, float]] = {
 def _switch_graph(kind: SwitchKind) -> CellGraph:
     """The 22-cell graph of a ``kind`` switch, built once: a ``CellGraph`` is immutable, so every crossing shares it."""
     table = load_switch_wiring()["kinds"][kind.value]
-    wiring = dict(_SWITCH_TRACK)
-    fixed, links = wiring[CENTRE]
-    wiring[CENTRE] = fixed, {**links, 3: LEFT_BRANCH[0], 4: RIGHT_BRANCH[0]}
+    wiring = {}
+    for cell in _SWITCH_TRACK.cell_ids:  # the plain track's cells as its graph wires them
+        fixed, links = _SWITCH_TRACK.wiring(cell)
+        wiring[cell] = fixed, dict(links)
+    wiring[CENTRE][1].update({3: LEFT_BRANCH[0], 4: RIGHT_BRANCH[0]})
     for cell in (LEFT_BRANCH[0], RIGHT_BRANCH[0], *range(17, 23)):
         entry = table[str(cell)]
         links = {int(face): int(target) for face, target in entry.get("links", {}).items()}
@@ -310,10 +282,12 @@ def build_switch(kind: SwitchKind, laterality: Side, mode: CrossingMode) -> Scen
         arm = LEFT_BRANCH if arm_side is Side.LEFT else RIGHT_BRANCH
         locomotive = {arm[2]: B, arm[3]: R}
     graph = _switch_graph(kind)
+    initial = uniform_configuration(graph)
+    initial.states.update({**idle_states(kind)[laterality], **locomotive})
     return Scenario(
         name=switch_name(kind, laterality, mode),
         graph=graph,
-        initial=with_states(uniform_configuration(graph), {**idle_states(kind)[laterality], **locomotive}),
+        initial=initial,
         layout=dict(_SWITCH_LAYOUT),
         crossing=(kind, laterality, mode),
     )

@@ -18,6 +18,7 @@ from dodecagrid.engine import (
     GraphError,
     Trace,
     TraceFormatError,
+    chain_ids,
     context_of,
     format_trace,
     format_trace_tsv,
@@ -40,10 +41,19 @@ from dodecagrid.rules import (
     load_rule_dir,
     minimal_context,
 )
-from dodecagrid.scenarios import SCENARIOS, SEGMENT_BUFFER, build_horizontal_segment, build_vertical_segment
+from dodecagrid.scenarios import (
+    SCENARIOS,
+    SEGMENT_BUFFER,
+    build_bridge,
+    build_corner,
+    build_horizontal_segment,
+    build_straight_element,
+    build_vertical_segment,
+)
 from dodecagrid.verify import verify_all
 
 ALL_WHITE = (W,) * 12
+PLAIN, RAMP, CORNER = build_straight_element((1, 4)), build_straight_element((1, 3)), build_corner()
 STATES = st.sampled_from(CellState)
 
 
@@ -767,15 +777,38 @@ def test_run_raises_at_first_uncovered_cell_in_order(catalog, reverse_order, cel
     assert outcome(sweep_run, graph, config, catalog, 10) == (cell, 7, err.value.context)
 
 
+def chain_wiring(*chains) -> dict[int, tuple]:
+    """The reference per-cell wiring of chains: ids as ``chain_ids`` counts them, each exit linked to the next entry."""
+    wiring = {}
+    for elements, cells in zip(chains, chain_ids(*chains)):
+        for cell, (fixed, (entry, exit_)) in zip(cells, elements):
+            links = {}
+            if cell > cells[0]:
+                links[entry] = cell - 1
+            if cell < cells[-1]:
+                links[exit_] = cell + 1
+            wiring[cell] = fixed, links
+    return wiring
+
+
 def built_graphs(monkeypatch) -> list[tuple[dict, CellGraph]]:
-    """Every ``(wiring_by_cell, graph)`` the scenario builders construct from here on, switch graphs included."""
+    """Every ``(wiring_by_cell, graph)`` the scenario builders construct from here on, switch graphs included.
+
+    A graph built with ``CellGraph.from_chains`` is recorded with its chains' ``chain_wiring``.
+    """
     built = []
 
-    def recording(wiring_by_cell):
-        built.append((wiring_by_cell, CellGraph(wiring_by_cell)))
-        return built[-1][1]
+    class Recording:
+        def __new__(cls, wiring_by_cell):
+            built.append((wiring_by_cell, CellGraph(wiring_by_cell)))
+            return built[-1][1]
 
-    monkeypatch.setattr(scenarios, "CellGraph", recording)
+        @staticmethod
+        def from_chains(*chains):
+            built.append((chain_wiring(*chains), CellGraph.from_chains(*chains)))
+            return built[-1][1]
+
+    monkeypatch.setattr(scenarios, "CellGraph", Recording)
     scenarios._switch_graph.cache_clear()  # built once per kind and process, so rebuilt under the recorder
     return built
 
@@ -801,6 +834,71 @@ def test_every_scenario_graph_reads_back_its_ports(monkeypatch):
     assert len(built) == 11  # 4 segments, 4 bridges and the graphs of 3 switch kinds
     for wiring_by_cell, graph in built:
         assert_reads_back(wiring_by_cell, graph)
+
+
+HEADINGS = (("fwd", True), ("rev", False))
+CHAIN_BUILDS = {
+    **{f"vertical-n{n}-{h}": (build_vertical_segment, n, f) for n in (3, 7, 1000) for h, f in HEADINGS},
+    **{f"horizontal-k{k}-{h}": (build_horizontal_segment, k, f) for k in (2, 5, 13, 200) for h, f in HEADINGS},
+    **{f"bridge-{v}-{h}": (build_bridge, v, f) for v in ("v0", "v1") for h, f in HEADINGS},
+}
+
+
+def graph_fields(graph: CellGraph) -> tuple:
+    return graph.cell_ids, graph._index, graph._shapes, graph._bases, graph._feeds, wiring_of(graph)
+
+
+@pytest.mark.parametrize("build, arg, forward", CHAIN_BUILDS.values(), ids=CHAIN_BUILDS)
+def test_a_chain_graph_equals_the_graph_of_its_per_cell_wiring(monkeypatch, build, arg, forward):
+    built = built_graphs(monkeypatch)
+    graph = build(arg, forward).graph
+    [(wiring_by_cell, recorded)] = built
+    assert recorded is graph
+    assert graph_fields(graph) == graph_fields(CellGraph(wiring_by_cell)) == graph_fields(CellGraph(wiring_of(graph)))
+
+
+@pytest.mark.parametrize(
+    "chains",
+    [[[]], [[PLAIN]], [[PLAIN], [], [CORNER, PLAIN]], [[CORNER] * 3, [PLAIN, RAMP], [RAMP]]],
+    ids=["empty", "one-cell", "one-two", "three-two-one"],
+)
+def test_short_and_empty_chains_equal_their_per_cell_wiring(chains):
+    graph = CellGraph.from_chains(*chains)
+    assert graph_fields(graph) == graph_fields(CellGraph(chain_wiring(*chains)))
+
+
+@pytest.mark.parametrize(
+    "build, distinct",
+    [(lambda: build_vertical_segment(1000), 1), (lambda: build_horizontal_segment(200), 3), (build_bridge, 3)],
+    ids=["vertical-n1000", "horizontal-k200", "bridge-v1"],
+)
+def test_a_chain_graph_checks_each_distinct_element_once(monkeypatch, build, distinct):
+    checked = []
+    real = engine._fixed_code
+    monkeypatch.setattr(engine, "_fixed_code", lambda cell, fixed: checked.append(cell) or real(cell, fixed))
+    build()
+    assert len(checked) == distinct
+
+
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        (((W,) * 11, (1, 4)), "cell 5: expected 12 fixed states, got 11"),
+        ((PLAIN[0][:7] + ("B",) + PLAIN[0][8:], (1, 4)), "cell 5 face 7: fixed state 'B' is not a CellState"),
+        ((PLAIN[0][:7] + (5,) + PLAIN[0][8:], (1, 4)), "cell 5 face 7: fixed state 5 is not a CellState"),
+        ((PLAIN[0], (1, 12)), "cell 5: link on 12, not a face in 0..11"),
+        ((PLAIN[0], (-1, 4)), "cell 5: link on -1, not a face in 0..11"),
+        ((PLAIN[0], (1, 2)), "cell 5 face 2 links over fixed state B"),
+        ((PLAIN[0], (4, 4)), "cell 5: entry and exit on the same face 4"),
+        (None, "cell 5: None is not a (fixed states, (entry, exit)) element"),
+        ((PLAIN[0], 4), f"cell 5: {(PLAIN[0], 4)!r} is not a (fixed states, (entry, exit)) element"),
+    ],
+)
+def test_a_chain_graph_reports_a_bad_element_at_its_first_cell(bad, first):
+    # ids count through the chains: chain two starts at cell 4, and its second cell first uses the element
+    with pytest.raises(GraphError) as err:
+        CellGraph.from_chains([PLAIN] * 3, [PLAIN, bad, PLAIN, bad], [bad])
+    assert str(err.value) == first
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
@@ -901,6 +999,20 @@ def test_a_vertical_segment_holds_at_most_560_bytes_per_cell(catalog):
         tracemalloc.stop()
     assert trace.end == scenario.default_steps
     assert held <= 560 * len(scenario.graph), f"{held / len(scenario.graph):.0f} B per cell"
+
+
+def test_a_vertical_segment_build_peaks_at_most_450_bytes_per_cell():
+    # the chain is laid per element, with no {face: cell} dict per cell to read back, and its initial
+    # configuration is one dict: building through a per-cell wiring peaked at 739–745 B per cell
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scenario = build_vertical_segment(2000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 450 * len(scenario.graph), f"{peak / len(scenario.graph):.0f} B per cell"
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))
