@@ -39,11 +39,13 @@ raises the same ``EngineError`` (cell, time and context) as the full sweep.
 cell, ``state * 3**12`` on its own code and ``state * weight`` along its
 feeds; after each step it adds ``(new - old)`` the same way for each cell
 that changed, and marks that cell and its feeds dirty.  A run-local memo maps
-each code met to its new state; only a code the run has not met yet is
-decoded into the plain ``(current, neighbours)`` pair that ``lookup`` takes,
-and ``EngineError`` still carries a ``Context``, which equals that pair.  Both
-``run`` and ``step`` refuse, with a ``ConfigurationError``, a configuration
-that does not give exactly the graph's cells a ``CellState`` each.
+each code met to its new state; only for a code the run has not met yet does
+it read the plain ``(current, neighbours)`` pair that ``lookup`` takes, from
+the cell's shape and the current states: the fixed states, with each linked
+face showing its cell's state.  ``EngineError`` still carries a ``Context``,
+which equals that pair.  Both ``run`` and ``step`` refuse, with a
+``ConfigurationError``, a configuration that does not give exactly the
+graph's cells a ``CellState`` each.
 
 A ``Trace`` stores what ``run`` computes and no more, flat: the initial row,
 then one array of the cell indices each step changed, the new states as
@@ -61,7 +63,7 @@ from __future__ import annotations
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence, Sized
-from itertools import islice, product
+from itertools import islice
 from operator import indexOf
 
 from .rules import CellState, Context, MissingRuleError, RuleTable, W, content_lines, states_from_letters
@@ -105,16 +107,6 @@ class EngineError(RuntimeError):
 # A cell's context code is current * 3**12 + sum(neighbour_f * 3**f): one int per context.
 _FACE_WEIGHTS = tuple(3**face for face in range(12))
 _CURRENT_WEIGHT = 3**12
-# The states of 6 faces in face order, indexed by their code sum(state_k * 3**k).
-_HALVES = tuple(half[::-1] for half in product(CellState, repeat=6))
-_HALF_WEIGHT = 3**6
-
-
-def _context_pair(code: int) -> tuple[CellState, tuple[CellState, ...]]:
-    """The ``(current, neighbours)`` pair whose context code is ``code``."""
-    current, neighbours = divmod(code, _CURRENT_WEIGHT)
-    high, low = divmod(neighbours, _HALF_WEIGHT)
-    return CellState(current), _HALVES[low] + _HALVES[high]
 
 
 class _Shapes(dict):
@@ -205,9 +197,9 @@ class CellGraph:
     value the graph was given, which ``CellGraph`` takes back.  Per cell the
     graph keeps only its index, its shape, its base and its feeds, which
     ``run`` codes contexts with: one ``(reader, 3**f)`` pair per link, ``f``
-    read off the return link, and none for the cell itself.  A fixed tuple
-    that several cells share, as every cell of one track-element shape does,
-    is checked and coded once, at the first cell that uses it.
+    read off the return link, and none for the cell itself.  Each cell's
+    fixed states are checked and coded as given; ``from_chains`` checks and
+    codes each distinct element once, at the first cell that uses it.
     """
 
     def __init__(self, wiring_by_cell: Mapping[CellId, tuple[Iterable[CellState], Mapping[int, CellId]]]):
@@ -216,21 +208,13 @@ class CellGraph:
         self._index = index
         shape = _Shapes()
         shapes: list[Shape] = []
-        # id(fixed) -> (fixed, base) of each fixed tuple already checked: builders give every cell of
-        # one shape the same tuple; holding the tuple keeps its id from being reused by another
-        coded_fixed: dict[int, tuple[tuple[CellState, ...], int]] = {}
         for i, (cell, wiring) in enumerate(wiring_by_cell.items()):
             try:
                 fixed, links = wiring
                 fixed, links = tuple(fixed), dict(links)
             except (TypeError, ValueError):
                 raise GraphError(f"cell {cell}: {wiring!r} is not a (fixed states, links) pair") from None
-            coded = coded_fixed.get(id(fixed))
-            if coded is None:
-                base = _fixed_code(cell, fixed)
-                coded_fixed[id(fixed)] = fixed, base
-            else:
-                base = coded[1]
+            base = _fixed_code(cell, fixed)
             for face in links:
                 _link_face(cell, face)
             offsets = []
@@ -327,12 +311,6 @@ Configuration = namedtuple("Configuration", "states time", defaults=(0,))
 def uniform_configuration(graph: CellGraph) -> Configuration:
     """Every cell white, at time 0."""
     return Configuration({cell: W for cell in graph.cell_ids})
-
-
-def with_states(config: Configuration, overrides: Mapping[CellId, CellState]) -> Configuration:
-    states = dict(config.states)
-    states.update(overrides)
-    return Configuration(states, config.time)
 
 
 def _cell_states(graph: CellGraph, config: Configuration) -> list[CellState]:
@@ -476,6 +454,7 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
     order = graph.cell_ids
     n = len(order)
     feeds = graph._feeds
+    shapes = graph._shapes
     lookup = table.lookup
     states = _cell_states(graph, config)
     codes = list(graph._bases)
@@ -497,8 +476,12 @@ def run(graph: CellGraph, config: Configuration, table: RuleTable, n_steps: int)
             code = codes[i]
             new = known(code)
             if new is None:
+                fixed, _, links = shapes[i]
+                neighbours = list(fixed)
+                for face, offset in links:
+                    neighbours[face] = states[i + offset]
                 try:
-                    new = memo[code] = lookup(_context_pair(code))
+                    new = memo[code] = lookup((states[i], tuple(neighbours)))
                 except MissingRuleError as exc:
                     raise EngineError(order[i], time, exc) from None
             if new is not states[i]:

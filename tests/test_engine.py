@@ -27,7 +27,6 @@ from dodecagrid.engine import (
     step,
     trace_tokens,
     uniform_configuration,
-    with_states,
 )
 from dodecagrid.geometry import enumerate_motions
 from dodecagrid.rules import (
@@ -71,6 +70,11 @@ def wired(**faces):
 
 def wiring_of(graph):
     return {cell: graph.wiring(cell) for cell in graph.cell_ids}
+
+
+def with_states(config, overrides):
+    """``config`` with the states of ``overrides`` laid over its own, at the same time."""
+    return Configuration({**config.states, **overrides}, config.time)
 
 
 def rotated_wiring(wiring, p):
@@ -198,7 +202,7 @@ def test_graph_reports_its_first_fault(ports_by_cell, first):
 
 
 def test_a_bad_state_in_a_shared_fixed_tuple_is_reported_at_its_first_cell():
-    # the graph checks a fixed tuple once, at the first cell that uses it
+    # cells are checked in order, so the first cell with the bad tuple is the one named
     shared = ALL_WHITE[:7] + ("B",) + ALL_WHITE[8:]
     with pytest.raises(GraphError) as err:
         CellGraph({1: (ALL_WHITE, {}), 2: (shared, {}), 3: (shared, {}), 4: (shared, {})})
@@ -209,13 +213,15 @@ def test_a_bad_state_in_a_shared_fixed_tuple_is_reported_at_its_first_cell():
 
 
 def test_a_later_cell_with_another_bad_fixed_tuple_still_raises():
-    # cells 1 and 2 share a checked tuple; cell 3's differs, so it is checked on its own
+    # cells 1 and 2 share a good tuple; cell 3's bad one raises though it comes after them
     with pytest.raises(GraphError) as err:
         CellGraph({1: (ALL_WHITE, {4: 2}), 2: (ALL_WHITE, {1: 1}), 3: (ALL_WHITE[:11] + (None,), {})})
     assert str(err.value) == "cell 3 face 11: fixed state None is not a CellState"
 
 
-@pytest.mark.parametrize("name", ["vertical-fwd-n7", "horizontal-fwd-k5", "v1-fwd"])
+@pytest.mark.parametrize(
+    "name", ["vertical-fwd-n7", "horizontal-fwd-k5", "v1-fwd", "memo-left-active", "fixed-active", "flipflop-left-active"]
+)
 def test_cells_sharing_a_fixed_tuple_get_the_bases_of_unshared_copies(name):
     graph = SCENARIOS[name].build().graph
     assert len({id(graph.wiring(cell)[0]) for cell in graph.cell_ids}) < len(graph)  # the builders share
@@ -726,15 +732,6 @@ TSV_DIGESTS = {
 def test_scenario_trace_is_pinned(catalog, name):
     text = format_trace_tsv(SCENARIOS[name].build().run(catalog))
     assert hashlib.sha256(text.encode()).hexdigest() == TSV_DIGESTS[name]
-
-
-@given(current=STATES, neighbours=st.tuples(*[STATES] * 12))
-def test_context_code_round_trips_through_its_pair(current, neighbours):
-    # the code maps the 3**13 contexts onto range(3**13) one to one, so this is the whole round trip
-    code = current * 3**12 + sum(state * 3**face for face, state in enumerate(neighbours))
-    pair = engine._context_pair(code)
-    assert pair == (current, neighbours)
-    assert {type(pair[0]), *map(type, pair[1])} == {CellState}
 
 
 def test_run_looks_up_plain_pairs(catalog):

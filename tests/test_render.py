@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from dodecagrid.engine import CellGraph, Configuration, uniform_configuration, with_states
+from dodecagrid.engine import CellGraph, Configuration, uniform_configuration
 from dodecagrid.render import FILL, PALE, LayoutError, ViewSide, render_scenario
 from dodecagrid.rules import B, R, W
 from dodecagrid.scenarios import SCENARIOS, CrossingMode, Scenario, build_switch, build_vertical_segment
@@ -71,7 +71,7 @@ def test_face_colours_come_from_neighbours_below():
 
 def test_below_view_mirrors_x(catalog):
     scenario = build_vertical_segment(4)
-    idle = with_states(scenario.initial, dict.fromkeys(scenario.graph.cell_ids, W))
+    idle = uniform_configuration(scenario.graph)
     above = render_scenario(scenario, idle, ViewSide.ABOVE)
     below = render_scenario(scenario, idle, ViewSide.BELOW)
     xs_above = [float(m) for m in re.findall(r'points="([-\d.]+),', above)]

@@ -6,6 +6,7 @@ from dodecagrid import railway, scenarios
 from dodecagrid.catalog import golden_path, load_golden_trace, load_switch_wiring
 from dodecagrid.engine import (
     CellGraph,
+    Configuration,
     EngineError,
     GraphError,
     context_of,
@@ -13,7 +14,6 @@ from dodecagrid.engine import (
     run,
     trace_tokens,
     uniform_configuration,
-    with_states,
 )
 from dodecagrid.pentagrid import fibonacci_word
 from dodecagrid.railway import Exit, Side, SwitchKind
@@ -48,7 +48,7 @@ def ctx(text):
 def idle_configuration(kind, lat):
     """The switch graph with no locomotive: only the wiring's idle states on cells 17..22."""
     graph = build_switch(kind, lat, CrossingMode.ACTIVE).graph
-    return graph, with_states(uniform_configuration(graph), idle_states(kind)[lat])
+    return graph, Configuration({**uniform_configuration(graph).states, **idle_states(kind)[lat]})
 
 
 def idle_context(kind, lat, cell):
