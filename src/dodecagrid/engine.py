@@ -79,6 +79,8 @@ Element = tuple[tuple[CellState, ...], tuple[int, int]]
 
 # the state each value of Trace.new_states stands for
 STATES = tuple(CellState)
+# the letter of each state, indexed by its value: a string read, not the Enum's slower ``letter`` property
+LETTERS = "".join(state.letter for state in STATES)
 
 
 class GraphError(ValueError):
@@ -507,14 +509,14 @@ def format_trace(trace: Trace) -> str:
     """Header of cell numbers, then ``time N :`` rows of state letters."""
     lines = [" ".join(str(c) for c in trace.cell_ids), ""]
     for t, states in trace.rows:
-        lines.append(f"time {t} :  " + "  ".join(s.letter for s in states))
+        lines.append(f"time {t} :  " + "  ".join(map(LETTERS.__getitem__, states)))
     return "\n".join(lines) + "\n"
 
 
 def format_trace_tsv(trace: Trace) -> str:
     lines = ["time\t" + "\t".join(str(c) for c in trace.cell_ids)]
     for t, states in trace.rows:
-        lines.append(f"{t}\t" + "\t".join(s.letter for s in states))
+        lines.append(f"{t}\t" + "\t".join(map(LETTERS.__getitem__, states)))
     return "\n".join(lines) + "\n"
 
 

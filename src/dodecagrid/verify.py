@@ -5,30 +5,35 @@ just the ordered list of them.  A check judges the trace it is given and never
 builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
-The checks read a trace through ``Trace``, its first row and then
-``Trace.steps()``, never its flat arrays, so they cost what the run changed,
-not the size of its graph.  One check, ``check_track``, judges segments and
-bridges: it walks the track once (``walk_track(trace, chain)``, which any
-chain of cells can take) and reads a bridge's crossing track up to its first
-non-white cell.  A golden trace is compared with the run in one tuple
-comparison; only one that differs is replayed row by row, to name the first
-divergence.  The oracle check reads a crossing with ``scenarios.ca_outcome``,
-next to the switch layout it reads.  ``chain_rows`` gives dense rows, and
-``one_d_violations`` and ``locomotive_progress`` take them, for callers that
-hold rows, and walk them as a ``Trace.from_rows``.
+The checks read a trace through ``Trace``: its first row, then its flat
+arrays or ``Trace.steps()``, never a dense row per step, so they cost what
+the run changed, not the size of its graph.  One check, ``check_track``,
+judges segments and bridges.  A run whose changes are exactly the clean
+traversal of its lone locomotive (``expected_traversal``) passes on one
+compare of the flat arrays; any other is judged by walking the track once
+(``walk_track(trace, chain)``, which any chain of cells can take) and
+reading a bridge's crossing track up to its first non-white cell.  A golden
+trace is compared with the run in one tuple comparison; only one that
+differs is read further, both traces' arrays in lockstep up to the first
+divergence, to name it.  The oracle check reads a crossing with
+``scenarios.ca_outcome``, next to the switch layout it reads.
+``chain_rows`` gives dense rows, and ``one_d_violations`` and
+``locomotive_progress`` take them, for callers that hold rows, and walk them
+as a ``Trace.from_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import namedtuple
-from collections.abc import Collection
+from collections.abc import Collection, Iterator, Sequence
 from operator import itemgetter
 from pathlib import Path
 
 from . import railway
 from .catalog import load_catalog, load_golden_trace
-from .engine import EngineError, Trace
+from .engine import LETTERS, EngineError, Trace
 from .geometry import IDENTITY, FacePermutation, enumerate_motions, inverse, preserves_adjacency
 from .rules import B, CellState, R, RuleConflictError, RuleTable, W
 from .scenarios import SCENARIOS, Scenario, ca_outcome
@@ -111,23 +116,44 @@ def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[Check
     return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules"), table
 
 
+def _rows_of_changes(trace: Trace) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
+    """Each row of ``trace`` as what it sets: the first row sets every cell, each later one its step's changes."""
+    yield range(len(trace.initial)), trace.initial
+    done = 0
+    for end in trace.ends:
+        yield trace.indices[done:end], trace.new_states[done:end]
+        done = end
+
+
 def trace_divergence(got: Trace, want: Trace) -> str | None:
     """First mismatch as ``time T cell C: expected X, got Y``; None when equal.
 
     Equal traces are equal tuples: both list each step's changes in
     ascending index order and only cells that do change, so equal rows have
-    equal changes.  Only unequal ones are replayed, to word the divergence.
+    equal changes.  Unequal ones are read in lockstep from their flat arrays,
+    row by row, as what each row sets; rows that set the same cells to the
+    same states are equal.  Only a row whose slices differ is judged cell by
+    cell, on the cells either trace sets, against the row both traces share
+    so far: equal rows stored in other changes pass, and the first cell that
+    differs ends the read.  So a divergence costs the rows up to it, not a
+    dense replay of both traces.
     """
     if got == want:
         return None
     if got.cell_ids != want.cell_ids:
         return f"cell ordering differs: {got.cell_ids} vs {want.cell_ids}"
-    for (t_got, row_got), (t_want, row_want) in zip(got.rows, want.rows):
-        if t_got != t_want:
-            return f"time labels differ: {t_got} vs {t_want}"
-        for cell, s_got, s_want in zip(got.cell_ids, row_got, row_want):
-            if s_got is not s_want:
-                return f"time {t_got} cell {cell}: expected {s_want.letter}, got {s_got.letter}"
+    if got.start != want.start:  # times count up by one from the start
+        return f"time labels differ: {got.start} vs {want.start}"
+    row = list(got.initial)
+    for t, set_got, set_want in zip(itertools.count(got.start), _rows_of_changes(got), _rows_of_changes(want)):
+        if set_got != set_want:
+            new_got, new_want = dict(zip(*set_got)), dict(zip(*set_want))
+            for i in sorted(new_got.keys() | new_want.keys()):
+                s_got, s_want = new_got.get(i, row[i]), new_want.get(i, row[i])
+                if s_got != s_want:
+                    return f"time {t} cell {got.cell_ids[i]}: expected {LETTERS[s_want]}, got {LETTERS[s_got]}"
+        for i, state in zip(*set_got):
+            row[i] = state
     if len(got.ends) != len(want.ends):
         return f"row counts differ: {len(got.ends) + 1} vs {len(want.ends) + 1}"
     return None
@@ -264,13 +290,86 @@ def track_problems(scenario: Scenario, trace: Trace) -> list[str]:
     return problems + progress + violations + ([f"{idle}: {stuck}"] if stuck else [])
 
 
+def _traversal(
+    cell_ids: tuple[int, ...], initial: tuple[CellState, ...], track: tuple[int, ...], steps: int
+) -> tuple[tuple[int, ...], tuple[array, array, bytes]] | None:
+    """The track cells a clean traversal of ``steps`` steps passes over, and its changes as ``Trace`` stores them.
+
+    None unless ``initial``, a first row over ``cell_ids``, is a lone
+    locomotive it can extend: exactly two cells not white, R at position
+    ``p`` of ``track`` and B at ``p + 1``, with ``p + steps + 1`` on the
+    track and the cells passed distinct cells of ``cell_ids`` (a track that
+    meets itself is left to the walk).  Step ``t`` turns positions ``p + t``, ``p + t + 1`` and ``p + t +
+    2`` to W, R and B, listed by ascending index.  When the passed cells lie
+    along or against ``cell_ids`` order, as every chain of
+    ``CellGraph.from_chains`` does, each step lists them in one order, W R B
+    or B R W, and the indices are three slices of one range; otherwise each
+    step's three are sorted.
+    """
+    try:
+        rear, front = initial.index(R), initial.index(B)
+        p = track.index(cell_ids[rear])
+    except ValueError:
+        return None
+    passed = track[p : p + steps + 2]
+    if initial.count(W) != len(initial) - 2 or len(passed) != steps + 2 or passed[1] != cell_ids[front]:
+        return None
+    ends = array("Q", range(3, 3 * steps + 1, 3))
+    step = (W, R, B)
+    if cell_ids[rear : rear + steps + 2] == passed:  # a chain laid along index order
+        at = range(rear, rear + steps + 2)
+    elif 0 <= rear - steps - 1 and cell_ids[rear - steps - 1 : rear + 1] == passed[::-1]:  # laid against it
+        at = range(rear, rear - steps - 2, -1)
+    else:
+        index = dict(zip(cell_ids, range(len(cell_ids))))
+        at = [index.get(c) for c in passed]
+        if None in at or len(set(at)) != len(at):
+            return None
+        changes = [pair for t in range(steps) for pair in sorted(zip(at[t : t + 3], step))]
+        return passed, (ends, array("I", [i for i, _ in changes]), bytes(s for _, s in changes))
+    order = (0, 1, 2) if at[0] < at[1] else (2, 1, 0)  # a step's three positions by ascending index
+    at = array("I", at)
+    indices = array("I", [0]) * (3 * steps)
+    for k, position in enumerate(order):
+        indices[k::3] = at[position : position + steps]
+    return passed, (ends, indices, bytes(step[k] for k in order) * steps)
+
+
+def expected_traversal(scenario: Scenario, steps: int) -> tuple[array, array, bytes] | None:
+    """The ``(ends, indices, new_states)`` of the scenario's clean traversal of ``steps`` steps, as a ``Trace``'s.
+
+    None when its initial row is not a lone locomotive that can run ``steps``
+    steps forward along ``track_cells`` (see ``_traversal``).
+    """
+    cell_ids = scenario.graph.cell_ids
+    clean = _traversal(cell_ids, tuple(map(scenario.initial.states.get, cell_ids)), scenario.track_cells, steps)
+    return None if clean is None else clean[1]
+
+
 def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
-    """A bridge's line when the scenario has a crossing track, a segment's otherwise."""
-    problems = track_problems(scenario, trace)
+    """A bridge's line when the scenario has a crossing track, a segment's otherwise.
+
+    A trace whose first row is a lone locomotive and whose changes are
+    exactly its clean traversal passes on one compare, when the locomotive
+    ends off the segment and its cells miss the crossing track: the walk
+    would find every triple one of the 1D rules or WWW, the front advancing
+    one cell per step and no cell off the track changing.  Any other trace is
+    judged by ``track_problems``.
+    """
     if scenario.crossing_track:
         name, clean = f"bridge:{scenario.name}", "clean traversal"
     else:
         name, clean = f"segment:{scenario.name}", f"{len(trace.ends)} steps clean"
+    expected = _traversal(trace.cell_ids, trace.initial, scenario.track_cells, len(trace.ends))
+    if expected is not None:
+        passed, changes = expected
+        if (
+            changes == (trace.ends, trace.indices, trace.new_states)
+            and set(passed[-2:]).isdisjoint(scenario.segment_cells)
+            and set(scenario.crossing_track).isdisjoint(passed)
+        ):
+            return CheckResult(name, True, clean)
+    problems = track_problems(scenario, trace)
     return CheckResult(name, not problems, "; ".join(problems[:3]) or clean)
 
 

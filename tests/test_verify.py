@@ -1,6 +1,9 @@
+import itertools
 import re
 import shutil
+import tracemalloc
 from array import array
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from dodecagrid.scenarios import (
     SCENARIOS,
     Scenario,
     build_bridge,
+    build_horizontal_segment,
     build_vertical_segment,
     ca_outcome,
 )
@@ -32,6 +36,7 @@ from dodecagrid.verify import (
     check_rotation_group,
     check_track,
     closed_under_composition,
+    expected_traversal,
     locomotive_progress,
     one_d_violations,
     trace_divergence,
@@ -252,11 +257,11 @@ def test_golden_check_replays_each_trace_once(memo_left_active, monkeypatch, tmp
     replayed = []
     replay = Trace.rows.fget
     monkeypatch.setattr(Trace, "rows", property(lambda trace: replayed.append(trace) or replay(trace)))
-    # an equal golden trace is compared as a record, with no replay; an unequal one replays each side once
+    # an equal golden trace is compared as a record; an unequal one is read from both traces' flat arrays in
+    # lockstep, so no trace is replayed into dense rows
     assert check_golden("memo-left-active", memo_left_active).detail == "8 rows match"
-    assert replayed == []
     assert check_golden("short", memo_left_active, tmp_path).detail == "row counts differ: 8 vs 5"
-    assert [trace is memo_left_active for trace in replayed] == [True, False]
+    assert replayed == []
 
 
 def test_one_d_violations_flag_unexpected_triple():
@@ -666,6 +671,155 @@ def test_track_checks_agree_with_the_dense_reference_under_track_rule_flips():
     assert compared > 0
 
 
+# --- the compare against the clean traversal, and the walk it stands in for --------
+
+
+def walked_line(scenario, trace):
+    """``check_track``'s line with the compare taken out, so that ``track_problems`` judges every trace."""
+    with patch.object(verify, "_traversal", return_value=None):
+        return check_track(scenario, trace).line()
+
+
+def checked(scenario, trace):
+    """``check_track``'s line, and whether it came from the compare alone, with no call of ``track_problems``."""
+    with patch.object(verify, "track_problems", wraps=track_problems) as walk:
+        line = check_track(scenario, trace).line()
+    return line, not walk.called
+
+
+LONG_TRACKS = {
+    "vertical-fwd-n2000": lambda: build_vertical_segment(2000),
+    "horizontal-rev-k200": lambda: build_horizontal_segment(200, forward=False),
+}
+
+
+@pytest.mark.parametrize("name", [scenario.name for scenario in TRACK_SCENARIOS] + list(LONG_TRACKS))
+def test_the_expected_traversal_is_the_runs_trace(catalog, name):
+    scenario = LONG_TRACKS[name]() if name in LONG_TRACKS else SCENARIOS[name].build()
+    trace = scenario.run(catalog)
+    assert expected_traversal(scenario, len(trace.ends)) == (trace.ends, trace.indices, trace.new_states)
+    assert checked(scenario, trace) == (walked_line(scenario, trace), True)
+
+
+def test_there_is_no_expected_traversal_past_the_end_of_the_track(catalog):
+    scenario = build_vertical_segment(7, forward=False)
+    assert expected_traversal(scenario, scenario.default_steps) is not None
+    assert expected_traversal(scenario, scenario.default_steps + 1) is None
+    scenario = scenario._replace(initial=scenario.initial._replace(states={**scenario.initial.states, 1: B}))
+    assert expected_traversal(scenario, 0) is None  # a third cell not white
+
+
+def test_a_clean_prefix_that_stops_on_the_segment_fails_through_the_walk(catalog):
+    # the changes are the clean traversal's, but the rear is still on a segment cell after them
+    scenario = build_vertical_segment(7)
+    trace = scenario.run(catalog, 6)
+    assert expected_traversal(scenario, 6) == (trace.ends, trace.indices, trace.new_states)
+    line, compared = checked(scenario, trace)
+    assert not compared
+    assert line == walked_line(scenario, trace) == (
+        f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{scenario.track_cells[11]}])"
+    )
+
+
+@pytest.mark.parametrize(
+    "first_row",
+    [
+        {7: W, 8: B},  # the front two cells ahead of the rear
+        {6: B, 7: R},  # the locomotive turned round
+        {17: B},  # a third cell not white, where the front ends
+    ],
+)
+def test_the_clean_changes_from_another_first_row_are_left_to_the_walk(catalog, first_row):
+    scenario = build_vertical_segment(7)  # the rear on cell 6, the front on 7, 17 cells
+    trace = scenario.run(catalog)
+    altered = trace._replace(initial=tuple(first_row.get(c, s) for c, s in zip(trace.cell_ids, trace.initial)))
+    line, compared = checked(scenario, altered)
+    assert not compared
+    assert line == walked_line(scenario, altered)
+    assert line.startswith("FAIL")
+
+
+def test_a_track_that_meets_itself_is_left_to_the_walk():
+    # round a loop of four cells the clean changes repeat a cell, which the walk's positions cannot hold
+    rows = [(0, (R, B, W, W)), (1, (W, R, B, W)), (2, (W, W, R, B)), (3, (B, W, W, R))]
+    scenario = Scenario("loop", None, None, track_cells=(1, 2, 3, 4, 1), segment_cells=(), crossing_track=())
+    with patch.object(verify, "track_problems", return_value=["walked"]):
+        assert check_track(scenario, Trace.from_rows((1, 2, 3, 4), rows)).line() == "FAIL  segment:loop  (walked)"
+
+
+def flat_trace(trace, steps):
+    """``trace`` with each step's changes given as a list of ``(index, state value)`` pairs, stored as listed."""
+    ends = array("Q", itertools.accumulate(map(len, steps)))
+    indices = array("I", [i for changes in steps for i, _ in changes])
+    new_states = bytes(s for changes in steps for _, s in changes)
+    return Trace(trace.cell_ids, trace.start, trace.initial, ends, indices, new_states)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_the_compare_passes_exactly_when_the_walk_finds_nothing(catalog, data):
+    """One change of a track run flipped, dropped, duplicated or moved one step; the line stays the walk's."""
+    scenario = data.draw(st.sampled_from(TRACK_SCENARIOS), label="scenario")
+    trace = scenario.run(catalog)
+    steps, done = [], 0
+    for end in trace.ends:
+        steps.append(list(zip(trace.indices[done:end], trace.new_states[done:end])))
+        done = end
+    k = data.draw(st.integers(0, len(steps) - 1), label="step")
+    m = data.draw(st.integers(0, len(steps[k]) - 1), label="change")
+    index, state = steps[k][m]
+    how = data.draw(st.sampled_from(["flip", "drop", "duplicate", "move"]), label="alteration")
+    if how == "flip":
+        steps[k][m] = index, data.draw(st.sampled_from([s for s in range(3) if s != state]), label="state")
+    elif how == "drop":
+        del steps[k][m]
+    elif how == "duplicate":
+        steps[k].insert(m + 1, (index, state))
+    else:
+        to = data.draw(st.sampled_from([j for j in (k - 1, k + 1) if 0 <= j < len(steps)]), label="to step")
+        del steps[k][m]
+        steps[to] = sorted([*steps[to], (index, state)], key=lambda change: change[0])
+    altered = flat_trace(trace, steps)
+    line, compared = checked(scenario, altered)
+    canonical = altered == Trace.from_rows(altered.cell_ids, altered.rows)  # as a run or a parsed trace stores it
+    assert compared == (canonical and track_problems(scenario, altered) == [])
+    assert line == walked_line(scenario, altered)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_clean_traversal_over_any_cell_order_passes_on_the_compare_alone(data):
+    """A lone locomotive run by the 1D rules along a track laid in any index order, with or against it.
+
+    The segment and the crossing track are drawn from the track and from
+    every cell, so the compare must leave a locomotive that ends on the
+    segment, or a crossing track it passes over, to the walk.
+    """
+    cell_ids = tuple(data.draw(st.permutations(range(1, data.draw(st.integers(2, 12)) + 1)), label="cell order"))
+    track = data.draw(st.permutations(cell_ids), label="track")[: data.draw(st.integers(2, len(cell_ids)))]
+    if data.draw(st.booleans(), label="track in index order"):
+        track = sorted(track, key=cell_ids.index, reverse=data.draw(st.booleans(), label="against index order"))
+    track = tuple(track)
+    p = data.draw(st.integers(0, len(track) - 2), label="rear position")
+    steps = data.draw(st.integers(0, len(track) - 2 - p), label="steps")
+    lo = data.draw(st.integers(0, len(track)), label="segment start")
+    segment = track[lo : data.draw(st.integers(lo, len(track)), label="segment end")]
+    crossing = data.draw(st.permutations(cell_ids), label="crossing")[: data.draw(st.integers(0, 2))]
+    row = dict.fromkeys(cell_ids, W)
+    row.update({track[p]: R, track[p + 1]: B})
+    rows = [(0, tuple(row[c] for c in cell_ids))]
+    for t in range(1, steps + 1):
+        row.update(zip(track, one_d_step(tuple(row[c] for c in track))))
+        rows.append((t, tuple(row[c] for c in cell_ids)))
+    scenario = Scenario("random", None, None, track_cells=track, segment_cells=segment, crossing_track=crossing)
+    trace = Trace.from_rows(cell_ids, rows)
+    line, compared = checked(scenario, trace)
+    assert compared == (track_problems(scenario, trace) == [])
+    assert line == walked_line(scenario, trace)
+    passed = track[p : p + steps + 2]
+    assert compared == (not {*passed[-2:]} & {*segment} and not {*passed} & {*crossing})
+
+
 @pytest.mark.parametrize("name", [name for name, entry in SCENARIOS.items() if entry.build().crossing])
 def test_golden_divergence_agrees_with_the_dense_walk_at_every_altered_cell(catalog, name):
     want = load_golden_trace(name)
@@ -695,6 +849,21 @@ def test_golden_divergence_of_equal_rows_in_non_canonical_changes_is_none(memo_l
     assert other != trace
     assert other.rows == trace.rows
     assert trace_divergence(other, trace) is None
+
+
+def test_a_divergence_at_time_one_reads_no_further(catalog):
+    # on a 1 000-element segment, a dense replay of both traces peaked at 15.6 MiB
+    trace = build_vertical_segment(1000).run(catalog)
+    altered = trace._replace(new_states=bytes([(trace.new_states[0] + 1) % 3]) + trace.new_states[1:])
+    tracemalloc.start()
+    try:
+        diff = trace_divergence(altered, trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rear = trace.cell_ids[trace.indices[0]]
+    assert diff == dense_trace_divergence(altered, trace) == f"time 1 cell {rear}: expected W, got B"
+    assert peak < 256 * 1024, f"{peak} B at the peak"
 
 
 def test_check_result_line():
