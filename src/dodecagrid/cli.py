@@ -56,7 +56,14 @@ def _add_scenario(parser: argparse.ArgumentParser) -> None:
 
 def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", required=True, choices=SCENARIOS)
-    parser.add_argument("--steps", type=_non_negative_int, default=None)
+    parser.add_argument(
+        "--steps",
+        type=_non_negative_int,
+        default=None,
+        help="steps to run (default: the scenario's own); once the front has left the graph the lone rear meets a"
+        " context no rule covers, so a run past time 9 on a crossing, or 11 to 14 on a track, exits 1 naming that"
+        " cell and time",
+    )
     parser.add_argument("--emit", choices=("paper", "tsv"), default="paper")
     parser.add_argument("--rules", type=Path, default=None)
     parser.set_defaults(handler=_cmd_run)

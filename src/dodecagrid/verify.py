@@ -6,20 +6,19 @@ builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
 The checks read a trace through ``Trace``: its first row, then its flat
-arrays or ``Trace.steps()``, never a dense row per step, so they cost what
-the run changed, not the size of its graph.  One check, ``check_track``,
-judges segments and bridges.  A run whose changes are exactly the clean
-traversal of its lone locomotive (``expected_traversal``) passes on one
-compare of the flat arrays; any other is judged by walking the track once
-(``walk_track(trace, chain)``, which any chain of cells can take) and
-reading a bridge's crossing track up to its first non-white cell.  A golden
-trace is compared with the run in one tuple comparison; only one that
-differs is read further, both traces' arrays in lockstep up to the first
-divergence, to name it.  The oracle check reads a crossing with
+arrays, never a dense row per step, so they cost what the run changed, not
+the size of its graph.  One check, ``check_track``, judges segments and
+bridges.  A lone locomotive has one clean traversal
+(``expected_traversal``): a run whose changes are exactly it passes on one
+compare of the flat arrays when the locomotive ends off the segment and off
+any crossing track, and a run whose changes differ is explained by its first
+divergence from it.  A golden trace is compared with the run in one tuple
+comparison; only one that differs is read further, both traces' arrays in
+lockstep up to the first divergence, to name it, and a track run's
+divergence is named the same way.  The oracle check reads a crossing with
 ``scenarios.ca_outcome``, next to the switch layout it reads.
 ``chain_rows`` gives dense rows, and ``one_d_violations`` and
-``locomotive_progress`` take them, for callers that hold rows, and walk them
-as a ``Trace.from_rows``.
+``locomotive_progress`` walk them, for callers that hold rows.
 """
 
 from __future__ import annotations
@@ -165,129 +164,60 @@ def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) 
     return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.ends) + 1} rows match")
 
 
-def _positions(trace: Trace, chain: tuple[int, ...]) -> dict[int, int]:
-    """Each cell of ``chain``, by its index into ``trace.cell_ids``, mapped to its position in ``chain``."""
-    index = {c: i for i, c in enumerate(trace.cell_ids)}
-    return {index[c]: k for k, c in enumerate(chain)}
+def _positions(cell_ids: tuple[int, ...], chain: tuple[int, ...]) -> list[int]:
+    """The index into ``cell_ids`` of each cell of ``chain``, in chain order; a cell the chain repeats counts once."""
+    index = dict(zip(cell_ids, range(len(cell_ids))))
+    return list(dict.fromkeys(index[c] for c in chain))
 
 
 def chain_rows(trace: Trace, chain: tuple[int, ...]) -> list[tuple[CellState, ...]]:
-    index = list(_positions(trace, chain))
-    return [tuple(states[i] for i in index) for _, states in trace.rows]
+    at = _positions(trace.cell_ids, chain)
+    return [tuple(states[i] for i in at) for _, states in trace.rows]
 
 
-# the 1D rules plus the idle track, which stays white: the new state each judged triple must give
+# the 1D rules plus the idle track, which stays white: the new state each triple must give
 _EXPECTED = {**ONE_D_RULES, (W, W, W): W}
 
 
-def _transition_problem(triple: tuple[CellState, CellState, CellState], new: CellState) -> str:
-    """The detail for a track cell with (behind, cell, ahead) ``triple`` that became ``new``, against the 1D rules."""
-    letters = "".join(s.letter for s in triple)
-    expected = _EXPECTED.get(triple)
-    if expected is None:
-        return f"unexpected track triple {letters}"
-    return f"{letters} -> {new.letter}, 1D rules say {expected.letter}"
-
-
-def walk_track(trace: Trace, chain: tuple[int, ...]) -> tuple[list[str], list[str], list[CellState]]:
-    """Locomotive progress and 1D-rule violations along the track ``chain`` of ``trace``, and its last row.
-
-    The chain's cells are read by position, in travel order, from ``trace.steps()``.
-    Row ``t`` must hold exactly one B and one R, adjacent, and the front must
-    advance one cell per step (a jump is labelled by row times).  Every
-    transition must follow the 1D rules.  The first step judges every
-    position; after it, a position's verdict can change only with its
-    (behind, cell, ahead) triple or its new state, so each step judges again
-    only the positions within one cell of the previous step's changes and
-    those its own changes name.  The positions still violating are carried
-    with their details, so a broken transition is reported at every step it
-    repeats, as a walk over dense rows reports it.  The B and R positions are
-    kept as sets.  So the walk costs the first row plus what the steps change.
-    """
-    on_chain = _positions(trace, chain)
-    row = [trace.initial[i] for i in on_chain]
-    n = len(row)
-    blue = {i for i, s in enumerate(row) if s is B}
-    red = {i for i, s in enumerate(row) if s is R}
-    progress: list[str] = []
-    violations: list[str] = []
-    fronts = []  # (time, front position) of each well-formed row
-    violating: dict[int, str] = {}  # position -> what its latest transition broke
-
-    def check_locomotive(t: int) -> None:
-        if len(blue) != 1 or len(red) != 1:
-            progress.append(f"t{t}: {len(blue)} front cells, {len(red)} rear cells")
-            return
-        (front,), (rear,) = blue, red
-        if abs(front - rear) != 1:
-            progress.append(f"t{t}: front and rear not adjacent ({front}, {rear})")
-        fronts.append((t, front))
-
-    check_locomotive(0)
-    judge = set(range(n))
-    for t, changes in enumerate(trace.steps()):
-        new = {on_chain[i]: s for i, s in changes if i in on_chain}
-        judge.update(new)
-        for i in judge:  # W beyond the ends
-            triple = (row[i - 1] if i > 0 else W, row[i], row[i + 1] if i + 1 < n else W)
-            state = new.get(i, row[i])
-            if state is _EXPECTED.get(triple):
-                violating.pop(i, None)
-            else:
-                violating[i] = _transition_problem(triple, state)
-        violations += [f"t{t} cell#{i}: {violating[i]}" for i in sorted(violating)]
-        for i, s in new.items():
-            row[i] = s
-            blue.discard(i)
-            red.discard(i)
-            if s is B:
-                blue.add(i)
-            elif s is R:
-                red.add(i)
-        check_locomotive(t + 1)
-        judge = {j for i in new for j in (i - 1, i, i + 1) if 0 <= j < n}
-    for (t0, a), (t1, b_) in zip(fronts, fronts[1:]):
-        if (t1 - t0, b_ - a) != (1, 1):
-            progress.append(f"t{t0}->{t1}: front moved {b_ - a} cells")
-    return progress, violations, row
-
-
-def _walk_rows(rows: list[tuple[CellState, ...]]) -> tuple[list[str], list[str], list[CellState]]:
-    """``walk_track`` over dense rows, at least one, as the trace of a track whose cells are its positions."""
-    trace = Trace.from_rows(range(len(rows[0])), enumerate(rows))
-    return walk_track(trace, trace.cell_ids)
-
-
 def one_d_violations(rows: list[tuple[CellState, ...]]) -> list[str]:
-    """Check every track-cell transition against the 1D rules (W beyond the ends), via ``walk_track``."""
-    return _walk_rows(rows)[1] if rows else []
+    """Every transition of each position of the dense track ``rows`` against the 1D rules, W beyond the ends."""
+    out = []
+    for t, (old, new) in enumerate(zip(rows, rows[1:])):
+        want = list(map(_EXPECTED.get, zip((W, *old), old, (*old[1:], W))))
+        if want == list(new):  # a row the rules give is compared whole
+            continue
+        for i, (expected, state) in enumerate(zip(want, new)):
+            if state is not expected:
+                triple = (old[i - 1] if i else W, old[i], old[i + 1] if i + 1 < len(old) else W)
+                letters = "".join(s.letter for s in triple)
+                problem = (
+                    f"unexpected track triple {letters}"
+                    if expected is None
+                    else f"{letters} -> {state.letter}, 1D rules say {expected.letter}"
+                )
+                out.append(f"t{t} cell#{i}: {problem}")
+    return out
 
 
 def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
-    """Exactly one B and one R, adjacent, with the front advancing one cell per step, via ``walk_track``."""
-    return _walk_rows(rows)[0] if rows else []
+    """Exactly one B and one R in each dense track row, adjacent, with the front advancing one cell per step.
 
-
-def track_problems(scenario: Scenario, trace: Trace) -> list[str]:
-    """Every fault of a track run: the crossing track's first disturbance, then the walk's, then stuck cells.
-
-    Only a bridge has a crossing track, so a segment reads its changes once.
-    ``segment_cells`` is a sub-span of ``track_cells``: the walk's last row tells which stayed non-white.
+    A jump of the front is labelled by the times of the two well-formed rows it is read between.
     """
-    problems = []
-    if scenario.crossing_track:
-        track = _positions(trace, scenario.crossing_track)
-        first = [(i, trace.initial[i]) for i in track if trace.initial[i] is not W]
-        # up to its first disturbed row the crossing track is white, so what a row changes there it leaves non-white
-        for t, changes in enumerate(itertools.chain([first], trace.steps()), trace.start):
-            if disturbed := sorted(track[i] for i, _ in changes if i in track):
-                problems.append(f"t{t}: crossing track disturbed at {[scenario.crossing_track[k] for k in disturbed]}")
-                break
-    progress, violations, last = walk_track(trace, scenario.track_cells)  # track_cells is in travel order
-    final = dict(zip(scenario.track_cells, last))
-    stuck = [c for c in scenario.segment_cells if final[c] is not W]
-    idle = "bridge cells not idle after traversal" if scenario.crossing_track else "segment cells not idle after exit"
-    return problems + progress + violations + ([f"{idle}: {stuck}"] if stuck else [])
+    out = []
+    fronts = []  # (time, front position) of each well-formed row
+    for t, row in enumerate(rows):
+        if row.count(B) != 1 or row.count(R) != 1:
+            out.append(f"t{t}: {row.count(B)} front cells, {row.count(R)} rear cells")
+            continue
+        front, rear = row.index(B), row.index(R)
+        if abs(front - rear) != 1:
+            out.append(f"t{t}: front and rear not adjacent ({front}, {rear})")
+        fronts.append((t, front))
+    for (t0, a), (t1, b) in zip(fronts, fronts[1:]):
+        if (t1 - t0, b - a) != (1, 1):
+            out.append(f"t{t0}->{t1}: front moved {b - a} cells")
+    return out
 
 
 def _traversal(
@@ -299,12 +229,12 @@ def _traversal(
     locomotive it can extend: exactly two cells not white, R at position
     ``p`` of ``track`` and B at ``p + 1``, with ``p + steps + 1`` on the
     track and the cells passed distinct cells of ``cell_ids`` (a track that
-    meets itself is left to the walk).  Step ``t`` turns positions ``p + t``, ``p + t + 1`` and ``p + t +
-    2`` to W, R and B, listed by ascending index.  When the passed cells lie
-    along or against ``cell_ids`` order, as every chain of
-    ``CellGraph.from_chains`` does, each step lists them in one order, W R B
-    or B R W, and the indices are three slices of one range; otherwise each
-    step's three are sorted.
+    meets itself has none).  Step ``t`` turns positions ``p + t``, ``p + t +
+    1`` and ``p + t + 2`` to W, R and B, listed by ascending index.  When
+    the passed cells lie along or against ``cell_ids`` order, as every chain
+    of ``CellGraph.from_chains`` does, each step lists them in one order,
+    W R B or B R W, and the indices are three slices of one range; otherwise
+    each step's three are sorted.
     """
     try:
         rear, front = initial.index(R), initial.index(B)
@@ -349,28 +279,45 @@ def expected_traversal(scenario: Scenario, steps: int) -> tuple[array, array, by
 def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
     """A bridge's line when the scenario has a crossing track, a segment's otherwise.
 
-    A trace whose first row is a lone locomotive and whose changes are
-    exactly its clean traversal passes on one compare, when the locomotive
-    ends off the segment and its cells miss the crossing track: the walk
-    would find every triple one of the 1D rules or WWW, the front advancing
-    one cell per step and no cell off the track changing.  Any other trace is
-    judged by ``track_problems``.
+    A trace passes when its first row is a lone locomotive, its changes are
+    exactly that locomotive's clean traversal (``_traversal``), the
+    locomotive ends off the segment and the cells it passes miss the
+    crossing track: one compare of the flat arrays and two set tests.  A
+    failing trace is explained at no more cost than reaching its fault: a
+    first row with no clean traversal by its track row's
+    ``locomotive_progress``, changes that differ from the clean ones by their
+    first divergence (``trace_divergence``, as a golden trace's), and a clean
+    traversal by when it first turns a crossing-track cell non-white and
+    which segment cells it leaves non-white.  Changes that list the clean
+    rows in another way, a change given twice, are judged as clean ones.
     """
+    steps = len(trace.ends)
     if scenario.crossing_track:
         name, clean = f"bridge:{scenario.name}", "clean traversal"
     else:
-        name, clean = f"segment:{scenario.name}", f"{len(trace.ends)} steps clean"
-    expected = _traversal(trace.cell_ids, trace.initial, scenario.track_cells, len(trace.ends))
-    if expected is not None:
-        passed, changes = expected
-        if (
-            changes == (trace.ends, trace.indices, trace.new_states)
-            and set(passed[-2:]).isdisjoint(scenario.segment_cells)
-            and set(scenario.crossing_track).isdisjoint(passed)
-        ):
-            return CheckResult(name, True, clean)
-    problems = track_problems(scenario, trace)
-    return CheckResult(name, not problems, "; ".join(problems[:3]) or clean)
+        name, clean = f"segment:{scenario.name}", f"{steps} steps clean"
+    expected = _traversal(trace.cell_ids, trace.initial, scenario.track_cells, steps)
+    if expected is None:
+        shape = locomotive_progress([tuple(trace.initial[i] for i in _positions(trace.cell_ids, scenario.track_cells))])
+        return CheckResult(name, False, shape[0] if shape else f"no clean traversal of {steps} steps along the track")
+    passed, changes = expected
+    same = changes == (trace.ends, trace.indices, trace.new_states)
+    if same and set(passed[-2:]).isdisjoint(scenario.segment_cells) and set(scenario.crossing_track).isdisjoint(passed):
+        return CheckResult(name, True, clean)
+    if not same and (diff := trace_divergence(trace, Trace(trace.cell_ids, trace.start, trace.initial, *changes))):
+        return CheckResult(name, False, diff)
+    problems = []
+    if crossed := set(scenario.crossing_track).intersection(passed):
+        # the first row holds the locomotive on passed[0] and passed[1], and row k - 1 turns passed[k] B
+        k = max(min(map(passed.index, crossed)), 1)
+        turned = crossed.intersection(passed[:2] if k == 1 else passed[k : k + 1])
+        problems.append(
+            f"t{trace.start + k - 1}: crossing track disturbed at {sorted(turned, key=scenario.crossing_track.index)}"
+        )
+    if stuck := [c for c in scenario.segment_cells if c in passed[-2:]]:
+        idle = "bridge cells not idle after traversal" if scenario.crossing_track else "segment cells not idle after exit"
+        problems.append(f"{idle}: {stuck}")
+    return CheckResult(name, not problems, "; ".join(problems) or clean)
 
 
 check_segment = check_bridge = check_track  # the benchmark's tracer times these names; they go with its next change

@@ -86,6 +86,17 @@ def test_run_tsv(capsys):
     assert out.splitlines()[0].startswith("time\t1\t2")
 
 
+@pytest.mark.parametrize(
+    "scenario, where", [("vertical-fwd-n7", "cell 17 at time 11"), ("memo-left-active", "cell 11 at time 9")]
+)
+def test_run_past_the_modelled_track_stops_where_the_lone_rear_meets_no_rule(capsys, scenario, where):
+    # once the front has left the graph, the rear on the open last cell of a chain meets an uncovered context
+    context = "R | W W B W W B B B W W W W (minimal form R | W W W W W W W B B B B W)"
+    code, out, err = run_cli(capsys, "run", "--scenario", scenario, "--steps", "30")
+    assert (code, out) == (1, "")
+    assert err == f"error: {where}: no rule covers context {context}\n"
+
+
 def test_verify_single_scenario(capsys):
     code, out, _ = run_cli(capsys, "verify", "--scenario", "flipflop-left-active")
     assert code == 0

@@ -3,7 +3,6 @@ import re
 import shutil
 import tracemalloc
 from array import array
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +39,6 @@ from dodecagrid.verify import (
     locomotive_progress,
     one_d_violations,
     trace_divergence,
-    track_problems,
     verify_all,
     verify_scenario,
 )
@@ -289,7 +287,6 @@ def test_segment_check_fails_on_stuck_segment_cell(catalog):
     trace = scenario.run(catalog, 6)
     rear = scenario.track_cells[11]
     assert rear in scenario.segment_cells
-    assert track_problems(scenario, trace) == [f"segment cells not idle after exit: [{rear}]"]
     assert check_track(scenario, trace).line() == (
         f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{rear}])"
     )
@@ -301,10 +298,11 @@ def test_stuck_cells_are_listed_in_segment_order_on_a_reversed_track(catalog):
     scenario = build_vertical_segment(7, forward=False)
     trace = scenario.run(catalog, 4)
     assert scenario.track_cells.index(8) < scenario.track_cells.index(7)
-    assert track_problems(scenario, trace) == ["segment cells not idle after exit: [7, 8]"]
+    assert check_track(scenario, trace).detail == "segment cells not idle after exit: [7, 8]"
 
 
 def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
+    # a crossing-track cell that turns B is a change the clean traversal does not make: its first divergence
     scenario = build_bridge("v1")
     trace = scenario.run(catalog)
     crossing = scenario.crossing_track[6]
@@ -313,7 +311,7 @@ def test_bridge_check_fails_on_disturbed_crossing_track(catalog):
         for t, states in trace.rows
     )
     result = check_track(scenario, Trace.from_rows(trace.cell_ids, rows))
-    assert result.line() == f"FAIL  bridge:v1-fwd  (t3: crossing track disturbed at [{crossing}])"
+    assert result.line() == f"FAIL  bridge:v1-fwd  (time 3 cell {crossing}: expected W, got B)"
 
 
 def disturbed_bridge_trace(catalog, disturbances):
@@ -328,41 +326,70 @@ def disturbed_bridge_trace(catalog, disturbances):
 
 
 @pytest.mark.parametrize(
-    "disturbances, detail",
+    "disturbances, dense, detail",
     [
-        ({(0, 2): R}, "t0: crossing track disturbed at [{2}]"),  # in the initial row
-        ({(4, 5): B, (4, 1): R}, "t4: crossing track disturbed at [{1}, {5}]"),  # two at once, in track order
-        ({(2, 3): B, (3, 3): B, (3, 0): R}, "t2: crossing track disturbed at [{3}]"),  # only the first row's cells
+        # in the initial row: a third cell not white, so no clean traversal starts there
+        ({(0, 2): R}, "t0: crossing track disturbed at [{2}]", "no clean traversal of 12 steps along the track"),
+        # two at once: the reference lists them in track order, the divergence names the first by index
+        ({(4, 5): B, (4, 1): R}, "t4: crossing track disturbed at [{1}, {5}]", "time 4 cell {1}: expected W, got R"),
+        # only the first disturbed row's cells
+        (
+            {(2, 3): B, (3, 3): B, (3, 0): R},
+            "t2: crossing track disturbed at [{3}]",
+            "time 2 cell {3}: expected W, got B",
+        ),
     ],
 )
-def test_crossing_disturbance_matches_dense_scan(catalog, disturbances, detail):
+def test_crossing_disturbance_fails_where_the_dense_scan_does(catalog, disturbances, dense, detail):
     scenario, trace = disturbed_bridge_trace(catalog, disturbances)
-    want = detail.format(*scenario.crossing_track)
-    assert dense_track_problems(scenario, trace)[0] == want
-    assert track_problems(scenario, trace)[0] == want
-    assert check_track(scenario, trace).detail.startswith(want)
+    assert dense_track_problems(scenario, trace)[0] == dense.format(*scenario.crossing_track)
+    assert check_track(scenario, trace).line() == f"FAIL  bridge:v1-fwd  ({detail.format(*scenario.crossing_track)})"
 
 
 def test_disturbed_cells_are_listed_in_crossing_track_order():
-    # the crossing track runs against cell order, and both its cells turn at t1, after the first row
-    scenario = Scenario("reversed", None, None, track_cells=(1, 2, 3), segment_cells=(), crossing_track=(5, 4))
-    trace = Trace.from_rows((1, 2, 3, 4, 5), ((0, (R, B, W, W, W)), (1, (W, R, B, B, R))))
-    want = ["t1: crossing track disturbed at [5, 4]"]
-    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace) == want
+    # the crossing track runs against travel order over the locomotive's first two cells, disturbed in the first row
+    scenario = Scenario("reversed", None, None, track_cells=(1, 2, 3), segment_cells=(), crossing_track=(2, 1))
+    trace = Trace.from_rows((1, 2, 3), ((0, (R, B, W)), (1, (W, R, B))))
+    want = "t0: crossing track disturbed at [2, 1]"
+    assert dense_track_problems(scenario, trace) == [want]
+    assert check_track(scenario, trace).line() == f"FAIL  bridge:reversed  ({want})"
+
+
+def test_a_traversal_over_the_crossing_track_names_the_row_it_first_turns_it():
+    # the locomotive starts on cells 1 and 2 and turns cell 4 B at t2, the first crossing-track cell it reaches
+    scenario = Scenario("over", None, None, track_cells=(1, 2, 3, 4, 5), segment_cells=(), crossing_track=(6, 5, 4))
+    row = dict.fromkeys(range(1, 7), W)
+    row.update({1: R, 2: B})
+    rows = [(5, tuple(row.values()))]
+    for t in range(6, 9):
+        row.update(zip(scenario.track_cells, one_d_step(tuple(row[c] for c in scenario.track_cells))))
+        rows.append((t, tuple(row.values())))
+    trace = Trace.from_rows(range(1, 7), rows)
+    want = "t7: crossing track disturbed at [4]"
+    assert dense_track_problems(scenario, trace) == [want]
+    assert check_track(scenario, trace).line() == f"FAIL  bridge:over  ({want})"
 
 
 # the v1 bridge run has 13 rows and 17 crossing-track cells
 @given(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 16)), st.sampled_from([B, R]), max_size=4))
 @settings(max_examples=60, deadline=None)
-def test_crossing_disturbance_agrees_with_dense_scan(catalog, disturbances):
+def test_crossing_disturbance_verdict_agrees_with_dense_scan(catalog, disturbances):
     scenario, trace = disturbed_bridge_trace(catalog, disturbances)
-    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace)
+    run = scenario.run(catalog)
+    result = check_track(scenario, trace)
+    assert result.ok == dense_track_verdict(scenario, trace) == (trace.rows == run.rows)
+    if trace.initial != run.initial:  # a third cell not white
+        assert result.detail == "no clean traversal of 12 steps along the track"
+    else:
+        assert result.detail == (trace_divergence(trace, run) or "clean traversal")
 
 
 def test_crossing_disturbance_of_a_one_row_trace(catalog):
     # no disturbance: the one fault is the locomotive, still on its first two cells
     scenario = build_bridge("v1")
-    assert track_problems(scenario, scenario.run(catalog, 0)) == ["bridge cells not idle after traversal: [23, 24]"]
+    assert check_track(scenario, scenario.run(catalog, 0)).line() == (
+        "FAIL  bridge:v1-fwd  (bridge cells not idle after traversal: [23, 24])"
+    )
 
 
 def test_ca_outcome_rejects_trace_with_no_locomotive_on_an_exit(memo_left_active):
@@ -571,6 +598,23 @@ def dense_track_problems(scenario, trace):
     return problems
 
 
+def dense_track_verdict(scenario, trace):
+    """Whether ``check_track`` must pass: the dense reference finds nothing, and the run is a lone locomotive's.
+
+    Beyond the reference, no cell off the track and the crossing track may
+    leave W, and a locomotive that never moves must still point along the
+    track, R before B, which the reference checks only through a move.
+    """
+    if dense_track_problems(scenario, trace):
+        return False
+    on_tracks = {*scenario.track_cells, *scenario.crossing_track}
+    off = [i for i, c in enumerate(trace.cell_ids) if c not in on_tracks]
+    first = chain_rows(trace, scenario.track_cells)[0]
+    return all(states[i] is W for _, states in trace.rows for i in off) and (
+        len(trace.ends) > 0 or first.index(B) == first.index(R) + 1
+    )
+
+
 def one_d_step(row):
     """The next track row under the 1D rules; a cell whose triple has no rule keeps its state."""
     triples = zip((W, *row), row, (*row[1:], W))
@@ -615,9 +659,9 @@ def track_traces(draw):
 
 @given(track_traces())
 @settings(max_examples=400, deadline=None)
-def test_track_problems_agree_with_the_dense_reference(scenario_and_trace):
+def test_track_verdicts_agree_with_the_dense_reference(scenario_and_trace):
     scenario, trace = scenario_and_trace
-    assert track_problems(scenario, trace) == dense_track_problems(scenario, trace)
+    assert check_track(scenario, trace).ok == dense_track_verdict(scenario, trace)
     rows = chain_rows(trace, scenario.track_cells)
     assert one_d_violations(rows) == dense_one_d_violations(rows)
     assert locomotive_progress(rows) == dense_locomotive_progress(rows)
@@ -665,26 +709,12 @@ def test_track_checks_agree_with_the_dense_reference_under_track_rule_flips():
                 trace = scenario.run(table)
             except EngineError:
                 continue
-            want = dense_track_problems(scenario, trace)
-            assert track_problems(scenario, trace) == want, scenario.name
+            assert check_track(scenario, trace).ok == dense_track_verdict(scenario, trace), scenario.name
             compared += 1
     assert compared > 0
 
 
-# --- the compare against the clean traversal, and the walk it stands in for --------
-
-
-def walked_line(scenario, trace):
-    """``check_track``'s line with the compare taken out, so that ``track_problems`` judges every trace."""
-    with patch.object(verify, "_traversal", return_value=None):
-        return check_track(scenario, trace).line()
-
-
-def checked(scenario, trace):
-    """``check_track``'s line, and whether it came from the compare alone, with no call of ``track_problems``."""
-    with patch.object(verify, "track_problems", wraps=track_problems) as walk:
-        line = check_track(scenario, trace).line()
-    return line, not walk.called
+# --- the compare against the clean traversal, and the lines that explain a failure --------
 
 
 LONG_TRACKS = {
@@ -698,7 +728,7 @@ def test_the_expected_traversal_is_the_runs_trace(catalog, name):
     scenario = LONG_TRACKS[name]() if name in LONG_TRACKS else SCENARIOS[name].build()
     trace = scenario.run(catalog)
     assert expected_traversal(scenario, len(trace.ends)) == (trace.ends, trace.indices, trace.new_states)
-    assert checked(scenario, trace) == (walked_line(scenario, trace), True)
+    assert check_track(scenario, trace).ok
 
 
 def test_there_is_no_expected_traversal_past_the_end_of_the_track(catalog):
@@ -709,42 +739,81 @@ def test_there_is_no_expected_traversal_past_the_end_of_the_track(catalog):
     assert expected_traversal(scenario, 0) is None  # a third cell not white
 
 
-def test_a_clean_prefix_that_stops_on_the_segment_fails_through_the_walk(catalog):
+def test_a_clean_prefix_that_stops_on_the_segment_fails_on_its_idle_cells(catalog):
     # the changes are the clean traversal's, but the rear is still on a segment cell after them
     scenario = build_vertical_segment(7)
     trace = scenario.run(catalog, 6)
     assert expected_traversal(scenario, 6) == (trace.ends, trace.indices, trace.new_states)
-    line, compared = checked(scenario, trace)
-    assert not compared
-    assert line == walked_line(scenario, trace) == (
+    assert check_track(scenario, trace).line() == (
         f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{scenario.track_cells[11]}])"
     )
 
 
+def test_a_flipped_change_fails_on_its_first_divergence(catalog):
+    # step 1 turns the rear (6) W, the front (7) R and the cell ahead (8) B; the front's change is flipped to W
+    scenario = build_vertical_segment(7)
+    trace = scenario.run(catalog)
+    assert [trace.cell_ids[i] for i in trace.indices[:3]] == [6, 7, 8]
+    altered = trace._replace(new_states=bytes([W, W, B]) + trace.new_states[3:])
+    assert check_track(scenario, altered).line() == "FAIL  segment:vertical-fwd-n7  (time 1 cell 7: expected R, got W)"
+
+
 @pytest.mark.parametrize(
-    "first_row",
+    "first_row, detail",
     [
-        {7: W, 8: B},  # the front two cells ahead of the rear
-        {6: B, 7: R},  # the locomotive turned round
-        {17: B},  # a third cell not white, where the front ends
+        ({7: W, 8: B}, "t0: front and rear not adjacent (7, 5)"),  # the front two cells ahead of the rear
+        ({6: B, 7: R}, "no clean traversal of 10 steps along the track"),  # the locomotive turned round
+        ({17: B}, "t0: 2 front cells, 1 rear cells"),  # a third cell not white, where the front ends
     ],
 )
-def test_the_clean_changes_from_another_first_row_are_left_to_the_walk(catalog, first_row):
+def test_the_clean_changes_from_another_first_row_fail_on_that_row(catalog, first_row, detail):
     scenario = build_vertical_segment(7)  # the rear on cell 6, the front on 7, 17 cells
+    assert scenario.track_cells == tuple(range(1, 18))  # so cell c is at track position c - 1
     trace = scenario.run(catalog)
     altered = trace._replace(initial=tuple(first_row.get(c, s) for c, s in zip(trace.cell_ids, trace.initial)))
-    line, compared = checked(scenario, altered)
-    assert not compared
-    assert line == walked_line(scenario, altered)
-    assert line.startswith("FAIL")
+    assert check_track(scenario, altered).line() == f"FAIL  segment:vertical-fwd-n7  ({detail})"
+    assert not dense_track_verdict(scenario, altered)
 
 
-def test_a_track_that_meets_itself_is_left_to_the_walk():
-    # round a loop of four cells the clean changes repeat a cell, which the walk's positions cannot hold
+def test_a_track_that_meets_itself_fails_on_a_located_line():
+    # round a loop of four cells the clean changes repeat a cell, so no clean traversal lays them out
     rows = [(0, (R, B, W, W)), (1, (W, R, B, W)), (2, (W, W, R, B)), (3, (B, W, W, R))]
     scenario = Scenario("loop", None, None, track_cells=(1, 2, 3, 4, 1), segment_cells=(), crossing_track=())
-    with patch.object(verify, "track_problems", return_value=["walked"]):
-        assert check_track(scenario, Trace.from_rows((1, 2, 3, 4), rows)).line() == "FAIL  segment:loop  (walked)"
+    result = check_track(scenario, Trace.from_rows((1, 2, 3, 4), rows))
+    assert result.line() == "FAIL  segment:loop  (no clean traversal of 3 steps along the track)"
+
+
+def test_a_cell_off_the_track_that_leaves_white_fails():
+    # cell 4 is on neither the track nor the crossing track; the dense reference never reads it
+    scenario = Scenario("off", None, None, track_cells=(1, 2, 3), segment_cells=(), crossing_track=())
+    trace = Trace.from_rows((1, 2, 3, 4), ((0, (R, B, W, W)), (1, (W, R, B, B))))
+    assert dense_track_problems(scenario, trace) == []
+    assert check_track(scenario, trace).line() == "FAIL  segment:off  (time 1 cell 4: expected W, got B)"
+
+
+def test_a_locomotive_that_never_moves_must_point_along_the_track():
+    # B then R along the track: zero steps give the dense reference no move to fault
+    scenario = Scenario("still", None, None, track_cells=(1, 2, 3), segment_cells=(), crossing_track=())
+    trace = Trace.from_rows((1, 2, 3), ((0, (B, R, W)),))
+    assert dense_track_problems(scenario, trace) == []
+    assert check_track(scenario, trace).line() == "FAIL  segment:still  (no clean traversal of 0 steps along the track)"
+    assert check_track(scenario, Trace.from_rows((1, 2, 3), ((0, (R, B, W)),))).ok
+
+
+def test_a_flip_at_time_one_is_explained_without_reading_further(catalog):
+    # the check builds the clean traversal's arrays and reads both traces up to the flip, not a dense row per step
+    scenario = build_vertical_segment(1000)
+    trace = scenario.run(catalog)
+    altered = trace._replace(new_states=bytes([(trace.new_states[0] + 1) % 3]) + trace.new_states[1:])
+    tracemalloc.start()
+    try:
+        result = check_track(scenario, altered)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rear = trace.cell_ids[trace.indices[0]]
+    assert result.line() == f"FAIL  segment:vertical-fwd-n1000  (time 1 cell {rear}: expected W, got B)"
+    assert peak < 256 * 1024, f"{peak} B at the peak"
 
 
 def flat_trace(trace, steps):
@@ -757,8 +826,8 @@ def flat_trace(trace, steps):
 
 @given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_the_compare_passes_exactly_when_the_walk_finds_nothing(catalog, data):
-    """One change of a track run flipped, dropped, duplicated or moved one step; the line stays the walk's."""
+def test_an_altered_track_run_fails_exactly_when_the_dense_reference_does(catalog, data):
+    """One change of a track run flipped, dropped, duplicated or moved one step; a failure names its divergence."""
     scenario = data.draw(st.sampled_from(TRACK_SCENARIOS), label="scenario")
     trace = scenario.run(catalog)
     steps, done = [], 0
@@ -780,10 +849,10 @@ def test_the_compare_passes_exactly_when_the_walk_finds_nothing(catalog, data):
         del steps[k][m]
         steps[to] = sorted([*steps[to], (index, state)], key=lambda change: change[0])
     altered = flat_trace(trace, steps)
-    line, compared = checked(scenario, altered)
-    canonical = altered == Trace.from_rows(altered.cell_ids, altered.rows)  # as a run or a parsed trace stores it
-    assert compared == (canonical and track_problems(scenario, altered) == [])
-    assert line == walked_line(scenario, altered)
+    result = check_track(scenario, altered)
+    assert result.ok == dense_track_verdict(scenario, altered)
+    diff = trace_divergence(altered, trace)  # the run is the clean traversal
+    assert (result.ok, result.detail) == (diff is None, diff or check_track(scenario, trace).detail)
 
 
 @given(st.data())
@@ -792,8 +861,8 @@ def test_a_clean_traversal_over_any_cell_order_passes_on_the_compare_alone(data)
     """A lone locomotive run by the 1D rules along a track laid in any index order, with or against it.
 
     The segment and the crossing track are drawn from the track and from
-    every cell, so the compare must leave a locomotive that ends on the
-    segment, or a crossing track it passes over, to the walk.
+    every cell, so a locomotive that ends on the segment, or a crossing track
+    it passes over, fails with the dense reference's lines.
     """
     cell_ids = tuple(data.draw(st.permutations(range(1, data.draw(st.integers(2, 12)) + 1)), label="cell order"))
     track = data.draw(st.permutations(cell_ids), label="track")[: data.draw(st.integers(2, len(cell_ids)))]
@@ -813,11 +882,13 @@ def test_a_clean_traversal_over_any_cell_order_passes_on_the_compare_alone(data)
         rows.append((t, tuple(row[c] for c in cell_ids)))
     scenario = Scenario("random", None, None, track_cells=track, segment_cells=segment, crossing_track=crossing)
     trace = Trace.from_rows(cell_ids, rows)
-    line, compared = checked(scenario, trace)
-    assert compared == (track_problems(scenario, trace) == [])
-    assert line == walked_line(scenario, trace)
+    result = check_track(scenario, trace)
+    problems = dense_track_problems(scenario, trace)
+    assert result.ok == (not problems) == dense_track_verdict(scenario, trace)
+    if problems:
+        assert result.detail == "; ".join(problems)
     passed = track[p : p + steps + 2]
-    assert compared == (not {*passed[-2:]} & {*segment} and not {*passed} & {*crossing})
+    assert result.ok == (not {*passed[-2:]} & {*segment} and not {*passed} & {*crossing})
 
 
 @pytest.mark.parametrize("name", [name for name, entry in SCENARIOS.items() if entry.build().crossing])
