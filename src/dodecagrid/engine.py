@@ -55,7 +55,9 @@ size of its graph, and it allocates no object per change that outlives its
 step.  Only ``Trace`` reads them back: ``Trace.steps`` is the one per-step
 reader, ``(index, CellState)`` pairs, and ``Trace.rows`` replays through it
 into one tuple of ``len(cell_ids)`` states per row; ``Trace.states_at`` keeps
-a flat replay up to its row, for speed.
+a flat replay up to its row, for speed.  The checks in ``verify`` compare
+traces whole and read them through these; they write the arrays only to lay
+out a track's clean traversal as a ``Trace``.
 """
 
 from __future__ import annotations

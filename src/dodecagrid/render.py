@@ -64,14 +64,21 @@ def _ring_faces(side: ViewSide) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
 
 
 def render_scenario(scenario: Scenario, config: Configuration, side: ViewSide) -> str:
-    """A self-contained SVG document for one configuration; pure and deterministic."""
-    if not scenario.layout:
-        raise LayoutError(f"scenario {scenario.name!r} has no layout")
+    """A self-contained SVG document for one configuration; pure and deterministic.
+
+    A scenario with no layout, a plain track, is drawn with each cell at
+    ``(its index in cell_ids, 0.0)``: its chain on a straight line.
+    """
+    layout = scenario.layout
+    if layout is None:
+        layout = {c: (float(i), 0.0) for i, c in enumerate(scenario.graph.cell_ids)}
+    if not layout:
+        raise LayoutError(f"scenario {scenario.name!r} has no cell to place")
     mirror = side is ViewSide.BELOW
     centre_face, inner_faces, outer_faces = _ring_faces(side)
 
-    xs = [pos[0] for pos in scenario.layout.values()]
-    ys = [pos[1] for pos in scenario.layout.values()]
+    xs = [pos[0] for pos in layout.values()]
+    ys = [pos[1] for pos in layout.values()]
     sign = -1.0 if mirror else 1.0
     cxs = [sign * x * CELL_SPACING for x in xs]
     min_x, max_x = min(cxs) - MARGIN, max(cxs) + MARGIN
@@ -80,12 +87,12 @@ def render_scenario(scenario: Scenario, config: Configuration, side: ViewSide) -
 
     body: list[str] = []
     for cell in scenario.graph.cell_ids:
-        if cell not in scenario.layout:
+        if cell not in layout:
             continue
         ctx = context_of(scenario.graph, config, cell)
         if ctx.current is W and all(s is W for s in ctx.neighbors):
             continue
-        x, y = scenario.layout[cell]
+        x, y = layout[cell]
         cx, cy = sign * x * CELL_SPACING, y * CELL_SPACING
         outer = _pentagon(cx, cy, OUTER_RADIUS, mirror)
         mid = _pentagon(cx, cy, OUTER_RADIUS * MID_FRACTION, mirror)

@@ -78,8 +78,7 @@ _SCENARIO_FIELDS = (
     "track_cells",  # cells along the locomotive's path, in travel order (empty for switches)
     "segment_cells",  # the sub-span whose return to all-white is asserted after a traversal
     "default_steps",
-    # where ``render`` draws each cell: a read-only mapping, computed from the chain on plain track, or None,
-    # which it refuses
+    # where ``render`` draws each cell, or None on plain track, which it draws as its cells on one line
     "layout",
     # a bridge's other track, which must stay white; verify.check_track judges a scenario with one as a bridge
     "crossing_track",
@@ -98,30 +97,6 @@ class Scenario(namedtuple("Scenario", _SCENARIO_FIELDS, defaults=((), (), 7, Non
         return run(self.graph, self.initial, table, steps)
 
 
-class ChainLayout(Mapping):
-    """A chain drawn as a straight line, read-only: its i-th cell at ``(float(i), 0.0)``, computed when read."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, cells: range):
-        self.cells = cells
-
-    def __getitem__(self, cell: CellId) -> tuple[float, float]:
-        try:
-            return float(self.cells.index(cell)), 0.0
-        except ValueError:
-            raise KeyError(cell) from None
-
-    def __iter__(self):
-        return iter(self.cells)
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __repr__(self) -> str:
-        return f"ChainLayout({self.cells!r})"
-
-
 def _track_scenario(
     name: str,
     graph: CellGraph,
@@ -134,12 +109,11 @@ def _track_scenario(
     It starts as rear R then front B, pointing along the chain (or against it
     when not ``forward``), and runs until its front reaches the last cell of
     the chain; the buffer cells at each end lie outside the segment under
-    test.  The layout defaults to the chain drawn as a straight line, a
-    ``ChainLayout`` that stores no position.
+    test.  With no ``layout`` given, the scenario keeps None, which
+    ``render`` draws as the chain on a straight line.
     """
     cells = graph.cell_ids[chain.start - 1 : chain.stop - 1]  # ids count from 1: the graph's own id objects, shared
     track = cells if forward else cells[::-1]
-    fields.setdefault("layout", ChainLayout(chain))
     initial = uniform_configuration(graph)
     initial.states.update({track[SEGMENT_BUFFER]: R, track[SEGMENT_BUFFER + 1]: B})
     return Scenario(

@@ -5,17 +5,16 @@ just the ordered list of them.  A check judges the trace it is given and never
 builds or runs a scenario: only ``verify_scenario`` runs one, once, and picks
 its checks, for ``verify`` and for each scenario of ``verify-all`` alike.
 
-The checks read a trace through ``Trace``: its first row, then its flat
-arrays, never a dense row per step, so they cost what the run changed, not
-the size of its graph.  One check, ``check_track``, judges segments and
-bridges.  A lone locomotive has one clean traversal
-(``expected_traversal``): a run whose changes are exactly it passes on one
-compare of the flat arrays when the locomotive ends off the segment and off
-any crossing track, and a run whose changes differ is explained by its first
-divergence from it.  A golden trace is compared with the run in one tuple
-comparison; only one that differs is read further, both traces' arrays in
-lockstep up to the first divergence, to name it, and a track run's
-divergence is named the same way.  The oracle check reads a crossing with
+The checks read a trace through ``Trace``: its first row, then
+``Trace.steps``, never a dense row per step, so they cost what the run
+changed, not the size of its graph.  A golden trace is compared with the
+run in one tuple comparison; only one that differs is read further, both
+traces step by step in lockstep up to the first divergence, to name it
+(``trace_divergence``).  One check, ``check_track``, judges segments and
+bridges, and compares a run the same way: a lone locomotive has one clean
+traversal, a ``Trace`` as a golden file is (``expected_traversal``), and a
+run equal to it passes when the locomotive ends off the segment and off
+any crossing track.  The oracle check reads a crossing with
 ``scenarios.ca_outcome``, next to the switch layout it reads.
 ``chain_rows`` gives dense rows, and ``one_d_violations`` and
 ``locomotive_progress`` walk them, for callers that hold rows.
@@ -26,7 +25,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection
 from operator import itemgetter
 from pathlib import Path
 
@@ -115,27 +114,18 @@ def check_catalog_invariance(rules_dir: Path | str | None = None) -> tuple[Check
     return CheckResult("rule-catalog-invariance", True, f"{len(table)} rules"), table
 
 
-def _rows_of_changes(trace: Trace) -> Iterator[tuple[Sequence[int], Sequence[int]]]:
-    """Each row of ``trace`` as what it sets: the first row sets every cell, each later one its step's changes."""
-    yield range(len(trace.initial)), trace.initial
-    done = 0
-    for end in trace.ends:
-        yield trace.indices[done:end], trace.new_states[done:end]
-        done = end
-
-
 def trace_divergence(got: Trace, want: Trace) -> str | None:
     """First mismatch as ``time T cell C: expected X, got Y``; None when equal.
 
     Equal traces are equal tuples: both list each step's changes in
     ascending index order and only cells that do change, so equal rows have
-    equal changes.  Unequal ones are read in lockstep from their flat arrays,
-    row by row, as what each row sets; rows that set the same cells to the
-    same states are equal.  Only a row whose slices differ is judged cell by
-    cell, on the cells either trace sets, against the row both traces share
-    so far: equal rows stored in other changes pass, and the first cell that
-    differs ends the read.  So a divergence costs the rows up to it, not a
-    dense replay of both traces.
+    equal changes.  Unequal ones are compared first row first, then read in
+    lockstep through ``Trace.steps``, step by step; steps that set the same
+    cells to the same states are equal.  Only a step whose changes differ is
+    judged cell by cell, on the cells either trace sets, against the row
+    both traces share so far: equal rows stored in other changes pass, and
+    the first cell that differs ends the read.  So a divergence costs the
+    steps up to it, not a dense replay of both traces.
     """
     if got == want:
         return None
@@ -143,25 +133,30 @@ def trace_divergence(got: Trace, want: Trace) -> str | None:
         return f"cell ordering differs: {got.cell_ids} vs {want.cell_ids}"
     if got.start != want.start:  # times count up by one from the start
         return f"time labels differ: {got.start} vs {want.start}"
+    if got.initial != want.initial:  # compared whole first, as most traces share their first row
+        for i, (s_got, s_want) in enumerate(zip(got.initial, want.initial)):
+            if s_got != s_want:
+                return f"time {got.start} cell {got.cell_ids[i]}: expected {LETTERS[s_want]}, got {LETTERS[s_got]}"
     row = list(got.initial)
-    for t, set_got, set_want in zip(itertools.count(got.start), _rows_of_changes(got), _rows_of_changes(want)):
-        if set_got != set_want:
-            new_got, new_want = dict(zip(*set_got)), dict(zip(*set_want))
+    for t, changes_got, changes_want in zip(itertools.count(got.start + 1), got.steps(), want.steps()):
+        if changes_got != changes_want:
+            new_got, new_want = dict(changes_got), dict(changes_want)
             for i in sorted(new_got.keys() | new_want.keys()):
                 s_got, s_want = new_got.get(i, row[i]), new_want.get(i, row[i])
                 if s_got != s_want:
                     return f"time {t} cell {got.cell_ids[i]}: expected {LETTERS[s_want]}, got {LETTERS[s_got]}"
-        for i, state in zip(*set_got):
+        for i, state in changes_got:
             row[i] = state
-    if len(got.ends) != len(want.ends):
-        return f"row counts differ: {len(got.ends) + 1} vs {len(want.ends) + 1}"
+    steps_got, steps_want = got.end - got.start, want.end - want.start
+    if steps_got != steps_want:
+        return f"row counts differ: {steps_got + 1} vs {steps_want + 1}"
     return None
 
 
 def check_golden(name: str, trace: Trace, golden_dir: Path | str | None = None) -> CheckResult:
     want = load_golden_trace(name, golden_dir)  # missing file raises
     diff = trace_divergence(trace, want)
-    return CheckResult(f"golden:{name}", diff is None, diff or f"{len(want.ends) + 1} rows match")
+    return CheckResult(f"golden:{name}", diff is None, diff or f"{want.end - want.start + 1} rows match")
 
 
 def _positions(cell_ids: tuple[int, ...], chain: tuple[int, ...]) -> list[int]:
@@ -221,9 +216,9 @@ def locomotive_progress(rows: list[tuple[CellState, ...]]) -> list[str]:
 
 
 def _traversal(
-    cell_ids: tuple[int, ...], initial: tuple[CellState, ...], track: tuple[int, ...], steps: int
-) -> tuple[tuple[int, ...], tuple[array, array, bytes]] | None:
-    """The track cells a clean traversal of ``steps`` steps passes over, and its changes as ``Trace`` stores them.
+    cell_ids: tuple[int, ...], start: int, initial: tuple[CellState, ...], track: tuple[int, ...], steps: int
+) -> tuple[tuple[int, ...], Trace] | None:
+    """The track cells a clean traversal of ``steps`` steps passes over, and its trace from time ``start``.
 
     None unless ``initial``, a first row over ``cell_ids``, is a lone
     locomotive it can extend: exactly two cells not white, R at position
@@ -256,55 +251,72 @@ def _traversal(
         if None in at or len(set(at)) != len(at):
             return None
         changes = [pair for t in range(steps) for pair in sorted(zip(at[t : t + 3], step))]
-        return passed, (ends, array("I", [i for i, _ in changes]), bytes(s for _, s in changes))
+        indices, new_states = array("I", [i for i, _ in changes]), bytes(s for _, s in changes)
+        return passed, Trace(cell_ids, start, initial, ends, indices, new_states)
     order = (0, 1, 2) if at[0] < at[1] else (2, 1, 0)  # a step's three positions by ascending index
     at = array("I", at)
     indices = array("I", [0]) * (3 * steps)
     for k, position in enumerate(order):
         indices[k::3] = at[position : position + steps]
-    return passed, (ends, indices, bytes(step[k] for k in order) * steps)
+    return passed, Trace(cell_ids, start, initial, ends, indices, bytes(step[k] for k in order) * steps)
 
 
-def expected_traversal(scenario: Scenario, steps: int) -> tuple[array, array, bytes] | None:
-    """The ``(ends, indices, new_states)`` of the scenario's clean traversal of ``steps`` steps, as a ``Trace``'s.
+def expected_traversal(scenario: Scenario, steps: int) -> Trace | None:
+    """The scenario's clean traversal of ``steps`` steps: the ``Trace`` its run must equal.
 
     None when its initial row is not a lone locomotive that can run ``steps``
     steps forward along ``track_cells`` (see ``_traversal``).
     """
-    cell_ids = scenario.graph.cell_ids
-    clean = _traversal(cell_ids, tuple(map(scenario.initial.states.get, cell_ids)), scenario.track_cells, steps)
+    cell_ids, initial = scenario.graph.cell_ids, scenario.initial
+    first = tuple(map(initial.states.get, cell_ids))
+    clean = _traversal(cell_ids, initial.time, first, scenario.track_cells, steps)
     return None if clean is None else clean[1]
+
+
+def _first_row_problem(scenario: Scenario, trace: Trace, steps: int) -> str:
+    """Why no clean traversal starts at the first row: the first of its faults found, located when it can be.
+
+    The track row's ``locomotive_progress``; else the crossing-track cells
+    not white, in crossing-track order; else the first cell on neither track
+    that is not white; else the locomotive points against the track, the
+    track is too short or it meets itself.
+    """
+    track_row = tuple(trace.initial[i] for i in _positions(trace.cell_ids, scenario.track_cells))
+    if shape := locomotive_progress([track_row]):
+        return shape[0]
+    lit = {c: s for c, s in zip(trace.cell_ids, trace.initial) if s is not W}
+    if crossed := [c for c in scenario.crossing_track if c in lit]:
+        return f"t{trace.start}: crossing track disturbed at {crossed}"
+    on_track = set(scenario.track_cells)
+    if off := [c for c in lit if c not in on_track]:
+        return f"t{trace.start}: cell {off[0]} off the track is {LETTERS[lit[off[0]]]}"
+    return f"no clean traversal of {steps} steps along the track"
 
 
 def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
     """A bridge's line when the scenario has a crossing track, a segment's otherwise.
 
-    A trace passes when its first row is a lone locomotive, its changes are
-    exactly that locomotive's clean traversal (``_traversal``), the
-    locomotive ends off the segment and the cells it passes miss the
-    crossing track: one compare of the flat arrays and two set tests.  A
-    failing trace is explained at no more cost than reaching its fault: a
-    first row with no clean traversal by its track row's
-    ``locomotive_progress``, changes that differ from the clean ones by their
-    first divergence (``trace_divergence``, as a golden trace's), and a clean
-    traversal by when it first turns a crossing-track cell non-white and
-    which segment cells it leaves non-white.  Changes that list the clean
-    rows in another way, a change given twice, are judged as clean ones.
+    A lone locomotive has one clean traversal, and a track run is compared
+    with it as a golden run is with its file: the trace passes when its
+    first row is a lone locomotive, ``trace_divergence`` finds nothing
+    between it and that traversal (``_traversal``), the locomotive ends off
+    the segment and the cells it passes miss the crossing track.  A first
+    row with no clean traversal is explained by ``_first_row_problem``,
+    changes that differ by their first divergence, and a clean traversal by
+    when it first turns a crossing-track cell non-white and which segment
+    cells it leaves non-white.  Changes that list the clean rows in another
+    way, a change given twice, are judged as clean ones.
     """
-    steps = len(trace.ends)
+    steps = trace.end - trace.start
     if scenario.crossing_track:
-        name, clean = f"bridge:{scenario.name}", "clean traversal"
+        name, detail = f"bridge:{scenario.name}", "clean traversal"
     else:
-        name, clean = f"segment:{scenario.name}", f"{steps} steps clean"
-    expected = _traversal(trace.cell_ids, trace.initial, scenario.track_cells, steps)
+        name, detail = f"segment:{scenario.name}", f"{steps} steps clean"
+    expected = _traversal(trace.cell_ids, trace.start, trace.initial, scenario.track_cells, steps)
     if expected is None:
-        shape = locomotive_progress([tuple(trace.initial[i] for i in _positions(trace.cell_ids, scenario.track_cells))])
-        return CheckResult(name, False, shape[0] if shape else f"no clean traversal of {steps} steps along the track")
-    passed, changes = expected
-    same = changes == (trace.ends, trace.indices, trace.new_states)
-    if same and set(passed[-2:]).isdisjoint(scenario.segment_cells) and set(scenario.crossing_track).isdisjoint(passed):
-        return CheckResult(name, True, clean)
-    if not same and (diff := trace_divergence(trace, Trace(trace.cell_ids, trace.start, trace.initial, *changes))):
+        return CheckResult(name, False, _first_row_problem(scenario, trace, steps))
+    passed, clean = expected
+    if diff := trace_divergence(trace, clean):
         return CheckResult(name, False, diff)
     problems = []
     if crossed := set(scenario.crossing_track).intersection(passed):
@@ -314,10 +326,10 @@ def check_track(scenario: Scenario, trace: Trace) -> CheckResult:
         problems.append(
             f"t{trace.start + k - 1}: crossing track disturbed at {sorted(turned, key=scenario.crossing_track.index)}"
         )
-    if stuck := [c for c in scenario.segment_cells if c in passed[-2:]]:
+    if stuck := sorted(set(passed[-2:]).intersection(scenario.segment_cells), key=scenario.segment_cells.index):
         idle = "bridge cells not idle after traversal" if scenario.crossing_track else "segment cells not idle after exit"
         problems.append(f"{idle}: {stuck}")
-    return CheckResult(name, not problems, "; ".join(problems) or clean)
+    return CheckResult(name, not problems, "; ".join(problems) or detail)
 
 
 check_segment = check_bridge = check_track  # the benchmark's tracer times these names; they go with its next change

@@ -982,9 +982,9 @@ def test_a_segment_holds_one_shape_per_distinct_wiring(build, shapes):
 def test_a_vertical_segment_holds_at_most_560_bytes_per_cell(catalog):
     # what stays allocated after building and running build_vertical_segment(2000): graph, scenario and
     # trace; the graph keeps per cell its index, a shared shape, its base and its feeds (no pair for the
-    # cell itself), the scenario's layout is computed from its chain and its track cells are the graph's
-    # own ids, and the trace's changes are flat arrays; a self feed pair per cell, a layout dict of float
-    # pairs and a copy of the chain's ids held about 645 B per cell
+    # cell itself), the scenario keeps no layout (render places a plain track's cells itself) and its track
+    # cells are the graph's own ids, and the trace's changes are flat arrays; a self feed pair per cell, a
+    # layout dict of float pairs and a copy of the chain's ids held about 645 B per cell
     gc.collect()
     tracemalloc.start()
     try:

@@ -45,10 +45,19 @@ def test_all_white_configuration_renders_empty_body():
     assert len(lines) == 2
 
 
-def test_missing_layout_rejected():
-    graph = CellGraph({1: BLANK})
-    scenario = Scenario("nolayout", graph, uniform_configuration(graph), (1,))
-    with pytest.raises(LayoutError):
+def test_a_scenario_without_a_layout_draws_its_cells_on_a_line():
+    graph = CellGraph({5: (FACE_STATES, {}), 3: BLANK, 9: (FACE_STATES, {})})
+    scenario = Scenario("nolayout", graph, Configuration({5: B, 3: W, 9: R}, 0), (5, 3, 9))
+    placed = scenario._replace(layout={c: (float(i), 0.0) for i, c in enumerate(graph.cell_ids)})
+    for side in ViewSide:
+        assert render_scenario(scenario, scenario.initial, side) == render_scenario(placed, placed.initial, side)
+
+
+@pytest.mark.parametrize("cells, layout", [({}, None), ({1: BLANK}, {})], ids=["no-cells", "empty-layout"])
+def test_a_scenario_with_no_cell_to_place_is_rejected(cells, layout):
+    graph = CellGraph(cells)
+    scenario = Scenario("nowhere", graph, uniform_configuration(graph), layout=layout)
+    with pytest.raises(LayoutError, match="^scenario 'nowhere' has no cell to place$"):
         render_scenario(scenario, scenario.initial, ViewSide.ABOVE)
 
 

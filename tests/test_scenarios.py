@@ -244,30 +244,20 @@ def test_track_scenario_invariants(shape, heading, catalog):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: SCENARIOS["vertical-fwd-n7"].build(),
-        lambda: SCENARIOS["vertical-rev-n7"].build(),
-        lambda: SCENARIOS["horizontal-fwd-k5"].build(),
-        lambda: SCENARIOS["horizontal-rev-k5"].build(),
+        *(entry.build for entry in SCENARIOS.values()),
         lambda: build_vertical_segment(3),
         lambda: build_vertical_segment(500, forward=False),
         lambda: build_horizontal_segment(20),
     ],
-    ids=["vertical-fwd-n7", "vertical-rev-n7", "horizontal-fwd-k5", "horizontal-rev-k5", "n3", "n500-rev", "k20"],
+    ids=[*SCENARIOS, "n3", "n500-rev", "k20"],
 )
-def test_a_plain_track_layout_is_its_chain_on_a_line(build):
-    # computed from the chain, it reads as the dict of float pairs it replaces: item for item, in order
+def test_only_bridges_and_switches_carry_a_layout(build):
+    # a plain track keeps None, which render draws as its cells on a line; the others place every cell
     scenario = build()
-    chain = scenario.graph.cell_ids
-    drawn = {c: (float(i), 0.0) for i, c in enumerate(chain)}
-    layout = scenario.layout
-    assert list(layout.items()) == list(drawn.items())
-    assert layout == drawn and len(layout) == len(drawn)
-    for outside in (0, chain[-1] + 1, "1"):
-        assert outside not in layout
-        with pytest.raises(KeyError):
-            layout[outside]
-    with pytest.raises(TypeError):
-        layout[chain[0]] = (1.0, 1.0)
+    if scenario.crossing or scenario.crossing_track:
+        assert set(scenario.layout) == set(scenario.graph.cell_ids)
+    else:
+        assert scenario.layout is None
 
 
 # --- switch graphs -----------------------------------------------------------

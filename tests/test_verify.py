@@ -328,8 +328,8 @@ def disturbed_bridge_trace(catalog, disturbances):
 @pytest.mark.parametrize(
     "disturbances, dense, detail",
     [
-        # in the initial row: a third cell not white, so no clean traversal starts there
-        ({(0, 2): R}, "t0: crossing track disturbed at [{2}]", "no clean traversal of 12 steps along the track"),
+        # in the initial row: a third cell not white, so no clean traversal starts there, and the first row names it
+        ({(0, 2): R}, "t0: crossing track disturbed at [{2}]", "t0: crossing track disturbed at [{2}]"),
         # two at once: the reference lists them in track order, the divergence names the first by index
         ({(4, 5): B, (4, 1): R}, "t4: crossing track disturbed at [{1}, {5}]", "time 4 cell {1}: expected W, got R"),
         # only the first disturbed row's cells
@@ -378,8 +378,8 @@ def test_crossing_disturbance_verdict_agrees_with_dense_scan(catalog, disturbanc
     run = scenario.run(catalog)
     result = check_track(scenario, trace)
     assert result.ok == dense_track_verdict(scenario, trace) == (trace.rows == run.rows)
-    if trace.initial != run.initial:  # a third cell not white
-        assert result.detail == "no clean traversal of 12 steps along the track"
+    if trace.initial != run.initial:  # a third cell not white, named as the reference names it
+        assert result.detail == dense_track_problems(scenario, trace)[0]
     else:
         assert result.detail == (trace_divergence(trace, run) or "clean traversal")
 
@@ -727,7 +727,10 @@ LONG_TRACKS = {
 def test_the_expected_traversal_is_the_runs_trace(catalog, name):
     scenario = LONG_TRACKS[name]() if name in LONG_TRACKS else SCENARIOS[name].build()
     trace = scenario.run(catalog)
-    assert expected_traversal(scenario, len(trace.ends)) == (trace.ends, trace.indices, trace.new_states)
+    for k in range(scenario.default_steps + 1):  # the run of k steps is the first k steps of the whole run
+        done = trace.ends[k - 1] if k else 0
+        run_k = trace._replace(ends=trace.ends[:k], indices=trace.indices[:done], new_states=trace.new_states[:done])
+        assert expected_traversal(scenario, k) == run_k, k
     assert check_track(scenario, trace).ok
 
 
@@ -743,7 +746,7 @@ def test_a_clean_prefix_that_stops_on_the_segment_fails_on_its_idle_cells(catalo
     # the changes are the clean traversal's, but the rear is still on a segment cell after them
     scenario = build_vertical_segment(7)
     trace = scenario.run(catalog, 6)
-    assert expected_traversal(scenario, 6) == (trace.ends, trace.indices, trace.new_states)
+    assert expected_traversal(scenario, 6) == trace
     assert check_track(scenario, trace).line() == (
         f"FAIL  segment:vertical-fwd-n7  (segment cells not idle after exit: [{scenario.track_cells[11]}])"
     )
@@ -789,6 +792,9 @@ def test_a_cell_off_the_track_that_leaves_white_fails():
     trace = Trace.from_rows((1, 2, 3, 4), ((0, (R, B, W, W)), (1, (W, R, B, B))))
     assert dense_track_problems(scenario, trace) == []
     assert check_track(scenario, trace).line() == "FAIL  segment:off  (time 1 cell 4: expected W, got B)"
+    # not white in the first row, it is named there
+    trace = Trace.from_rows((1, 2, 3, 4), ((0, (R, B, W, R)), (1, (W, R, B, R))))
+    assert check_track(scenario, trace).line() == "FAIL  segment:off  (t0: cell 4 off the track is R)"
 
 
 def test_a_locomotive_that_never_moves_must_point_along_the_track():
